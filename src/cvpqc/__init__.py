@@ -46,7 +46,6 @@ from .holevo import (
     LambdaSpectrum,
     OffDiagonalEstimate,
     QuadratureConvergenceError,
-    QuadratureSettings,
     holevo_bound,
     holevo_curve,
     lambda_spectrum,

@@ -29,13 +29,7 @@ from .distances import (
 )
 from .ensembles import ChannelSpec, maximally_mixed, phi_n, circle_mixture
 from .fockspace import CutoffPolicy, hs_distance_numeric
-from .holevo import (
-    DEFAULT_QUAD,
-    QuadratureConvergenceError,
-    QuadratureSettings,
-    holevo_curve,
-    off_diagonal_check,
-)
+from .holevo import QuadratureConvergenceError, holevo_curve, off_diagonal_check
 from .optimizer import find_rmin, saturation_sweep
 from .specialfns import (
     DEFAULT_TOL,
@@ -76,11 +70,20 @@ def parse_grid(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
+def parse_counts(text: str) -> list[int]:
+    """parse_grid restricted to whole numbers."""
+    values = parse_grid(text)
+    if any(v != int(v) for v in values):
+        raise ValueError(f"expected whole numbers, got {text!r}")
+    return [int(v) for v in values]
+
+
 def _fmt(v):
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        # float() first: numpy 2 floats repr as np.float64(...)
+        return repr(float(v))
     return str(v)
 
 
@@ -200,15 +203,14 @@ def cmd_saturation(args, tol, out) -> int:
 
 
 def cmd_holevo(args, tol, out) -> int:
-    quad = QuadratureSettings(order_xy=args.order, phi_points=args.phi_points)
-    curve = holevo_curve(args.b_grid, quad, tol=tol)
+    """`holevo --b-grid G` and `figures fig2 [--b-grid G]`."""
+    curve = holevo_curve(args.b_grid or parse_grid("0.5:4:0.5"))
     rows = [
         (b, chi, spec.quad_error, spec.dim)
         for (b, chi), spec in zip(curve.samples, curve.spectra)
     ]
-    write_rows(
-        ["b", "chi_bits", "quad_error", "dim"], rows, out, args.format, "holevo"
-    )
+    command = "holevo" if args.command == "holevo" else "fig2"
+    write_rows(["b", "chi_bits", "quad_error", "dim"], rows, out, args.format, command)
     for b, msg in curve.failures:
         print(f"b={b}: {msg}", file=sys.stderr)
     return EXIT_INCONSISTENT if curve.failures else EXIT_OK
@@ -224,18 +226,7 @@ def cmd_figures(args, tol, out) -> int:
         rows = [(b, find_rmin(b, tol).r_min) for b in grid]
         write_rows(["b", "r_min"], rows, out, args.format, "fig1b")
     else:  # fig2
-        grid = args.b_grid or parse_grid("0.5:4:0.5")
-        quad = QuadratureSettings(order_xy=args.order, phi_points=args.phi_points)
-        curve = holevo_curve(grid, quad, tol=tol)
-        rows = [
-            (b, chi, spec.quad_error, spec.dim)
-            for (b, chi), spec in zip(curve.samples, curve.spectra)
-        ]
-        write_rows(["b", "chi_bits", "quad_error", "dim"], rows, out, args.format, "fig2")
-        if curve.failures:
-            for b, msg in curve.failures:
-                print(f"b={b}: {msg}", file=sys.stderr)
-            return EXIT_INCONSISTENT
+        return cmd_holevo(args, tol, out)
     return EXIT_OK
 
 
@@ -356,8 +347,15 @@ def cmd_verify(args, tol, out) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors print one stderr line, not the usage block."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvpqc",
         description="Continuous-variable private-channel numerics: "
         "distances, optimal radii, Holevo bounds.",
@@ -370,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distance", help="exact/approximate squared HS distance")
     p.add_argument("--b", type=parse_grid, required=True)
-    p.add_argument("--N", type=lambda s: [int(x) for x in parse_grid(s)], required=True)
+    p.add_argument("--N", type=parse_counts, required=True)
     p.add_argument("--with-oracle", action="store_true")
     p.set_defaults(func=cmd_distance)
 
@@ -398,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("holevo", help="Holevo bound over a b grid")
     p.add_argument("--b-grid", type=parse_grid, required=True)
-    p.add_argument("--order", type=int, default=DEFAULT_QUAD.order_xy)
-    p.add_argument("--phi-points", type=int, default=DEFAULT_QUAD.phi_points)
     p.set_defaults(func=cmd_holevo)
 
     p = sub.add_parser("figures", help="figure-data reproduction")
@@ -407,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=2.0)
     p.add_argument("--p-max", type=int, default=20)
     p.add_argument("--b-grid", type=parse_grid, default=None)
-    p.add_argument("--order", type=int, default=DEFAULT_QUAD.order_xy)
-    p.add_argument("--phi-points", type=int, default=DEFAULT_QUAD.phi_points)
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("verify", help="invariant and oracle suites")
@@ -433,7 +427,11 @@ def main(argv=None) -> int:
         print(f"bad CVPQC_EPS: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     close_out = args.out != "-"
-    out = open(args.out, "w") if close_out else sys.stdout
+    try:
+        out = open(args.out, "w") if close_out else sys.stdout
+    except OSError as exc:
+        print(f"cannot write --out: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         code = args.func(args, tol, out)
     except (ValueError, ArgumentRangeError) as exc:

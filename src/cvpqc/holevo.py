@@ -1,19 +1,22 @@
 """Holevo bound of the encrypted channel.
 
 The total state leaving the sender (inputs and encryption displacements
-both uniform on the disk of radius b) is diagonal in the Fock basis with
-weights
+both uniform on the disk of radius b) is diagonal in the Fock basis.  Its
+weight lambda_n is the Poisson(n; s^2) diagonal of a coherent projector
+at combined radius s = |alpha + beta|, averaged over the density of s:
 
-    lambda_n  proportional to  int int int e^(-R^2) R^(2n)/n! x y dx dy dphi,
-    R^2 = x^2 + y^2 - 2 x y cos(phi),
+    lambda_n = int_0^(2b) 2 pi s A(s) / (pi b^2)^2  e^(-s^2) s^(2n) / n!  ds,
+    A(s) = 2 b^2 arccos(s / 2b) - (s / 2) sqrt(4 b^2 - s^2),
 
-the diagonal of a coherent projector at combined radius R under the
-product disk measure.  The Holevo quantity is then the entropy gap
-S(lambda) - S(disk-mixed state), both states being diagonal.
+A(s) being the area where the two disks of radius b overlap.  The Holevo
+quantity is then the entropy gap S(lambda) - S(disk-mixed state), both
+states being diagonal.
 
-Quadrature is tensor Gauss-Legendre in x and y with a periodic trapezoid
-rule in phi; every lambda_n accumulates in one pass over the nodes, and a
-refinement doubling supplies the error estimate.
+The substitution s = 2b cos(t) gives A = b^2 (2t - sin 2t) and a smooth
+integrand on t in [0, pi/2], integrated by Gauss-Legendre at GL_ORDER
+nodes; a second pass at twice the order supplies the error estimate.
+Every lambda_n comes from the same nodes, its Poisson factor built by the
+recurrence p_n = p_(n-1) s^2 / n.
 """
 
 from __future__ import annotations
@@ -24,34 +27,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fockspace import CutoffPolicy
-from .specialfns import DEFAULT_TOL, SeriesTolerance, poisson_tail
+from .specialfns import poisson_tail
 
 TWO_PI = 2.0 * math.pi
+
+GL_ORDER = 200
+REFINE_THRESHOLD = 1e-6
 
 
 class QuadratureConvergenceError(RuntimeError):
     """Refinement levels disagree beyond the acceptance threshold."""
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    order_xy: int = 64
-    phi_points: int = 256
-    refine_threshold: float = 1e-6
-
-    def __post_init__(self):
-        if self.order_xy < 2 or self.phi_points < 4:
-            raise ValueError("quadrature too coarse")
-
-    def doubled(self) -> "QuadratureSettings":
-        return QuadratureSettings(
-            order_xy=2 * self.order_xy,
-            phi_points=2 * self.phi_points,
-            refine_threshold=self.refine_threshold,
-        )
-
-
-DEFAULT_QUAD = QuadratureSettings()
 
 
 @dataclass(frozen=True)
@@ -61,7 +46,6 @@ class LambdaSpectrum:
     b: float
     weights: np.ndarray = field(repr=False)
     quad_error: float
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -86,70 +70,33 @@ class OffDiagonalEstimate:
     dim: int
 
 
-def _raw_weights(b: float, quad: QuadratureSettings, dim: int) -> tuple[np.ndarray, float]:
-    """Unnormalized lambda_n plus the total mass under the alternative
-    R^(2n+1) reading (kept for diagnostics)."""
-    x, wx = np.polynomial.legendre.leggauss(quad.order_xy)
-    # map [-1, 1] -> [0, b]
-    x = 0.5 * b * (x + 1.0)
-    wx = 0.5 * b * wx
-    phis = TWO_PI * np.arange(quad.phi_points) / quad.phi_points
-    wphi = TWO_PI / quad.phi_points
-    xs = x[:, None]
-    ys = x[None, :]
-    base_w = (wx * x)[:, None] * (wx * x)[None, :] * wphi  # x y dx dy dphi
-    lam = np.zeros(dim)
-    alt_mass = 0.0
-    for phi in phis:
-        r2 = xs * xs + ys * ys - 2.0 * xs * ys * math.cos(phi)
-        r2 = np.maximum(r2, 0.0).ravel()
-        cur = base_w.ravel() * np.exp(-r2)
-        alt_mass += float(np.sum(base_w.ravel() * np.sqrt(r2)))
-        lam[0] += cur.sum()
-        for n in range(1, dim):
-            cur *= r2 / n
-            lam[n] += cur.sum()
-    return lam, alt_mass
+def _raw_weights(b: float, order: int, dim: int) -> np.ndarray:
+    """lambda_n for n < dim by order-point Gauss-Legendre in t; the full
+    sum over n is 1, so the deficit is the mass beyond the cutoff."""
+    t, w = np.polynomial.legendre.leggauss(order)
+    t = 0.25 * math.pi * (t + 1.0)  # [-1, 1] -> [0, pi/2], dt = (pi/4) dx
+    s = 2.0 * b * np.cos(t)
+    # density(s) ds = (4/pi) sin(2t) (2t - sin 2t) dt, free of b
+    weight = w * np.sin(2.0 * t) * (2.0 * t - np.sin(2.0 * t))
+    rows = np.vstack([np.exp(-s * s), np.outer(1.0 / np.arange(1, dim), s * s)])
+    return np.cumprod(rows, axis=0) @ weight
 
 
-def lambda_spectrum(
-    b: float,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    cutoff: CutoffPolicy | None = None,
-) -> LambdaSpectrum:
+def lambda_spectrum(b: float) -> LambdaSpectrum:
     """Diagonal spectrum of the total channel state, radius-2b support."""
     if not b > 0:
         raise ValueError(f"b must be positive, got {b}")
-    if cutoff is None:
-        cutoff = CutoffPolicy(max_radius=2.0 * b)
-    dim = cutoff.dim
-    coarse, _ = _raw_weights(b, quad, dim)
-    fine, alt_mass = _raw_weights(b, quad.doubled(), dim)
+    dim = CutoffPolicy(max_radius=2.0 * b).dim
+    coarse = _raw_weights(b, GL_ORDER, dim)
+    fine = _raw_weights(b, 2 * GL_ORDER, dim)
     total = fine.sum()
-    expected = math.pi * b**4 / 2.0  # int x y dx dy dphi, summed over n
     norm = fine / total
     refine_diff = float(np.abs(coarse / coarse.sum() - norm).max())
-    truncated = abs(1.0 - total / expected)
-    quad_error = max(refine_diff, truncated)
-    if refine_diff > quad.refine_threshold:
+    if refine_diff > REFINE_THRESHOLD:
         raise QuadratureConvergenceError(
-            f"refinement disagreement {refine_diff:.3e} at b={b} "
-            f"(order_xy={quad.order_xy}, phi_points={quad.phi_points})"
+            f"refinement disagreement {refine_diff:.3e} at b={b} (order={GL_ORDER})"
         )
-    if norm.min() < 0:
-        norm = np.maximum(norm, 0.0)
-        norm /= norm.sum()
-    return LambdaSpectrum(
-        b=b,
-        weights=norm,
-        quad_error=quad_error,
-        diagnostics={
-            "dim": dim,
-            "total_mass": total,
-            "expected_mass": expected,
-            "alt_reading_mass": alt_mass,
-        },
-    )
+    return LambdaSpectrum(b=b, weights=norm, quad_error=max(refine_diff, abs(1.0 - total)))
 
 
 def entropy_bits(weights: np.ndarray) -> float:
@@ -165,37 +112,30 @@ def disk_state_weights(b: float, dim: int) -> np.ndarray:
     return np.array([poisson_tail(n, lam) / lam for n in range(dim)])
 
 
-def holevo_bound(
-    b: float,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    cutoff: CutoffPolicy | None = None,
-    tol: SeriesTolerance = DEFAULT_TOL,
-) -> float:
-    """Holevo quantity chi(b) = S(total state) - S(disk-mixed state), bits."""
-    spec = lambda_spectrum(b, quad, cutoff)
-    chi = entropy_bits(spec.weights) - entropy_bits(disk_state_weights(b, spec.dim))
+def _chi(spec: LambdaSpectrum) -> float:
+    chi = entropy_bits(spec.weights) - entropy_bits(disk_state_weights(spec.b, spec.dim))
     if chi < -1e-6:
-        raise QuadratureConvergenceError(f"chi={chi} negative beyond tolerance at b={b}")
+        raise QuadratureConvergenceError(f"chi={chi} negative beyond tolerance at b={spec.b}")
     return max(chi, 0.0)
 
 
-def holevo_curve(
-    b_grid: list[float],
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    cutoff: CutoffPolicy | None = None,
-    tol: SeriesTolerance = DEFAULT_TOL,
-) -> HolevoCurve:
-    """chi(b) over a grid; per-point quadrature failures are recorded and
-    the rest of the curve is still returned."""
+def holevo_bound(b: float) -> float:
+    """Holevo quantity chi(b) = S(total state) - S(disk-mixed state), bits."""
+    return _chi(lambda_spectrum(b))
+
+
+def holevo_curve(b_grid: list[float]) -> HolevoCurve:
+    """chi(b) over a grid; per-point failures (quadrature, negative chi,
+    bad b) are recorded and the rest of the curve is still returned."""
     samples, spectra, failures = [], [], []
     for b in b_grid:
         try:
-            spec = lambda_spectrum(b, quad, cutoff)
+            spec = lambda_spectrum(b)
+            chi = _chi(spec)
         except (QuadratureConvergenceError, ValueError) as exc:
             failures.append((b, str(exc)))
             continue
-        chi = entropy_bits(spec.weights) - entropy_bits(disk_state_weights(b, spec.dim))
-        samples.append((b, max(chi, 0.0)))
+        samples.append((b, chi))
         spectra.append(spec)
     return HolevoCurve(samples=samples, spectra=spectra, failures=failures)
 

@@ -78,7 +78,8 @@ def d2_derivative(b: float, r: float, tol: SeriesTolerance = DEFAULT_TOL) -> flo
 def _grid_min(b: float, p: int, tol: SeriesTolerance, points: int) -> tuple[float, float]:
     """Argmin of the simplified distance over an r-grid in (0, b], with a
     3-point parabolic refinement."""
-    rs = [b * (i + 1) / points for i in range(points)]
+    # the last point is b itself: b * points / points can round above b
+    rs = [b * (i + 1) / points for i in range(points - 1)] + [b]
     vals = [hs2_simplified(b, p, r, tol) for r in rs]
     i = min(range(points), key=vals.__getitem__)
     r_best, v_best = rs[i], vals[i]

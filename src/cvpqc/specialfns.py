@@ -32,8 +32,8 @@ class SeriesTolerance:
     max_terms: int = 10_000
 
     def __post_init__(self):
-        if not self.eps_abs > 0:
-            raise ValueError(f"eps_abs must be positive, got {self.eps_abs}")
+        if not 0 < self.eps_abs < math.inf:
+            raise ValueError(f"eps_abs must be positive and finite, got {self.eps_abs}")
         if self.max_terms < 1:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
 

@@ -2,7 +2,8 @@
 
 The analytic code paths are double-precision series; the oracles here are
 deliberately different routes: extended-precision mpmath series, dense
-matrix algebra, scipy special functions, and Monte Carlo.  Tests must
+matrix algebra, scipy special functions, Monte Carlo, and a 3-D tensor
+quadrature of the Holevo spectrum.  Tests must
 never compare an analytic result against itself.
 """
 
@@ -12,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
-from scipy.special import gammainc, i0e, i1e
+from scipy.special import entr, gammainc, i0e, i1e
 
 from cvpqc import CoherentLabel, CutoffPolicy, coherent_projector
 
@@ -81,6 +82,38 @@ def dense_saturation_curve(b: float, p_max: int, r_lo: float):
         )
         curve.append((p, float(res.x), float(res.fun)))
     return curve
+
+
+def tensor_lambda_weights(b: float, dim: int, order_xy: int = 32, phi_points: int = 64):
+    """Normalized lambda_n, n < dim, by the 3-D route over both disk radii.
+
+    lambda_n is proportional to int int int e^(-R^2) R^(2n)/n! x y dx dy dphi
+    with R^2 = x^2 + y^2 - 2 x y cos(phi): tensor Gauss-Legendre in x and y
+    on [0, b], periodic trapezoid in the relative angle phi.
+    """
+    x, wx = np.polynomial.legendre.leggauss(order_xy)
+    x = 0.5 * b * (x + 1.0)
+    wx = 0.5 * b * wx
+    xs, ys = x[:, None, None], x[None, :, None]
+    cos_phi = np.cos(TWO_PI * np.arange(phi_points) / phi_points)
+    r2 = np.maximum(xs * xs + ys * ys - 2.0 * xs * ys * cos_phi, 0.0).ravel()
+    w = np.repeat(np.outer(wx * x, wx * x).ravel(), phi_points)
+    cur = w * np.exp(-r2)
+    lam = np.empty(dim)
+    for n in range(dim):
+        if n:
+            cur = cur * r2 / n
+        lam[n] = cur.sum()
+    return lam / lam.sum()
+
+
+def tensor_holevo_chi(b: float, dim: int) -> float:
+    """chi(b) in bits from the tensor-rule spectrum and the disk-state
+    diagonal P(X > n) / b^2 of scipy's incomplete gamma."""
+    n = np.arange(dim)
+    disk = gammainc(n + 1, b * b) / (b * b)
+    lam = tensor_lambda_weights(b, dim)
+    return float((entr(lam).sum() - entr(disk).sum()) / math.log(2.0))
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from cvpqc import (
     ChannelSpec,
     CoherentLabel,
     CutoffPolicy,
-    QuadratureSettings,
     bessel_i,
     bessel_sum,
     displacement_conjugate,
@@ -31,6 +30,7 @@ from cvpqc import (
     hs2_guess,
     hs2_simplified,
     hs_distance_numeric,
+    lambda_spectrum,
     maximally_mixed,
     off_diagonal_check,
     phi_n,
@@ -42,7 +42,7 @@ from cvpqc import (
 from cvpqc import cli
 from cvpqc.optimizer import GRID_POINTS, P_LIMIT, d2_derivative, _grid_min
 from cvpqc.specialfns import DEFAULT_TOL
-from conftest import circle_disk_constant, dense_saturation_curve
+from conftest import circle_disk_constant, dense_saturation_curve, tensor_holevo_chi
 
 TAIL = 1e-12
 GRID_B = (0.5, 1.0, 2.0)
@@ -210,13 +210,14 @@ def test_criterion_11_holevo_curve():
     chis = [holevo_bound(b) for b in (0.5, 1.0, 2.0, 4.0)]
     increasing = all(c2 > c1 for c1, c2 in zip(chis, chis[1:]))
     small_b = holevo_bound(1e-3)
-    refined = holevo_bound(2.0, QuadratureSettings().doubled())
-    stable = abs(refined - chis[2]) / chis[2] < 0.01
+    oracle = tensor_holevo_chi(2.0, lambda_spectrum(2.0).dim)
+    stable = abs(oracle - chis[2]) < 1e-9
     report(
         11,
         "Holevo curve trend",
         all(c >= 0.0 for c in chis) and increasing and small_b < 0.05 and stable,
-        "chi " + ", ".join(f"{c:.4f}" for c in chis),
+        "chi " + ", ".join(f"{c:.4f}" for c in chis)
+        + f", chi(2) vs tensor oracle {abs(oracle - chis[2]):.1e}",
     )
 
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import cvpqc
 from cvpqc import cli
 
 
@@ -47,6 +52,24 @@ class TestExitCodes:
         code, _, err = run(["keybits", "--d-hs", "0.5"], capsys)
         assert code == cli.EXIT_BAD_INPUT
         assert "CVPQC_EPS" in err
+
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_non_finite_eps_env_is_bad_input(self, capsys, monkeypatch, eps):
+        monkeypatch.setenv("CVPQC_EPS", eps)
+        code, _, err = run(["distance", "--b", "1", "--N", "2"], capsys)
+        assert code == cli.EXIT_BAD_INPUT
+        assert len(err.splitlines()) == 1 and "CVPQC_EPS" in err
+
+    def test_fractional_circle_count_is_bad_input(self, capsys):
+        code, out, err = run(["distance", "--b", "1", "--N", "1.7"], capsys)
+        assert code == cli.EXIT_BAD_INPUT
+        assert out == "" and len(err.splitlines()) == 1 and "--N" in err
+
+    def test_unwritable_out_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "missing-dir" / "out.csv"
+        code, _, err = run(["--out", str(path), "keybits", "--d-hs", "0.5"], capsys)
+        assert code == cli.EXIT_BAD_INPUT
+        assert len(err.splitlines()) == 1 and "--out" in err
 
     def test_success_is_zero(self, capsys):
         code, out, _ = run(["keybits", "--d-hs", "0.5", "--N", "4"], capsys)
@@ -106,21 +129,75 @@ class TestOtherCommands:
         p_sats = {line.split(",")[-1] for line in lines[1:]}
         assert len(p_sats) == 1
 
+    def test_saturation_grid_ends_at_b(self, capsys):
+        # b * 2000 / 2000 rounds one ulp above b = 1.8994
+        code, out, err = run(["saturation", "--b", "1.8994", "--p-max", "2"], capsys)
+        assert code == cli.EXIT_OK, err
+        assert all(float(line.split(",")[2]) <= 1.8994 for line in out.splitlines()[1:])
+
     def test_holevo_grid(self, capsys):
-        code, out, _ = run(
-            ["holevo", "--b-grid", "0.5,1", "--order", "32", "--phi-points", "64"],
-            capsys,
-        )
+        code, out, _ = run(["holevo", "--b-grid", "0.5,1"], capsys)
         assert code == cli.EXIT_OK
         lines = out.strip().splitlines()
         assert lines[0] == "b,chi_bits,quad_error,dim"
         chis = [float(line.split(",")[1]) for line in lines[1:]]
         assert chis[0] < chis[1]
+        code, _, _ = run(["holevo", "--b-grid", "0.5,1", "--phi-points", "64"], capsys)
+        assert code == cli.EXIT_BAD_INPUT
 
     def test_figure_data(self, capsys):
         code, out, _ = run(["figures", "fig1b", "--b-grid", "1,2"], capsys)
         assert code == cli.EXIT_OK
         assert out.splitlines()[0] == "b,r_min"
+
+
+# Every subcommand that writes rows (verify writes a PASS/FAIL report).
+ROW_COMMANDS = {
+    "distance": ["distance", "--b", "1", "--N", "1,2", "--with-oracle"],
+    "keybits": ["keybits", "--d-hs", "0.5"],
+    "simplified": ["simplified", "--b", "2", "--p", "4", "--r", "1.0"],
+    "rmin": ["rmin", "--b", "1,2"],
+    "saturation": ["saturation", "--b", "1", "--p-max", "3"],
+    "holevo": ["holevo", "--b-grid", "0.5,1"],
+    "fig1a": ["figures", "fig1a", "--b", "1", "--p-max", "3"],
+    "fig1b": ["figures", "fig1b", "--b-grid", "1,2"],
+    "fig2": ["figures", "fig2", "--b-grid", "0.5,1"],
+}
+TEXT_COLUMNS = {"method"}
+
+
+@pytest.mark.parametrize("command", sorted(ROW_COMMANDS))
+def test_output_contract(command, capsys):
+    argv = ROW_COMMANDS[command]
+    code, out, _ = run(argv, capsys)
+    assert code == cli.EXIT_OK
+    header, *lines = out.strip().splitlines()
+    columns = header.split(",")
+    assert lines
+    for line in lines:
+        for col, cell in zip(columns, line.split(","), strict=True):
+            if cell and col not in TEXT_COLUMNS:
+                float(cell)
+
+    code, out, _ = run(["--format", "json", *argv], capsys)
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    jsonschema.validate(doc, load_schema())
+    assert doc["command"] == command and len(doc["rows"]) == len(lines)
+
+
+def test_cli_imports_no_test_dependencies():
+    src = str(Path(cvpqc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import sys, cvpqc.cli; "
+        "print(','.join(m for m in ('scipy', 'mpmath', 'jsonschema') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
 
 
 class TestVerify:

@@ -5,13 +5,18 @@ import pytest
 
 from cvpqc import (
     QuadratureConvergenceError,
-    QuadratureSettings,
     holevo_bound,
     holevo_curve,
     lambda_spectrum,
     off_diagonal_check,
 )
+from cvpqc import holevo
 from cvpqc.holevo import disk_state_weights, entropy_bits
+from conftest import tensor_holevo_chi, tensor_lambda_weights
+
+# Gauss-Legendre order at which the refinement gap is 5.5e-9 at b = 0.2
+# and 1.7e-2 at b = 4: the first passes the 1e-6 threshold, the second fails.
+COARSE_ORDER = 8
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,19 +57,25 @@ class TestLambdaSpectrum:
         z = np.abs(ratios - quad_ratios) / errs
         assert z.max() < 5.0
 
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 4.0])
+    def test_matches_tensor_oracle(self, b):
+        spec = lambda_spectrum(b)
+        oracle = tensor_lambda_weights(b, spec.dim)
+        assert np.abs(spec.weights - oracle).max() < 1e-12
+        assert abs(holevo_bound(b) - tensor_holevo_chi(b, spec.dim)) < 1e-9
+
     def test_small_disk_concentrates_on_vacuum(self):
         spec = lambda_spectrum(1e-3)
         assert spec.weights[0] > 1.0 - 1e-5
 
-    def test_coarse_quadrature_raises(self):
+    def test_coarse_quadrature_raises(self, monkeypatch):
+        monkeypatch.setattr(holevo, "GL_ORDER", COARSE_ORDER)
         with pytest.raises(QuadratureConvergenceError):
-            lambda_spectrum(4.0, QuadratureSettings(order_xy=4, phi_points=8))
+            lambda_spectrum(4.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             lambda_spectrum(0.0)
-        with pytest.raises(ValueError):
-            QuadratureSettings(order_xy=1)
 
 
 class TestEntropyAndBound:
@@ -81,11 +92,20 @@ class TestEntropyAndBound:
         chi2 = holevo_bound(2.0)
         assert 0.0 < chi1 < chi2
 
-    def test_curve_collects_failures_without_aborting(self):
-        coarse = QuadratureSettings(order_xy=4, phi_points=8)
-        curve = holevo_curve([0.2, 4.0], coarse)
+    def test_curve_collects_failures_without_aborting(self, monkeypatch):
+        monkeypatch.setattr(holevo, "GL_ORDER", COARSE_ORDER)
+        curve = holevo_curve([0.2, 4.0])
         assert [b for b, _ in curve.samples] == [0.2]
         assert len(curve.failures) == 1 and curve.failures[0][0] == 4.0
+
+    def test_negative_chi_is_a_failure_in_bound_and_curve(self, monkeypatch):
+        # a maximally mixed reference has more entropy than any spectrum
+        monkeypatch.setattr(holevo, "disk_state_weights", lambda b, dim: np.full(dim, 1.0 / dim))
+        with pytest.raises(QuadratureConvergenceError, match="negative"):
+            holevo_bound(1.0)
+        curve = holevo_curve([1.0])
+        assert curve.samples == [] and curve.spectra == []
+        assert curve.failures[0][0] == 1.0 and "negative" in curve.failures[0][1]
 
 
 class TestOffDiagonalCheck:
