@@ -8,6 +8,7 @@ failure, 2 input validation, 3 internal consistency / oracle mismatch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -101,7 +102,7 @@ def write_rows(columns, rows, out, fmt, command):
         out.write("\n")
 
 
-def write_json_log(path, args, tol, extra=None):
+def write_json_log(fh, args, tol):
     log = {
         "package_version": __version__,
         "numpy_version": np.__version__,
@@ -109,11 +110,8 @@ def write_json_log(path, args, tol, extra=None):
         "max_terms": tol.max_terms,
         "argv": {k: v for k, v in vars(args).items() if k != "func"},
     }
-    if extra:
-        log.update(extra)
-    with open(path, "w") as fh:
-        json.dump(log, fh, indent=2, default=str)
-        fh.write("\n")
+    json.dump(log, fh, indent=2, default=str)
+    fh.write("\n")
 
 
 def numeric_d2(b: float, n_circles: int) -> float:
@@ -219,8 +217,7 @@ def cmd_holevo(args, tol, out) -> int:
 def cmd_figures(args, tol, out) -> int:
     if args.which == "fig1a":
         res = saturation_sweep(args.b, args.p_max, tol)
-        rows = [(p, r, d2) for p, r, d2 in res.curve]
-        write_rows(["p", "r_min", "d2_min"], rows, out, args.format, "fig1a")
+        write_rows(["p", "r_min", "d2_min"], res.curve, out, args.format, "fig1a")
     elif args.which == "fig1b":
         grid = args.b_grid or parse_grid("0.5:7:0.5")
         rows = [(b, find_rmin(b, tol).r_min) for b in grid]
@@ -242,19 +239,13 @@ def _check(out, results, name, ok, detail=""):
 
 
 def verify_identities(out, tol, results):
-    for x in (0.5, 1.0, 2.0, 4.0, 8.0):
-        lhs = math.exp(-x) * (bessel_i(0, x, tol) + 2.0 * bessel_sum(1, x, tol))
-        _check(out, results, f"bessel-identity x={x}", abs(lhs - 1.0) < 1e-12,
-               f"deviation {abs(lhs - 1.0):.3e}")
-    # two-variable form: I_0(2xy) + 2 sum_k I_k(2xy) = e^(2xy)
-    for x in (0.6, 1.2, 1.8, 2.4, 3.0):
-        for y in (0.6, 1.2, 1.8, 2.4, 3.0):
-            arg = 2.0 * x * y
-            lhs = math.exp(-arg) * (
-                bessel_i(0, arg, tol) + 2.0 * bessel_sum(1, arg, tol)
-            )
-            _check(out, results, f"bessel-identity-2 x={x} y={y}",
-                   abs(lhs - 1.0) < 1e-12, f"deviation {abs(lhs - 1.0):.3e}")
+    # I_0(x) + 2 sum_k I_k(x) = e^x, also in the two-variable form at 2yz
+    grid = (0.6, 1.2, 1.8, 2.4, 3.0)
+    cases = [(f"bessel-identity x={x}", x) for x in (0.5, 1.0, 2.0, 4.0, 8.0)]
+    cases += [(f"bessel-identity-2 x={y} y={z}", 2.0 * y * z) for y in grid for z in grid]
+    for name, x in cases:
+        dev = abs(math.exp(-x) * (bessel_i(0, x, tol) + 2.0 * bessel_sum(1, x, tol)) - 1.0)
+        _check(out, results, name, dev < 1e-12, f"deviation {dev:.3e}")
 
 
 def verify_oracles(out, tol, results, quick=False):
@@ -415,6 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open(files, flag, path):
+    try:
+        return files.enter_context(open(path, "w"))
+    except OSError as exc:
+        raise ValueError(f"cannot write {flag}: {exc}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -426,25 +424,20 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"bad CVPQC_EPS: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    close_out = args.out != "-"
-    try:
-        out = open(args.out, "w") if close_out else sys.stdout
-    except OSError as exc:
-        print(f"cannot write --out: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        code = args.func(args, tol, out)
-    except (ValueError, ArgumentRangeError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        code = EXIT_BAD_INPUT
-    except (ConsistencyError, QuadratureConvergenceError) as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        code = EXIT_INCONSISTENT
-    finally:
-        if close_out:
-            out.close()
-    if args.json_log:
-        write_json_log(args.json_log, args, tol)
+    log = None
+    with contextlib.ExitStack() as files:
+        try:  # both outputs are opened before any work, so neither fails late
+            out = sys.stdout if args.out == "-" else _open(files, "--out", args.out)
+            log = args.json_log and _open(files, "--json-log", args.json_log)
+            code = args.func(args, tol, out)
+        except (ValueError, ArgumentRangeError) as exc:
+            print(f"invalid input: {exc}", file=sys.stderr)
+            code = EXIT_BAD_INPUT
+        except (ConsistencyError, QuadratureConvergenceError) as exc:
+            print(f"internal consistency failure: {exc}", file=sys.stderr)
+            code = EXIT_INCONSISTENT
+        if log:
+            write_json_log(log, args, tol)
     return code
 
 

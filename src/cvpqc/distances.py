@@ -8,7 +8,9 @@ mixture decomposes into three traces,
 each of which reduces to modified Bessel series.  The cross trace's
 k-sum sum_k (b/r)^k I_k(2rb) is evaluated through the regrouping
 sum_s (r^(2s)/s!) sum_{m>s} b^(2m)/m! -- the same term set, but free of
-the (b/r)^k overflow that the literal form hits for r << b.
+the (b/r)^k overflow that the literal form hits for r << b.  The purity
+of one circle of p phase-shifted states is the finite mean of their
+coherent overlaps, so the simplified distance is array-valued in r.
 
 Tr(rho_p1 rho_p2) stripes sit at multiples of lcm(p1, p2): the entries of
 the two circle mixtures overlap exactly where both stripe conditions
@@ -20,9 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+
+import numpy as np
 
 from .specialfns import DEFAULT_TOL, SeriesTolerance, bessel_i, bessel_sum
+from .specialfns import SUPPORTED_ORDER_MAX
 
 # k-sums get a floor of this many terms before the relative cutoff may
 # fire; guards against premature exit near zero partial sums.
@@ -35,42 +39,35 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Exact, approximate, and (optionally) oracle squared HS distances."""
+    """Exact and approximate squared HS distances, with the three traces."""
 
     b: float
     n_circles: int
     d2_exact: float
     d2_guess: float
-    d2_numeric: Optional[float] = None
     tr_unit2: float = 0.0
     tr_cross: float = 0.0
     tr_phi2: float = 0.0
 
 
-def _poisson_weights(lam: float, count: int) -> list[float]:
-    """pmf values e^-lam lam^m / m! for m = 0..count-1."""
-    w = [math.exp(-lam)]
-    for m in range(1, count):
-        w.append(w[-1] * lam / m)
-    return w
-
-
-def cross_bessel_sum(b: float, r: float, tol: SeriesTolerance = DEFAULT_TOL) -> float:
+def cross_bessel_sum(b: float, r, tol: SeriesTolerance = DEFAULT_TOL):
     """sum_{k>=1} (b/r)^k I_k(2rb), via the stable regrouping.
 
     Expanding each Bessel series and collecting powers of r gives
     sum_s (r^(2s)/s!) * sum_{m>s} b^(2m)/m!; the inner sum is tracked by
-    decrementing the full exponential series term by term.
+    decrementing the full exponential series term by term.  An array r
+    runs until every element meets the cutoff; a scalar r gives a float.
     """
-    if not (b > 0 and r > 0):
+    r = np.asarray(r, dtype=float)
+    if not (b > 0 and np.all(r > 0)):
         raise ValueError("b and r must be positive")
     lam = b * b
     # g_s = sum_{m>s} b^(2m)/m!, walked down from e^(b^2) - 1
     pmf = math.exp(lam)  # will hold b^(2s)/s! (unnormalized)
     g = pmf - 1.0
     pmf = 1.0
-    total = 0.0
-    term_r = 1.0  # r^(2s)/s!
+    total = np.zeros_like(r)
+    term_r = np.ones_like(r)  # r^(2s)/s!
     r2 = r * r
     s = 0
     while s < tol.max_terms:
@@ -81,9 +78,9 @@ def cross_bessel_sum(b: float, r: float, tol: SeriesTolerance = DEFAULT_TOL) -> 
         if g <= 0.0:
             break
         term_r *= r2 / s
-        if s >= KSUM_FLOOR and term_r * g < tol.eps_abs * total:
+        if s >= KSUM_FLOOR and np.all(term_r * g < tol.eps_abs * total):
             break
-    return total
+    return total if total.ndim else float(total)
 
 
 @lru_cache(maxsize=None)
@@ -102,10 +99,9 @@ def trace_cross(b: float, n_circles: int, tol: SeriesTolerance = DEFAULT_TOL) ->
         raise ValueError(f"b must be positive, got {b}")
     if n_circles < 1:
         raise ValueError(f"N must be >= 1, got {n_circles}")
-    acc = 0.0
-    for p in range(1, n_circles + 1):
-        r_p = p * b / n_circles
-        acc += p * math.exp(-r_p * r_p) * cross_bessel_sum(b, r_p, tol)
+    p = np.arange(1, n_circles + 1)
+    r_p = p * b / n_circles
+    acc = float(np.sum(p * np.exp(-r_p * r_p) * cross_bessel_sum(b, r_p, tol)))
     norm = 2.0 / (n_circles * (n_circles + 1))
     return norm * acc / (b * b * math.exp(b * b))
 
@@ -114,7 +110,7 @@ def trace_phi_sq(b: float, n_circles: int, tol: SeriesTolerance = DEFAULT_TOL) -
     """Purity of the N-circle mixture.
 
     Pairs of circles overlap on stripes at multiples of lcm(p1, p2) with
-    Bessel argument 2 r_p1 r_p2.
+    Bessel argument 2 r_p1 r_p2; the summand is symmetric, so p2 >= p1.
     """
     if not b > 0:
         raise ValueError(f"b must be positive, got {b}")
@@ -124,12 +120,13 @@ def trace_phi_sq(b: float, n_circles: int, tol: SeriesTolerance = DEFAULT_TOL) -
     acc = 0.0
     for p1 in range(1, n_circles + 1):
         r1 = p1 * scale
-        for p2 in range(1, n_circles + 1):
+        for p2 in range(p1, n_circles + 1):
             r2 = p2 * scale
             x = 2.0 * r1 * r2
             step = math.lcm(p1, p2)
             stripe = bessel_i(0, x, tol) + 2.0 * bessel_sum(step, x, tol)
-            acc += p1 * p2 * math.exp(-(r1 * r1 + r2 * r2)) * stripe
+            weight = p1 * p2 if p1 == p2 else 2 * p1 * p2
+            acc += weight * math.exp(-(r1 * r1 + r2 * r2)) * stripe
     norm = 2.0 / (n_circles * (n_circles + 1))
     return norm * norm * acc
 
@@ -147,13 +144,14 @@ def hs2_guess(n_circles: int) -> float:
     return 1.0 / (n_circles + 1) ** 2
 
 
-def _clamp_d2(d2: float) -> float:
-    if d2 < -1e-12:
+def _clamp_d2(d2):  # elementwise; a scalar d2 returns a float
+    if np.min(d2) < -1e-12:
         raise ConsistencyError(
-            f"squared distance {d2} negative beyond roundoff; "
+            f"squared distance {np.min(d2)} negative beyond roundoff; "
             "series truncation too loose"
         )
-    return max(d2, 0.0)
+    d2 = np.maximum(d2, 0.0)
+    return d2 if d2.ndim else float(d2)
 
 
 def hs2_exact(
@@ -175,25 +173,29 @@ def hs2_exact(
     )
 
 
-def hs2_simplified(
-    b: float, p: int, r: float, tol: SeriesTolerance = DEFAULT_TOL
-) -> float:
+def _circle_purity(p: int, r: np.ndarray) -> np.ndarray:
+    """Mean overlap (1/p) sum_q exp(-4 r^2 sin^2(pi q/p)) of p phase-shifted
+    states; past SUPPORTED_ORDER_MAX + 1 angles the change is below 1e-270."""
+    angles = min(p, SUPPORTED_ORDER_MAX + 1)
+    chord2 = 4.0 * r * r  # |alpha_q - alpha_0|^2 = chord2 sin^2(pi q/p)
+    total = np.zeros_like(r)
+    for q in range(angles):
+        total += np.exp(-chord2 * math.sin(math.pi * q / angles) ** 2)
+    return total / angles
+
+
+def hs2_simplified(b: float, p: int, r, tol: SeriesTolerance = DEFAULT_TOL):
     """Squared HS distance for the simplified protocol: one circle of p
-    phase-shifted states at radius r against the disk-mixed state."""
-    if not 0 < r <= b:
+    phase-shifted states at radius r (an array, or a scalar for a float)
+    against the disk-mixed state."""
+    rs = np.asarray(r, dtype=float)
+    if not np.all((0 < rs) & (rs <= b)):
         raise ValueError(f"r must be in (0, b], got r={r}, b={b}")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     tu = trace_unit_sq(b, tol)
-    cross = (
-        2.0
-        * math.exp(-r * r)
-        * cross_bessel_sum(b, r, tol)
-        / (b * b * math.exp(b * b))
-    )
-    x = 2.0 * r * r
-    self_term = math.exp(-x) * (bessel_i(0, x, tol) + 2.0 * bessel_sum(p, x, tol))
-    return _clamp_d2(tu - cross + self_term)
+    cross = 2.0 * np.exp(-rs * rs) * cross_bessel_sum(b, rs, tol) / (b * b * math.exp(b * b))
+    return _clamp_d2(tu - cross + _circle_purity(p, rs))
 
 
 def key_bits(d_hs: float) -> float:

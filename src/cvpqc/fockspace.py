@@ -71,12 +71,14 @@ class CutoffPolicy:
 
     @property
     def dim(self) -> int:
-        """Smallest dimension whose discarded Poisson mass is below budget."""
-        lam = self.max_radius**2
-        d = max(1, int(lam))
-        while poisson_tail(d - 1, lam) >= self.tail_budget:
-            d += 1
-        return d
+        """Smallest dimension with discarded Poisson mass below budget; cached."""
+        if "_dim" not in self.__dict__:
+            lam = self.max_radius**2
+            d = max(1, int(lam))
+            while poisson_tail(d - 1, lam) >= self.tail_budget:
+                d += 1
+            object.__setattr__(self, "_dim", d)
+        return self._dim
 
 
 @dataclass(frozen=True)

@@ -125,14 +125,14 @@ def holevo_bound(b: float) -> float:
 
 
 def holevo_curve(b_grid: list[float]) -> HolevoCurve:
-    """chi(b) over a grid; per-point failures (quadrature, negative chi,
-    bad b) are recorded and the rest of the curve is still returned."""
+    """chi(b) over a grid; per-point failures (quadrature, negative chi) are
+    recorded and the rest is still returned.  A b <= 0 raises (bad input)."""
     samples, spectra, failures = [], [], []
     for b in b_grid:
         try:
             spec = lambda_spectrum(b)
             chi = _chi(spec)
-        except (QuadratureConvergenceError, ValueError) as exc:
+        except QuadratureConvergenceError as exc:
             failures.append((b, str(exc)))
             continue
         samples.append((b, chi))

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distances import hs2_simplified
 from .specialfns import DEFAULT_TOL, SeriesTolerance, bessel_i
 
@@ -77,10 +79,11 @@ def d2_derivative(b: float, r: float, tol: SeriesTolerance = DEFAULT_TOL) -> flo
 
 def _grid_min(b: float, p: int, tol: SeriesTolerance, points: int) -> tuple[float, float]:
     """Argmin of the simplified distance over an r-grid in (0, b], with a
-    3-point parabolic refinement."""
+    3-point parabolic refinement; the whole grid is one array call."""
     # the last point is b itself: b * points / points can round above b
-    rs = [b * (i + 1) / points for i in range(points - 1)] + [b]
-    vals = [hs2_simplified(b, p, r, tol) for r in rs]
+    grid = np.append(b * np.arange(1, points) / points, b)
+    vals = hs2_simplified(b, p, grid, tol).tolist()
+    rs = grid.tolist()
     i = min(range(points), key=vals.__getitem__)
     r_best, v_best = rs[i], vals[i]
     if 0 < i < points - 1:

@@ -1,9 +1,9 @@
 """Series evaluation of modified Bessel functions and Poisson tail sums.
 
-Everything downstream (analytic distances, the optimizer, the Holevo
-entropies) reduces to three scalar series: I_n(x), stripe sums of I_nk(x),
-and upper Poisson tails.  All series run in plain double precision with
-relative truncation; factorials never appear explicitly, only term ratios.
+The distance traces, the optimizer and the disk state reduce to three
+scalar series: I_n(x), stripe sums of I_nk(x), and upper Poisson tails.
+All series run in plain double precision with relative truncation;
+factorials never appear explicitly, only term ratios.
 """
 
 from __future__ import annotations

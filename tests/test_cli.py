@@ -71,6 +71,19 @@ class TestExitCodes:
         assert code == cli.EXIT_BAD_INPUT
         assert len(err.splitlines()) == 1 and "--out" in err
 
+    def test_unwritable_json_log_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "missing-dir" / "log.json"
+        code, out, err = run(
+            ["--json-log", str(path), "keybits", "--d-hs", "0.5"], capsys
+        )
+        assert code == cli.EXIT_BAD_INPUT
+        assert out == "" and len(err.splitlines()) == 1 and "--json-log" in err
+
+    def test_nonpositive_holevo_radius_is_bad_input(self, capsys):
+        code, out, err = run(["holevo", "--b-grid", "0,1"], capsys)
+        assert code == cli.EXIT_BAD_INPUT
+        assert out == "" and len(err.splitlines()) == 1 and "b must be positive" in err
+
     def test_success_is_zero(self, capsys):
         code, out, _ = run(["keybits", "--d-hs", "0.5", "--N", "4"], capsys)
         assert code == cli.EXIT_OK

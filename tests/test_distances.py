@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from cvpqc import (
     trace_phi_sq,
     trace_unit_sq,
 )
-from cvpqc.distances import cross_bessel_sum
+from cvpqc.distances import _circle_purity, cross_bessel_sum
+from cvpqc.specialfns import ArgumentRangeError, bessel_i, bessel_sum
 
 TAIL = 1e-12
 
@@ -53,6 +55,17 @@ class TestCrossBesselSum:
     def test_validation(self):
         with pytest.raises(ValueError):
             cross_bessel_sum(1.0, 0.0)
+
+    def test_array_matches_scalar_calls(self):
+        b = 2.5
+        rs = np.linspace(0.01, b, 41)
+        vals = cross_bessel_sum(b, rs)
+        assert vals.shape == rs.shape
+        for r, v in zip(rs, vals):
+            assert v == pytest.approx(cross_bessel_sum(b, float(r)), rel=1e-14)
+        assert isinstance(cross_bessel_sum(b, 1.0), float)
+        with pytest.raises(ValueError):
+            cross_bessel_sum(b, np.array([0.5, 0.0]))
 
 
 class TestTraceTerms:
@@ -121,6 +134,35 @@ class TestHs2Simplified:
             hs2_simplified(1.0, 3, 1.5)
         with pytest.raises(ValueError):
             hs2_simplified(1.0, 0, 0.5)
+        with pytest.raises(ValueError):
+            hs2_simplified(1.0, 3, np.array([0.5, 1.5]))
+        # x = 2 b^2 = 242 lies outside the supported series window
+        with pytest.raises(ArgumentRangeError):
+            hs2_simplified(11.0, 3, 10.5)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 20, 400, 501, 10**9])
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 2.0, 8.0, 50.0, 200.0])
+    def test_overlap_mean_matches_bessel_stripes(self, p, x):
+        # Tr rho_p^2 = e^-x (I_0(x) + 2 sum_k I_pk(x)) at x = 2 r^2
+        r = np.array([math.sqrt(0.5 * x)])
+        stripes = math.exp(-x) * (bessel_i(0, x) + 2.0 * bessel_sum(p, x))
+        assert _circle_purity(p, r)[0] == pytest.approx(stripes, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1, 3, 20, 600])
+    def test_array_matches_scalar_calls(self, p):
+        b = 2.0
+        rs = np.append(b * np.arange(1, 60) / 60, b)
+        vals = hs2_simplified(b, p, rs)
+        assert vals.shape == rs.shape
+        for r, v in zip(rs, vals):
+            assert v == pytest.approx(hs2_simplified(b, p, float(r)), rel=0, abs=1e-15)
+        assert isinstance(hs2_simplified(b, p, 1.0), float)
+
+    def test_huge_phase_count_is_cheap(self):
+        t0 = time.perf_counter()
+        v = hs2_simplified(2.0, 10**9, 1.3)
+        assert time.perf_counter() - t0 < 1.0
+        assert v == hs2_simplified(2.0, 501, 1.3)
 
 
 class TestKeyBits:
