@@ -19,28 +19,8 @@ from .distances import (
     trace_phi_sq,
     trace_unit_sq,
 )
-from .ensembles import (
-    ChannelSpec,
-    PhaseShiftEnsemble,
-    SimplifiedSpec,
-    canonical_angles,
-    circle_mixture,
-    encrypt,
-    maximally_mixed,
-    phase_shift_ensemble,
-    phi_n,
-)
-from .fockspace import (
-    CoherentLabel,
-    CutoffError,
-    CutoffPolicy,
-    FockOperator,
-    NotAStateError,
-    coherent_projector,
-    displacement_conjugate,
-    hs_distance_numeric,
-    von_neumann_entropy,
-)
+from .ensembles import ChannelSpec, circle_mixture, maximally_mixed, phi_n
+from .fockspace import CutoffError, CutoffPolicy, hs_distance_numeric
 from .holevo import (
     HolevoCurve,
     LambdaSpectrum,

@@ -153,7 +153,7 @@ def cmd_distance(args, tol, out) -> int:
 
 
 def cmd_keybits(args, tol, out) -> int:
-    exact = exact_key_bits(args.N) if args.N else None
+    exact = None if args.N is None else exact_key_bits(args.N)
     rows = [(args.d_hs, key_bits(args.d_hs), args.N, exact)]
     write_rows(
         ["d_hs", "approx_bits", "N", "exact_bits"], rows, out, args.format, "keybits"
@@ -254,14 +254,14 @@ def verify_oracles(out, tol, results, quick=False):
     for b in bs:
         cutoff = CutoffPolicy(max_radius=b, tail_budget=ORACLE_TAIL_BUDGET)
         unit = maximally_mixed(b, cutoff)
-        tu_num = float(np.trace(unit.mat @ unit.mat).real)
+        tu_num = float(np.vdot(unit, unit))
         tu = trace_unit_sq(b, tol)
         _check(out, results, f"trace-unit-sq b={b}", abs(tu - tu_num) < 1e-9,
                f"analytic {tu} vs matrix {tu_num}")
         for n in ns:
             mix = phi_n(ChannelSpec(b=b, n_circles=n), cutoff)
-            tc_num = float(np.trace(unit.mat @ mix.mat).real)
-            tp_num = float(np.trace(mix.mat @ mix.mat).real)
+            tc_num = float(np.vdot(unit, mix))  # Tr(AB) of real symmetric A, B
+            tp_num = float(np.vdot(mix, mix))
             tc = trace_cross(b, n, tol)
             tp = trace_phi_sq(b, n, tol)
             _check(out, results, f"trace-cross b={b} N={n}",
@@ -286,7 +286,7 @@ def verify_oracles(out, tol, results, quick=False):
 def verify_limits(out, tol, results):
     b = 1.0
     cutoff = CutoffPolicy(max_radius=b, tail_budget=1e-12)
-    unit_diag = np.diag(maximally_mixed(b, cutoff).mat).real
+    unit_diag = np.diag(maximally_mixed(b, cutoff))
     n_keep = min(21, cutoff.dim)
     prev = None
     out.write("# convergence of the N-circle mixture diagonal to the disk state\n")
@@ -294,7 +294,7 @@ def verify_limits(out, tol, results):
     final = None
     monotone = True
     for n_circ in (5, 10, 20, 40, 80):
-        mix_diag = np.diag(phi_n(ChannelSpec(b=b, n_circles=n_circ), cutoff).mat).real
+        mix_diag = np.diag(phi_n(ChannelSpec(b=b, n_circles=n_circ), cutoff))
         dev = float(np.abs(mix_diag[:n_keep] - unit_diag[:n_keep]).max())
         out.write(f"# {n_circ}, {dev!r}\n")
         if prev is not None and dev > prev:
@@ -319,6 +319,10 @@ def verify_diagonality(out, tol, results, samples, seed):
 
 
 def cmd_verify(args, tol, out) -> int:
+    if args.mc_samples < 1 or args.seed < 0:  # before any check line is written
+        raise ValueError(
+            f"need --mc-samples >= 1 and --seed >= 0, got {args.mc_samples} and {args.seed}"
+        )
     results = []
     if args.suite in ("identities", "all"):
         verify_identities(out, tol, results)

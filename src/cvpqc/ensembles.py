@@ -1,35 +1,28 @@
-"""Density operators of the encryption protocols.
+"""Density matrices of the encryption protocol, as real float64 arrays.
 
 Builds the disk-mixed state (uniform mixture of coherent projectors over
-the phase-space disk of radius b), single-circle mixtures, the N-circle
-encryption mixture, the displaced encryption output, and the phase-shift
-ensemble of the simplified protocol.
+the phase-space disk of radius b), the mixture of p coherent states on
+one circle, which is also the phase-shift ensemble of the simplified
+protocol, and the N-circle encryption mixture Phi_N.
 
 Circle mixtures are constructed analytically from their stripe entries
-(real, nonzero only where the index difference is a multiple of p); the
+(nonzero only where the index difference is a multiple of p); the
 projector-average route exists only as a test oracle.  Canonical circle
 angles are 2*pi*q/p, which makes every stripe entry exactly
-e^(-r^2) r^(m+n) / sqrt(m! n!) with a positive sign.
+e^(-r^2) r^(m+n) / sqrt(m! n!) with a positive sign.  A mixture at any
+other common phase offset is unitarily equivalent to it through a
+number-diagonal rotation, which leaves every distance to the (diagonal)
+disk-mixed state unchanged.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .fockspace import (
-    CoherentLabel,
-    CutoffPolicy,
-    FockOperator,
-    coherent_amplitudes,
-    displacement_conjugate,
-)
+from .fockspace import CutoffPolicy, coherent_amplitudes
 from .specialfns import poisson_tail
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -57,33 +50,7 @@ class ChannelSpec:
         return p * self.b / self.n_circles
 
 
-@dataclass(frozen=True)
-class SimplifiedSpec:
-    """Simplified-protocol parameters: disk radius b, p phase shifts of
-    2*pi/p each, and one fixed displacement radius r <= b."""
-
-    b: float
-    p: int
-    r: float
-
-    def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError(f"b must be positive, got {self.b}")
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if not 0 < self.r <= self.b:
-            raise ValueError(f"r must be in (0, b], got r={self.r}, b={self.b}")
-
-    def angles(self) -> list[float]:
-        return [q * TWO_PI / self.p for q in range(1, self.p + 1)]
-
-
-def canonical_angles(p: int) -> list[float]:
-    """Circle angles 2*pi*q/p that realize the positive stripe form."""
-    return [q * TWO_PI / p for q in range(1, p + 1)]
-
-
-def maximally_mixed(b: float, cutoff: CutoffPolicy) -> FockOperator:
+def maximally_mixed(b: float, cutoff: CutoffPolicy) -> np.ndarray:
     """Uniform mixture of coherent projectors over the disk of radius b.
 
     Diagonal in the Fock basis with entries poisson_tail(n, b^2) / b^2.
@@ -92,11 +59,10 @@ def maximally_mixed(b: float, cutoff: CutoffPolicy) -> FockOperator:
         raise ValueError(f"b must be positive, got {b}")
     cutoff.require(b)
     lam = b * b
-    diag = np.array([poisson_tail(n, lam) / lam for n in range(cutoff.dim)])
-    return FockOperator(np.diag(diag.astype(complex)))
+    return np.diag([poisson_tail(n, lam) / lam for n in range(cutoff.dim)])
 
 
-def circle_mixture(p: int, radius: float, cutoff: CutoffPolicy) -> FockOperator:
+def circle_mixture(p: int, radius: float, cutoff: CutoffPolicy) -> np.ndarray:
     """Uniform mixture of p coherent states on one circle (canonical form).
 
     Entries e^(-r^2) r^(m+n) / sqrt(m! n!) on the stripes |m-n| = 0 mod p,
@@ -106,53 +72,16 @@ def circle_mixture(p: int, radius: float, cutoff: CutoffPolicy) -> FockOperator:
         raise ValueError(f"p must be >= 1, got {p}")
     cutoff.require(radius)
     dim = cutoff.dim
-    c = coherent_amplitudes(CoherentLabel(radius, 0.0), dim).real
-    m = np.outer(c, c)
+    c = coherent_amplitudes(radius, dim)
     idx = np.arange(dim)
     stripe = (idx[:, None] - idx[None, :]) % p == 0
-    m = np.where(stripe, m, 0.0)
-    return FockOperator(m.astype(complex))
+    return np.where(stripe, np.outer(c, c), 0.0)
 
 
-def phi_n(spec: ChannelSpec, cutoff: CutoffPolicy) -> FockOperator:
+def phi_n(spec: ChannelSpec, cutoff: CutoffPolicy) -> np.ndarray:
     """Encryption mixture (1/M) sum_p p * rho_p at radii p*b/N."""
     cutoff.require(spec.b)
-    acc = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
+    acc = np.zeros((cutoff.dim, cutoff.dim))
     for p in range(1, spec.n_circles + 1):
-        acc += p * circle_mixture(p, spec.radius(p), cutoff).mat
-    return FockOperator(acc / spec.operations)
-
-
-def encrypt(
-    label: CoherentLabel, spec: ChannelSpec, cutoff: CutoffPolicy
-) -> FockOperator:
-    """Encryption channel output D(beta) Phi_N D^dag(beta)."""
-    if label.r > spec.b:
-        raise ValueError(f"input radius {label.r} outside disk b={spec.b}")
-    cutoff.require(spec.b + label.r)
-    return displacement_conjugate(phi_n(spec, cutoff), label)
-
-
-class PhaseShiftEnsemble(NamedTuple):
-    """Canonical circle mixture plus the diagonal-phase rotation angle
-    that maps the actual rotated-projector mixture onto it."""
-
-    state: FockOperator
-    rotation: float
-
-
-def phase_shift_ensemble(
-    label: CoherentLabel, spec: SimplifiedSpec, cutoff: CutoffPolicy
-) -> PhaseShiftEnsemble:
-    """Mixture of p phase-shifted copies of the input coherent state.
-
-    The mixture at angles theta + q*2*pi/p is unitarily equivalent, by a
-    number-diagonal rotation, to the canonical circle mixture at the same
-    radius; distances to the (diagonal) disk-mixed state are invariant
-    under that rotation, so the canonical form is returned together with
-    the rotation angle needed to realize it.
-    """
-    if label.r > spec.b:
-        raise ValueError(f"input radius {label.r} outside disk b={spec.b}")
-    state = circle_mixture(spec.p, label.r, cutoff)
-    return PhaseShiftEnsemble(state=state, rotation=(-label.theta) % TWO_PI)
+        acc += p * circle_mixture(p, spec.radius(p), cutoff)
+    return acc / spec.operations

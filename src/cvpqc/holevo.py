@@ -33,6 +33,10 @@ TWO_PI = 2.0 * math.pi
 
 GL_ORDER = 200
 REFINE_THRESHOLD = 1e-6
+# Supported disk radii: e^(-s^2) at s = 2b, the start of each Poisson row,
+# stays a normal double (4 b^2 <= 676 < 708).  Beyond that the rows lose
+# mass (quad_error 8.8e-3 at b = 15) and chi(15) falls below chi(13).
+HOLEVO_B_MAX = 13.0
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -86,6 +90,8 @@ def lambda_spectrum(b: float) -> LambdaSpectrum:
     """Diagonal spectrum of the total channel state, radius-2b support."""
     if not b > 0:
         raise ValueError(f"b must be positive, got {b}")
+    if b > HOLEVO_B_MAX:
+        raise ValueError(f"b must be <= {HOLEVO_B_MAX} (supported window), got {b}")
     dim = CutoffPolicy(max_radius=2.0 * b).dim
     coarse = _raw_weights(b, GL_ORDER, dim)
     fine = _raw_weights(b, 2 * GL_ORDER, dim)
@@ -126,7 +132,8 @@ def holevo_bound(b: float) -> float:
 
 def holevo_curve(b_grid: list[float]) -> HolevoCurve:
     """chi(b) over a grid; per-point failures (quadrature, negative chi) are
-    recorded and the rest is still returned.  A b <= 0 raises (bad input)."""
+    recorded and the rest is still returned.  A b outside (0, HOLEVO_B_MAX]
+    raises (bad input)."""
     samples, spectra, failures = [], [], []
     for b in b_grid:
         try:
@@ -157,6 +164,8 @@ def off_diagonal_check(
     """
     if not b > 0:
         raise ValueError(f"b must be positive, got {b}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     sum_mat = np.zeros((dim, dim), dtype=complex)
     sum_sq = np.zeros((dim, dim))

@@ -151,6 +151,8 @@ def saturation_sweep(
     """
     if p_max < 2:
         raise ValueError(f"p_max must be >= 2, got {p_max}")
+    if not 0 < saturation_tol < math.inf:
+        raise ValueError(f"saturation_tol must be positive and finite, got {saturation_tol}")
     curve = []
     for p in range(1, p_max + 1):
         r_best, v_best = _grid_min(b, p, tol, grid_points)

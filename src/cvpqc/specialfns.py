@@ -15,6 +15,8 @@ from dataclasses import dataclass
 SUPPORTED_X_MAX = 200.0
 SUPPORTED_ORDER_MAX = 500
 
+_LOG_2PI = math.log(2.0 * math.pi)
+
 
 class ArgumentRangeError(ValueError):
     """Argument outside the supported (x, order) window."""
@@ -103,12 +105,29 @@ def bessel_sum(order_step: int, x: float, tol: SeriesTolerance = DEFAULT_TOL) ->
     return total
 
 
+def _poisson_log_pmf(n: int, lam: float) -> float:
+    """log(lam^n e^(-lam) / n!) as n log1p((lam - n)/n) + (n - lam) minus
+    Stirling's remainder and log sqrt(2 pi n).  The literal form
+    n log(lam) - lgamma(n + 1) - lam cancels terms near 5000 at lam ~ 740."""
+    if n == 0:
+        return -lam
+    if n > 15:
+        k = 1.0 / (n * n)
+        stirling = (1 / 12 - k * (1 / 360 - k * (1 / 1260 - k / 1680))) / n
+    else:
+        stirling = math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - 0.5 * _LOG_2PI
+    return n * math.log1p((lam - n) / n) + (n - lam) - stirling - 0.5 * (_LOG_2PI + math.log(n))
+
+
 def poisson_tail(n: int, lam: float) -> float:
     """Upper Poisson tail P(X > n) = sum_{m>n} lam^m e^(-lam) / m!.
 
-    For n < lam the complement of the lower partial sum is used (fsum
-    compensated); for n >= lam the tail is summed directly.  Both flanks
-    avoid the catastrophic cancellation the other one would suffer.
+    The term at m = n comes from its logarithm, so no start value
+    underflows (e^(-lam) does for lam > 745); the series then recurs
+    outward.  For n < lam the tail is one minus the (fsum compensated)
+    terms m <= n, walked down from n; for n >= lam the terms m > n are
+    summed directly.  Both flanks avoid the cancellation the other one
+    would suffer, and each stops once its terms fall below 1e-18 relative.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -116,22 +135,20 @@ def poisson_tail(n: int, lam: float) -> float:
         raise ValueError(f"lambda must be non-negative, got {lam}")
     if lam == 0.0:
         return 0.0
-    if n < lam:
-        term = math.exp(-lam)
+    term = math.exp(_poisson_log_pmf(n, lam))
+    if n < lam:  # terms fall as m walks down from n, below the mode
         terms = [term]
-        for m in range(1, n + 1):
-            term *= lam / m
+        m = n
+        while m > 0 and term > 1e-18 * terms[0]:
+            term *= m / lam
+            m -= 1
             terms.append(term)
-        tail = 1.0 - math.fsum(terms)
-        return max(tail, 0.0)
+        return max(1.0 - math.fsum(terms), 0.0)
     # n >= lam: terms beyond n are decreasing
-    term = math.exp(-lam)
-    for m in range(1, n + 2):
-        term *= lam / m
-    total = term
-    m = n + 2
-    while term > 1e-18 * total and m < n + 10_000:
+    total = 0.0
+    for m in range(n + 1, n + 10_001):
         term *= lam / m
         total += term
-        m += 1
+        if term <= 1e-18 * total:
+            break
     return total

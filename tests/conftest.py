@@ -5,6 +5,11 @@ deliberately different routes: extended-precision mpmath series, dense
 matrix algebra, scipy special functions, Monte Carlo, and a 3-D tensor
 quadrature of the Holevo spectrum.  Tests must
 never compare an analytic result against itself.
+
+The package's Fock layer is real (canonical circle angles only), so the
+complex side lives here: coherent states at any phase, built from scipy
+log-amplitudes rather than the package's recurrence, their projector
+average, and truncated displacement unitaries.
 """
 
 import math
@@ -12,10 +17,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
-from scipy.special import entr, gammainc, i0e, i1e
+from scipy.special import entr, gammainc, gammaln, i0e, i1e, xlogy
 
-from cvpqc import CoherentLabel, CutoffPolicy, coherent_projector
+from cvpqc import CutoffPolicy
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,12 +44,42 @@ def mp_poisson_tail(n: int, lam: float) -> float:
         return float(mpmath.gammainc(n + 1, 0, lam, regularized=True))
 
 
-def projector_average(labels, cutoff):
-    """Uniform mixture of coherent projectors; the brute-force route."""
-    acc = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
-    for label in labels:
-        acc += coherent_projector(label, cutoff).mat
-    return acc / len(labels)
+def coherent_state(alpha: complex, dim: int) -> np.ndarray:
+    """Fock amplitudes of |alpha>, n < dim, from the log-magnitudes
+    -|alpha|^2/2 + n log|alpha| - gammaln(n + 1)/2 and the phases n arg(alpha)."""
+    n = np.arange(dim)
+    r = abs(alpha)
+    log_mag = -0.5 * r * r + xlogy(n, r) - 0.5 * gammaln(n + 1)
+    return np.exp(log_mag + 1j * n * np.angle(alpha))
+
+
+def projector_average(alphas, dim: int) -> np.ndarray:
+    """Uniform mixture of the coherent projectors |alpha><alpha|; the
+    brute-force route."""
+    acc = np.zeros((dim, dim), dtype=complex)
+    for alpha in alphas:
+        c = coherent_state(alpha, dim)
+        acc += np.outer(c, c.conj())
+    return acc / len(alphas)
+
+
+def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
+    """Truncated D(beta) = exp(beta a^dag - beta* a).
+
+    The generator is anti-Hermitian, so the exponential is taken through
+    the eigendecomposition of its Hermitian partner.  The top rows of the
+    result are inaccurate; the cutoff margin absorbs that.
+    """
+    n = np.sqrt(np.arange(1, dim))
+    k = np.diag(beta * n, -1) - np.diag(np.conj(beta) * n, 1)
+    w, v = np.linalg.eigh(-1j * k)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def displacement_conjugate(rho: np.ndarray, beta: complex) -> np.ndarray:
+    """D(beta) rho D^dag(beta) on the truncated space."""
+    d = displacement_matrix(beta, rho.shape[0])
+    return d @ rho @ d.conj().T
 
 
 def circle_disk_constant(b: float) -> float:
@@ -74,8 +110,8 @@ def dense_saturation_curve(b: float, p_max: int, r_lo: float):
     for p in range(1, p_max + 1):
 
         def d2(r, p=p):
-            labels = [CoherentLabel(r, TWO_PI * q / p) for q in range(p)]
-            return float(np.linalg.norm(unit - projector_average(labels, cutoff)) ** 2)
+            alphas = r * np.exp(1j * TWO_PI * np.arange(p) / p)
+            return float(np.linalg.norm(unit - projector_average(alphas, cutoff.dim)) ** 2)
 
         res = minimize_scalar(
             d2, bounds=(r_lo, b), method="bounded", options={"xatol": 1e-9}
@@ -114,6 +150,24 @@ def tensor_holevo_chi(b: float, dim: int) -> float:
     disk = gammainc(n + 1, b * b) / (b * b)
     lam = tensor_lambda_weights(b, dim)
     return float((entr(lam).sum() - entr(disk).sum()) / math.log(2.0))
+
+
+def holevo_classical_limit() -> float:
+    """chi_inf = h(alpha + beta) - h(uniform disk) in bits, by scipy quad.
+
+    Differential entropies of the uniform disk and of the sum of two
+    independent uniform-disk points; both scale by log2(b^2), so the gap
+    is taken at b = 1.  There the density of s = |alpha + beta| per unit
+    area is A(s) / pi^2, with A the lens area of two unit disks at
+    distance s.
+    """
+
+    def minus_f_log_f(s):
+        f = (2.0 * math.acos(0.5 * s) - 0.5 * s * math.sqrt(4.0 - s * s)) / math.pi**2
+        return -TWO_PI * s * f * math.log2(f) if f > 0.0 else 0.0
+
+    h_sum, _ = quad(minus_f_log_f, 0.0, 2.0, epsabs=1e-13, epsrel=1e-13, limit=200)
+    return h_sum - math.log2(math.pi)
 
 
 @pytest.fixture

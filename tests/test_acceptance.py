@@ -18,12 +18,9 @@ import pytest
 
 from cvpqc import (
     ChannelSpec,
-    CoherentLabel,
     CutoffPolicy,
     bessel_i,
     bessel_sum,
-    displacement_conjugate,
-    encrypt,
     find_rmin,
     holevo_bound,
     hs2_exact,
@@ -42,7 +39,12 @@ from cvpqc import (
 from cvpqc import cli
 from cvpqc.optimizer import GRID_POINTS, P_LIMIT, d2_derivative, _grid_min
 from cvpqc.specialfns import DEFAULT_TOL
-from conftest import circle_disk_constant, dense_saturation_curve, tensor_holevo_chi
+from conftest import (
+    circle_disk_constant,
+    dense_saturation_curve,
+    displacement_conjugate,
+    tensor_holevo_chi,
+)
 
 TAIL = 1e-12
 GRID_B = (0.5, 1.0, 2.0)
@@ -78,9 +80,9 @@ def test_criterion_02_trace_terms_match_matrix_oracle():
             unit, mix = oracle_states(b, n)
             worst = max(
                 worst,
-                abs(trace_unit_sq(b) - float(np.trace(unit.mat @ unit.mat).real)),
-                abs(trace_cross(b, n) - float(np.trace(unit.mat @ mix.mat).real)),
-                abs(trace_phi_sq(b, n) - float(np.trace(mix.mat @ mix.mat).real)),
+                abs(trace_unit_sq(b) - float(np.trace(unit @ unit))),
+                abs(trace_cross(b, n) - float(np.trace(unit @ mix))),
+                abs(trace_phi_sq(b, n) - float(np.trace(mix @ mix))),
             )
     report(2, "term-level trace oracles", worst < 1e-9, f"worst {worst:.3e}")
 
@@ -90,10 +92,10 @@ def test_criterion_03_unitary_invariance_of_distance():
     d2_exact = hs2_exact(b, n).d2_exact
     worst = 0.0
     for beta in (0.3 + 0j, 0.7 * np.exp(1j * math.pi / 4)):
-        label = CoherentLabel(abs(beta), math.atan2(beta.imag, beta.real))
-        cutoff = CutoffPolicy(max_radius=b + label.r, tail_budget=TAIL)
-        displaced_unit = displacement_conjugate(maximally_mixed(b, cutoff), label)
-        output = encrypt(label, ChannelSpec(b=b, n_circles=n), cutoff)
+        cutoff = CutoffPolicy(max_radius=b + abs(beta), tail_budget=TAIL)
+        displaced_unit = displacement_conjugate(maximally_mixed(b, cutoff), beta)
+        # the encryption channel's output D(beta) Phi_N D^dag(beta)
+        output = displacement_conjugate(phi_n(ChannelSpec(b=b, n_circles=n), cutoff), beta)
         d2 = hs_distance_numeric(displaced_unit, output) ** 2
         worst = max(worst, abs(d2 - d2_exact))
     report(3, "unitary invariance", worst < 1e-6, f"worst {worst:.3e}")
@@ -135,10 +137,10 @@ def test_criterion_05_bessel_identities():
 def test_criterion_06_diagonal_limit():
     b = 1.0
     cutoff = CutoffPolicy(max_radius=b, tail_budget=TAIL)
-    unit_diag = np.diag(maximally_mixed(b, cutoff).mat).real[:21]
+    unit_diag = np.diag(maximally_mixed(b, cutoff))[:21]
     devs = []
     for n in (5, 10, 20, 40, 80):
-        mix_diag = np.diag(phi_n(ChannelSpec(b=b, n_circles=n), cutoff).mat).real[:21]
+        mix_diag = np.diag(phi_n(ChannelSpec(b=b, n_circles=n), cutoff))[:21]
         devs.append(float(np.abs(mix_diag - unit_diag).max()))
     monotone = all(d2 <= d1 for d1, d2 in zip(devs, devs[1:]))
     report(

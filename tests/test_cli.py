@@ -84,6 +84,25 @@ class TestExitCodes:
         assert code == cli.EXIT_BAD_INPUT
         assert out == "" and len(err.splitlines()) == 1 and "b must be positive" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["keybits", "--d-hs", "0.5", "--N", "0"],
+            ["verify", "all", "--mc-samples", "0"],
+            ["verify", "all", "--mc-samples", "-5"],
+            ["verify", "all", "--seed", "-1"],
+            ["saturation", "--b", "2", "--saturation-tol", "nan"],
+            ["saturation", "--b", "2", "--saturation-tol", "-1"],
+            ["holevo", "--b-grid", "10,12,13,14,15"],
+        ],
+        ids=["keybits-N0", "mc-samples-0", "mc-samples-neg", "seed-neg", "sat-tol-nan",
+             "sat-tol-neg", "holevo-b-window"],
+    )
+    def test_out_of_window_input_is_bad_input(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_BAD_INPUT
+        assert out == "" and len(err.splitlines()) == 1
+
     def test_success_is_zero(self, capsys):
         code, out, _ = run(["keybits", "--d-hs", "0.5", "--N", "4"], capsys)
         assert code == cli.EXIT_OK

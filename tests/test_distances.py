@@ -30,12 +30,12 @@ TAIL = 1e-12
 
 def matrix_traces(b, n):
     cutoff = CutoffPolicy(max_radius=b, tail_budget=TAIL)
-    unit = maximally_mixed(b, cutoff).mat
-    mix = phi_n(ChannelSpec(b=b, n_circles=n), cutoff).mat
+    unit = maximally_mixed(b, cutoff)
+    mix = phi_n(ChannelSpec(b=b, n_circles=n), cutoff)
     return (
-        float(np.trace(unit @ unit).real),
-        float(np.trace(unit @ mix).real),
-        float(np.trace(mix @ mix).real),
+        float(np.trace(unit @ unit)),
+        float(np.trace(unit @ mix)),
+        float(np.trace(mix @ mix)),
     )
 
 

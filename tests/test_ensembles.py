@@ -5,19 +5,18 @@ import pytest
 
 from cvpqc import (
     ChannelSpec,
-    CoherentLabel,
     CutoffPolicy,
-    SimplifiedSpec,
-    canonical_angles,
     circle_mixture,
-    coherent_projector,
-    encrypt,
     maximally_mixed,
-    phase_shift_ensemble,
     phi_n,
     poisson_tail,
 )
-from conftest import TWO_PI, projector_average
+from conftest import TWO_PI, displacement_conjugate, projector_average
+
+
+def circle_points(r, p, theta=0.0):
+    """Amplitudes r e^(i (theta + 2 pi q / p)), q = 1..p."""
+    return r * np.exp(1j * (theta + TWO_PI * np.arange(1, p + 1) / p))
 
 
 class TestSpecs:
@@ -34,11 +33,6 @@ class TestSpecs:
             ChannelSpec(b=0.0, n_circles=2)
         with pytest.raises(ValueError):
             ChannelSpec(b=1.0, n_circles=0)
-        with pytest.raises(ValueError):
-            SimplifiedSpec(b=1.0, p=4, r=1.5)
-
-    def test_simplified_angles_match_canonical(self):
-        assert SimplifiedSpec(b=2.0, p=5, r=1.0).angles() == canonical_angles(5)
 
 
 class TestCircleMixture:
@@ -47,45 +41,43 @@ class TestCircleMixture:
         # same-radius coherent states at the canonical angles
         r = 1.2
         cutoff = CutoffPolicy(max_radius=2.0, tail_budget=1e-12)
-        oracle = projector_average(
-            [CoherentLabel(r, th) for th in canonical_angles(p)], cutoff
-        )
-        np.testing.assert_allclose(
-            circle_mixture(p, r, cutoff).mat, oracle, atol=1e-9
-        )
+        oracle = projector_average(circle_points(r, p), cutoff.dim)
+        np.testing.assert_allclose(circle_mixture(p, r, cutoff), oracle, atol=1e-9)
 
     def test_off_stripe_entries_are_exact_zeros(self):
         p = 4
-        m = circle_mixture(p, 1.0, CutoffPolicy(max_radius=1.5)).mat
+        m = circle_mixture(p, 1.0, CutoffPolicy(max_radius=1.5))
         idx = np.arange(m.shape[0])
         off = (idx[:, None] - idx[None, :]) % p != 0
         assert np.all(m[off] == 0.0)
 
     def test_is_a_state(self):
         m = circle_mixture(3, 1.0, CutoffPolicy(max_radius=1.5, tail_budget=1e-12))
-        assert m.trace == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.eigvalsh(m.mat).min() > -1e-12
+        assert m.dtype == np.float64
+        assert np.trace(m) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.eigvalsh(m).min() > -1e-12
 
 
 class TestMaximallyMixed:
     def test_diagonal_closed_form(self):
         b = 1.4
         cutoff = CutoffPolicy(max_radius=b, tail_budget=1e-12)
-        diag = np.diag(maximally_mixed(b, cutoff).mat).real
+        unit = maximally_mixed(b, cutoff)
+        assert unit.dtype == np.float64
         expected = [poisson_tail(n, b * b) / (b * b) for n in range(cutoff.dim)]
-        np.testing.assert_allclose(diag, expected, atol=1e-13)
+        np.testing.assert_allclose(np.diag(unit), expected, atol=1e-13)
 
     def test_first_entry_identity(self):
         # tail(0, b^2)/b^2 = (1 - e^(-b^2))/b^2
         b = 0.9
         cutoff = CutoffPolicy(max_radius=b)
-        first = maximally_mixed(b, cutoff).mat[0, 0].real
+        first = maximally_mixed(b, cutoff)[0, 0]
         assert first == pytest.approx((1.0 - math.exp(-b * b)) / (b * b), abs=1e-13)
 
     def test_trace_deficit_within_budget(self):
         cutoff = CutoffPolicy(max_radius=2.0, tail_budget=1e-10)
         # diagonal truncates tails of every Poisson weight up to b^2
-        assert 1.0 - maximally_mixed(2.0, cutoff).trace < cutoff.dim * 1e-10
+        assert 1.0 - np.trace(maximally_mixed(2.0, cutoff)) < cutoff.dim * 1e-10
 
 
 class TestPhiN:
@@ -93,69 +85,59 @@ class TestPhiN:
         b, n = 1.5, 3
         spec = ChannelSpec(b=b, n_circles=n)
         cutoff = CutoffPolicy(max_radius=b, tail_budget=1e-12)
-        labels = [
-            CoherentLabel(spec.radius(p), TWO_PI * q / p)
-            for p in range(1, n + 1)
-            for q in range(1, p + 1)
-        ]
-        assert len(labels) == spec.operations
-        np.testing.assert_allclose(
-            phi_n(spec, cutoff).mat, projector_average(labels, cutoff), atol=1e-12
-        )
+        alphas = np.concatenate([circle_points(spec.radius(p), p) for p in range(1, n + 1)])
+        assert len(alphas) == spec.operations
+        mix = phi_n(spec, cutoff)
+        assert mix.dtype == np.float64
+        np.testing.assert_allclose(mix, projector_average(alphas, cutoff.dim), atol=1e-12)
 
     def test_single_circle_reduces_to_one_state(self):
         b = 1.0
         cutoff = CutoffPolicy(max_radius=b, tail_budget=1e-12)
         one = phi_n(ChannelSpec(b=b, n_circles=1), cutoff)
-        proj = coherent_projector(CoherentLabel(b, TWO_PI), cutoff)
-        np.testing.assert_allclose(one.mat, proj.mat, atol=1e-13)
+        np.testing.assert_allclose(one, projector_average([b], cutoff.dim), atol=1e-13)
 
 
 class TestEncrypt:
     def test_matches_displaced_projector_average(self):
+        # the channel output D(beta) Phi_N D^dag(beta) against the mixture of
+        # the displaced states alpha + beta
         b, n = 1.5, 4
-        lab = CoherentLabel(0.5, math.pi / 3)
+        beta = 0.5 * np.exp(1j * math.pi / 3)
         spec = ChannelSpec(b=b, n_circles=n)
-        cutoff = CutoffPolicy(max_radius=b + lab.r, tail_budget=1e-12)
-        beta = lab.amplitude
-        labels = []
-        for p in range(1, n + 1):
-            for q in range(1, p + 1):
-                a = spec.radius(p) * np.exp(1j * TWO_PI * q / p) + beta
-                labels.append(CoherentLabel(abs(a), math.atan2(a.imag, a.real)))
+        cutoff = CutoffPolicy(max_radius=b + abs(beta), tail_budget=1e-12)
+        alphas = np.concatenate(
+            [circle_points(spec.radius(p), p) for p in range(1, n + 1)]
+        )
         np.testing.assert_allclose(
-            encrypt(lab, spec, cutoff).mat, projector_average(labels, cutoff),
+            displacement_conjugate(phi_n(spec, cutoff), beta),
+            projector_average(alphas + beta, cutoff.dim),
             atol=1e-7,
         )
-
-    def test_rejects_inputs_outside_disk(self):
-        spec = ChannelSpec(b=1.0, n_circles=2)
-        with pytest.raises(ValueError):
-            encrypt(CoherentLabel(1.5), spec, CutoffPolicy(max_radius=3.0))
 
 
 class TestPhaseShiftEnsemble:
     def test_spectrum_matches_rotated_mixture(self):
-        # canonical state is unitarily equivalent to the mixture actually
-        # produced at the input's angle: same eigenvalue multiset
-        lab = CoherentLabel(1.1, 0.7)
-        spec = SimplifiedSpec(b=2.0, p=5, r=1.1)
+        # the canonical circle mixture is unitarily equivalent to the mixture
+        # actually produced at the input's angle: same eigenvalue multiset
+        r, theta, p = 1.1, 0.7, 5
         cutoff = CutoffPolicy(max_radius=2.0)
-        ens = phase_shift_ensemble(lab, spec, cutoff)
-        rotated = projector_average(
-            [CoherentLabel(lab.r, lab.theta + TWO_PI * q / spec.p)
-             for q in range(1, spec.p + 1)],
-            cutoff,
-        )
+        rotated = projector_average(circle_points(r, p, theta), cutoff.dim)
         np.testing.assert_allclose(
-            np.sort(np.linalg.eigvalsh(ens.state.mat)),
+            np.sort(np.linalg.eigvalsh(circle_mixture(p, r, cutoff))),
             np.sort(np.linalg.eigvalsh(rotated)),
             atol=1e-10,
         )
 
     def test_rotation_angle_inverts_input_phase(self):
-        lab = CoherentLabel(0.5, 1.3)
-        ens = phase_shift_ensemble(
-            lab, SimplifiedSpec(b=1.0, p=3, r=0.5), CutoffPolicy(max_radius=1.0)
+        # the number-diagonal rotation by -theta, e^(-i n theta), maps the
+        # mixture at the input's angle theta onto the canonical one
+        r, theta, p = 0.5, 1.3, 3
+        cutoff = CutoffPolicy(max_radius=1.0)
+        u = np.exp(-1j * theta * np.arange(cutoff.dim))
+        rotated = projector_average(circle_points(r, p, theta), cutoff.dim)
+        np.testing.assert_allclose(
+            u[:, None] * rotated * u.conj()[None, :],
+            circle_mixture(p, r, cutoff),
+            atol=1e-12,
         )
-        assert ens.rotation == pytest.approx(TWO_PI - 1.3)

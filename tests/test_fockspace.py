@@ -5,37 +5,14 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from cvpqc import (
-    CoherentLabel,
-    CutoffError,
-    CutoffPolicy,
-    FockOperator,
-    NotAStateError,
-    coherent_projector,
-    hs_distance_numeric,
-    von_neumann_entropy,
-)
-from cvpqc.fockspace import coherent_amplitudes, displacement_matrix
-
-
-class TestCoherentLabel:
-    def test_theta_is_normalized(self):
-        lab = CoherentLabel(1.0, -math.pi / 2)
-        assert lab.theta == pytest.approx(1.5 * math.pi)
-
-    def test_amplitude(self):
-        lab = CoherentLabel(2.0, math.pi / 3)
-        assert lab.amplitude == pytest.approx(2.0 * np.exp(1j * math.pi / 3))
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            CoherentLabel(-0.1)
+from cvpqc import CutoffError, CutoffPolicy, circle_mixture, hs_distance_numeric, poisson_tail
+from cvpqc.fockspace import coherent_amplitudes
+from cvpqc.holevo import entropy_bits
+from conftest import coherent_state, displacement_matrix
 
 
 class TestCutoffPolicy:
     def test_dim_is_minimal_for_budget(self):
-        from cvpqc import poisson_tail
-
         pol = CutoffPolicy(max_radius=2.0, tail_budget=1e-10)
         d = pol.dim
         assert poisson_tail(d - 1, 4.0) < 1e-10
@@ -53,58 +30,78 @@ class TestCutoffPolicy:
         with pytest.raises(ValueError):
             CutoffPolicy(max_radius=1.0, tail_budget=0.0)
 
+    def test_dim_does_not_decrease_with_radius(self):
+        # e^(-r^2) underflows from r ~ 26.6 on; a tail started there made
+        # the dimension 908, 747 and 785 at r = 27, 27.3 and 28
+        dims = [CutoffPolicy(max_radius=r).dim for r in (26.0, 26.6, 27.0, 27.3, 28.0)]
+        assert dims == sorted(dims)
+        assert dims[-1] > 28.0**2
+
 
 class TestCoherentStates:
     def test_amplitudes_are_poisson_weighted(self):
-        lab = CoherentLabel(1.3, 0.4)
-        c = coherent_amplitudes(lab, 25)
-        probs = np.abs(c) ** 2
+        c = coherent_amplitudes(1.3, 25)
+        assert c.dtype == np.float64
         expected = scipy.stats.poisson.pmf(np.arange(25), 1.3**2)
-        np.testing.assert_allclose(probs, expected, rtol=1e-10)
+        np.testing.assert_allclose(c * c, expected, rtol=1e-10)
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError):
+            coherent_amplitudes(-0.1, 5)
+
+    def test_phase_oracle_matches_real_amplitudes(self):
+        # the scipy log-amplitude oracle at angle theta is the recurrence's
+        # real amplitudes times e^(i n theta)
+        r, theta, dim = 2.0, math.pi / 3, 30
+        phases = np.exp(1j * theta * np.arange(dim))
+        np.testing.assert_allclose(
+            coherent_state(r * np.exp(1j * theta), dim),
+            coherent_amplitudes(r, dim) * phases,
+            rtol=1e-13, atol=1e-300,
+        )
 
     def test_projector_is_rank_one_state(self):
-        rho = coherent_projector(CoherentLabel(1.0, 0.9), CutoffPolicy(max_radius=1.5))
-        w = np.linalg.eigvalsh(rho.mat)
-        assert rho.trace == pytest.approx(1.0, abs=1e-9)
+        # one state on the circle: the projector onto |r>
+        rho = circle_mixture(1, 1.0, CutoffPolicy(max_radius=1.5))
+        w = np.linalg.eigvalsh(rho)
+        assert np.trace(rho) == pytest.approx(1.0, abs=1e-9)
         assert w[-1] == pytest.approx(1.0, abs=1e-9)
         assert np.abs(w[:-1]).max() < 1e-12
 
     def test_projector_respects_cutoff(self):
         with pytest.raises(CutoffError):
-            coherent_projector(CoherentLabel(3.0), CutoffPolicy(max_radius=2.0))
+            circle_mixture(1, 3.0, CutoffPolicy(max_radius=2.0))
 
 
 class TestDisplacement:
+    # the displacement unitary is a test oracle (criterion 3, TestEncrypt)
     def test_unitarity(self):
-        d = displacement_matrix(CoherentLabel(0.7, math.pi / 4), 40)
+        d = displacement_matrix(0.7 * np.exp(1j * math.pi / 4), 40)
         np.testing.assert_allclose(d @ d.conj().T, np.eye(40), atol=1e-12)
 
     def test_matches_scipy_expm(self):
-        lab = CoherentLabel(0.9, 1.1)
+        beta = 0.9 * np.exp(1.1j)
         dim = 30
-        beta = lab.amplitude
         n = np.sqrt(np.arange(1, dim))
         k = np.diag(beta * n, -1) - np.diag(np.conj(beta) * n, 1)
         np.testing.assert_allclose(
-            displacement_matrix(lab, dim), scipy.linalg.expm(k), atol=1e-12
+            displacement_matrix(beta, dim), scipy.linalg.expm(k), atol=1e-12
         )
 
     def test_vacuum_maps_to_coherent_state(self):
-        lab = CoherentLabel(0.8, 2.0)
+        beta = 0.8 * np.exp(2.0j)
         cutoff = CutoffPolicy(max_radius=2.5, tail_budget=1e-12)
-        col = displacement_matrix(lab, cutoff.dim)[:, 0]
-        np.testing.assert_allclose(
-            col, coherent_amplitudes(lab, cutoff.dim), atol=1e-8
-        )
+        col = displacement_matrix(beta, cutoff.dim)[:, 0]
+        np.testing.assert_allclose(col, coherent_state(beta, cutoff.dim), atol=1e-8)
 
 
 class TestHsDistance:
     def test_symmetry_and_identity(self, rng):
         dim = 8
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        a = FockOperator((a + a.conj().T) / 2)
-        b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        b = FockOperator((b + b.conj().T) / 2)
+        a = rng.normal(size=(dim, dim))
+        a = (a + a.T) / 2
+        b = rng.normal(size=(dim, dim))
+        b = (b + b.T) / 2
         assert hs_distance_numeric(a, a) == 0.0
         assert hs_distance_numeric(a, b) == pytest.approx(hs_distance_numeric(b, a))
 
@@ -113,7 +110,7 @@ class TestHsDistance:
         ops = []
         for _ in range(3):
             m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            ops.append(FockOperator((m + m.conj().T) / 2))
+            ops.append((m + m.conj().T) / 2)
         a, b, c = ops
         assert hs_distance_numeric(a, c) <= (
             hs_distance_numeric(a, b) + hs_distance_numeric(b, c) + 1e-12
@@ -121,37 +118,15 @@ class TestHsDistance:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            hs_distance_numeric(
-                FockOperator(np.eye(3)), FockOperator(np.eye(4))
-            )
+            hs_distance_numeric(np.eye(3), np.eye(4))
 
 
 class TestEntropy:
+    # entropy_bits of a state's eigenvalues is its von Neumann entropy
     def test_pure_state_zero(self):
-        rho = coherent_projector(CoherentLabel(1.0), CutoffPolicy(max_radius=1.5))
-        assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-8)
+        rho = circle_mixture(1, 1.0, CutoffPolicy(max_radius=1.5))
+        assert entropy_bits(np.linalg.eigvalsh(rho)) == pytest.approx(0.0, abs=1e-8)
 
     def test_maximally_mixed_qudit(self):
         d = 8
-        assert von_neumann_entropy(FockOperator(np.eye(d) / d)) == pytest.approx(3.0)
-
-    def test_rejects_non_states(self):
-        m = np.diag([1.001, -1e-3])
-        with pytest.raises(NotAStateError):
-            von_neumann_entropy(FockOperator(m))
-
-
-class TestFockOperator:
-    def test_debug_json_roundtrip(self, rng):
-        m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        op = FockOperator(m)
-        back = FockOperator.from_debug_json(op.to_debug_json())
-        np.testing.assert_array_equal(back.mat, op.mat)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            FockOperator(np.zeros((2, 3)))
-
-    def test_diagnostics_trace_deficit(self):
-        op = FockOperator(np.diag([0.6, 0.3]))
-        assert op.diagnostics()["trace_deficit"] == pytest.approx(0.1)
+        assert entropy_bits(np.linalg.eigvalsh(np.eye(d) / d)) == pytest.approx(3.0)

@@ -11,8 +11,8 @@ from cvpqc import (
     off_diagonal_check,
 )
 from cvpqc import holevo
-from cvpqc.holevo import disk_state_weights, entropy_bits
-from conftest import tensor_holevo_chi, tensor_lambda_weights
+from cvpqc.holevo import HOLEVO_B_MAX, disk_state_weights, entropy_bits
+from conftest import holevo_classical_limit, tensor_holevo_chi, tensor_lambda_weights
 
 # Gauss-Legendre order at which the refinement gap is 5.5e-9 at b = 0.2
 # and 1.7e-2 at b = 4: the first passes the 1e-6 threshold, the second fails.
@@ -77,6 +77,11 @@ class TestLambdaSpectrum:
         with pytest.raises(ValueError):
             lambda_spectrum(0.0)
 
+    def test_supported_window(self):
+        assert lambda_spectrum(HOLEVO_B_MAX).quad_error < 1e-6
+        with pytest.raises(ValueError, match="supported window"):
+            lambda_spectrum(HOLEVO_B_MAX + 0.01)
+
 
 class TestEntropyAndBound:
     def test_entropy_of_uniform_weights(self):
@@ -91,6 +96,16 @@ class TestEntropyAndBound:
         chi1 = holevo_bound(1.0)
         chi2 = holevo_bound(2.0)
         assert 0.0 < chi1 < chi2
+
+    def test_oracle_is_the_classical_entropy_gap(self):
+        assert holevo_classical_limit() == pytest.approx(1.39257, abs=5e-6)
+
+    def test_bound_increases_toward_classical_limit(self):
+        # chi < chi_inf is a numerical observation, not a theorem
+        limit = holevo_classical_limit()
+        chis = [holevo_bound(b) for b in (1.0, 2.0, 4.0, 8.0, HOLEVO_B_MAX)]
+        assert all(c2 > c1 for c1, c2 in zip(chis, chis[1:]))
+        assert chis[-1] < limit
 
     def test_curve_collects_failures_without_aborting(self, monkeypatch):
         monkeypatch.setattr(holevo, "GL_ORDER", COARSE_ORDER)

@@ -79,6 +79,16 @@ class TestPoissonTail:
             scipy.stats.poisson.sf(n, lam), rel=1e-10
         )
 
+    @pytest.mark.parametrize(
+        "n,lam",
+        [(744, 744.0), (746, 746.0), (650, 709.5), (760, 744.0), (900, 800.0), (1080, 1000.0)],
+    )
+    def test_large_mean_matches_scipy_sf(self, n, lam):
+        # e^(-lam) is subnormal above lam = 708 and zero above 745
+        assert poisson_tail(n, lam) == pytest.approx(
+            scipy.stats.poisson.sf(n, lam), rel=1e-12
+        )
+
     def test_degenerate_cases(self):
         assert poisson_tail(5, 0.0) == 0.0
         with pytest.raises(ValueError):
