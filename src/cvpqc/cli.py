@@ -21,11 +21,8 @@ from .distances import (
     ConsistencyError,
     exact_key_bits,
     hs2_exact,
-    hs2_guess,
     hs2_simplified,
     key_bits,
-    trace_cross,
-    trace_phi_sq,
     trace_unit_sq,
 )
 from .ensembles import ChannelSpec, maximally_mixed, phi_n, circle_mixture
@@ -262,13 +259,12 @@ def verify_oracles(out, tol, results, quick=False):
             mix = phi_n(ChannelSpec(b=b, n_circles=n), cutoff)
             tc_num = float(np.vdot(unit, mix))  # Tr(AB) of real symmetric A, B
             tp_num = float(np.vdot(mix, mix))
-            tc = trace_cross(b, n, tol)
-            tp = trace_phi_sq(b, n, tol)
+            rep = hs2_exact(b, n, tol)
+            tc, tp, d2 = rep.tr_cross, rep.tr_phi2, rep.d2_exact
             _check(out, results, f"trace-cross b={b} N={n}",
                    abs(tc - tc_num) < 1e-9, f"analytic {tc} vs matrix {tc_num}")
             _check(out, results, f"trace-phi-sq b={b} N={n}",
                    abs(tp - tp_num) < 1e-9, f"analytic {tp} vs matrix {tp_num}")
-            d2 = hs2_exact(b, n, tol).d2_exact
             d2_num = hs_distance_numeric(unit, mix) ** 2
             _check(out, results, f"hs2-exact b={b} N={n}",
                    abs(d2 - d2_num) < ORACLE_TOL,

@@ -1,20 +1,19 @@
 """Analytic Hilbert-Schmidt distances and the key-length estimate.
 
-The squared distance between the disk-mixed state and the encryption
-mixture decomposes into three traces,
+The N-circle distance comes from the Fock-space stripes of Phi_N: circle
+p at radius r_p = p b / N adds p c_m(r_p) c_n(r_p) / M wherever p divides
+m - n, with c_n(r) = e^(-r^2/2) r^n / sqrt(n!) taken from its logarithm.
+Only circles with p < dim reach an off-diagonal entry.  The disk-mixed
+state is the diagonal u_n = P(X > n) / b^2, X ~ Poisson(b^2), so
+D^2 = sum_n (Phi_nn - u_n)^2 + sum_{m != n} Phi_mn^2 is a sum of
+non-negative terms; it never forms the cancelling difference
+Tr(unit^2) - 2 Tr(unit Phi_N) + Tr(Phi_N^2).
 
-    D^2 = Tr(unit^2) - 2 Tr(unit * Phi_N) + Tr(Phi_N^2),
-
-each of which reduces to modified Bessel series.  The cross trace's
-k-sum sum_k (b/r)^k I_k(2rb) is evaluated through the regrouping
-sum_s (r^(2s)/s!) sum_{m>s} b^(2m)/m! -- the same term set, but free of
-the (b/r)^k overflow that the literal form hits for r << b.  The purity
-of one circle of p phase-shifted states is the finite mean of their
-coherent overlaps, so the simplified distance is array-valued in r.
-
-Tr(rho_p1 rho_p2) stripes sit at multiples of lcm(p1, p2): the entries of
-the two circle mixtures overlap exactly where both stripe conditions
-hold.
+The simplified protocol's cross term needs sum_k (b/r)^k I_k(2rb), taken
+through the regrouping sum_s (r^(2s)/s!) sum_{m>s} b^(2m)/m! -- the same
+terms, free of the (b/r)^k overflow of the literal form for r << b.  The
+purity of p phase-shifted states on one circle is the finite mean of
+their coherent overlaps, so the simplified distance is array-valued in r.
 """
 
 from __future__ import annotations
@@ -25,16 +24,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specialfns import DEFAULT_TOL, SeriesTolerance, bessel_i, bessel_sum
+from .fockspace import CutoffPolicy
+from .specialfns import DEFAULT_TOL, SeriesTolerance, bessel_i, poisson_tail
 from .specialfns import SUPPORTED_ORDER_MAX
 
 # k-sums get a floor of this many terms before the relative cutoff may
 # fire; guards against premature exit near zero partial sums.
 KSUM_FLOOR = 30
 
+# Poisson mass of the disk state beyond the stripe kernel's Fock cutoff.
+STRIPE_TAIL_BUDGET = 1e-12
+
+# Largest supported circle count: the N x dim amplitude array stays below
+# about 150 MB at b = 10, and the eps*N relative error of D^2 below 1e-10.
+N_MAX = 100_000
+
 
 class ConsistencyError(RuntimeError):
-    """Assembled quantity violates an exact property (series too loose)."""
+    """A series ran out of terms, or an assembled quantity violates an
+    exact property (series too loose)."""
 
 
 @dataclass(frozen=True)
@@ -57,6 +65,7 @@ def cross_bessel_sum(b: float, r, tol: SeriesTolerance = DEFAULT_TOL):
     sum_s (r^(2s)/s!) * sum_{m>s} b^(2m)/m!; the inner sum is tracked by
     decrementing the full exponential series term by term.  An array r
     runs until every element meets the cutoff; a scalar r gives a float.
+    Running out of ``tol.max_terms`` first raises ConsistencyError.
     """
     r = np.asarray(r, dtype=float)
     if not (b > 0 and np.all(r > 0)):
@@ -80,6 +89,8 @@ def cross_bessel_sum(b: float, r, tol: SeriesTolerance = DEFAULT_TOL):
         term_r *= r2 / s
         if s >= KSUM_FLOOR and np.all(term_r * g < tol.eps_abs * total):
             break
+    else:
+        raise ConsistencyError(f"cross series not converged in {tol.max_terms} terms")
     return total if total.ndim else float(total)
 
 
@@ -91,44 +102,6 @@ def trace_unit_sq(b: float, tol: SeriesTolerance = DEFAULT_TOL) -> float:
         raise ValueError(f"b must be positive, got {b}")
     x = 2.0 * b * b
     return (1.0 - math.exp(-x) * (bessel_i(0, x, tol) + bessel_i(1, x, tol))) / (b * b)
-
-
-def trace_cross(b: float, n_circles: int, tol: SeriesTolerance = DEFAULT_TOL) -> float:
-    """Cross trace of the disk-mixed state against the N-circle mixture."""
-    if not b > 0:
-        raise ValueError(f"b must be positive, got {b}")
-    if n_circles < 1:
-        raise ValueError(f"N must be >= 1, got {n_circles}")
-    p = np.arange(1, n_circles + 1)
-    r_p = p * b / n_circles
-    acc = float(np.sum(p * np.exp(-r_p * r_p) * cross_bessel_sum(b, r_p, tol)))
-    norm = 2.0 / (n_circles * (n_circles + 1))
-    return norm * acc / (b * b * math.exp(b * b))
-
-
-def trace_phi_sq(b: float, n_circles: int, tol: SeriesTolerance = DEFAULT_TOL) -> float:
-    """Purity of the N-circle mixture.
-
-    Pairs of circles overlap on stripes at multiples of lcm(p1, p2) with
-    Bessel argument 2 r_p1 r_p2; the summand is symmetric, so p2 >= p1.
-    """
-    if not b > 0:
-        raise ValueError(f"b must be positive, got {b}")
-    if n_circles < 1:
-        raise ValueError(f"N must be >= 1, got {n_circles}")
-    scale = b / n_circles
-    acc = 0.0
-    for p1 in range(1, n_circles + 1):
-        r1 = p1 * scale
-        for p2 in range(p1, n_circles + 1):
-            r2 = p2 * scale
-            x = 2.0 * r1 * r2
-            step = math.lcm(p1, p2)
-            stripe = bessel_i(0, x, tol) + 2.0 * bessel_sum(step, x, tol)
-            weight = p1 * p2 if p1 == p2 else 2 * p1 * p2
-            acc += weight * math.exp(-(r1 * r1 + r2 * r2)) * stripe
-    norm = 2.0 / (n_circles * (n_circles + 1))
-    return norm * norm * acc
 
 
 def hs2_guess(n_circles: int) -> float:
@@ -144,33 +117,57 @@ def hs2_guess(n_circles: int) -> float:
     return 1.0 / (n_circles + 1) ** 2
 
 
-def _clamp_d2(d2):  # elementwise; a scalar d2 returns a float
-    if np.min(d2) < -1e-12:
-        raise ConsistencyError(
-            f"squared distance {np.min(d2)} negative beyond roundoff; "
-            "series truncation too loose"
-        )
-    d2 = np.maximum(d2, 0.0)
-    return d2 if d2.ndim else float(d2)
-
-
 def hs2_exact(
     b: float, n_circles: int, tol: SeriesTolerance = DEFAULT_TOL
 ) -> DistanceReport:
     """Exact squared HS distance between the disk-mixed state and the
-    N-circle encryption mixture, assembled from the three traces."""
-    tu = trace_unit_sq(b, tol)
-    tc = trace_cross(b, n_circles, tol)
-    tp = trace_phi_sq(b, n_circles, tol)
+    N-circle encryption mixture, from the Fock stripes of Phi_N.
+
+    Costs O(N dim + dim^3) at the disk state's Fock cutoff dim (tail
+    budget STRIPE_TAIL_BUDGET); N must lie in [1, N_MAX].
+    """
+    if not 1 <= n_circles <= N_MAX:
+        raise ValueError(f"N must be in [1, {N_MAX}], got {n_circles}")
+    tu = trace_unit_sq(b, tol)  # validates b
+    dim = CutoffPolicy(b, tail_budget=STRIPE_TAIL_BUDGET).dim
+    lam = b * b
+    unit = np.array([poisson_tail(m, lam) for m in range(dim)]) / lam
+    n = np.arange(dim)
+    p = np.arange(1, n_circles + 1)
+    r = p * (b / n_circles)
+    # c_n(r_p) from its logarithm, in place: this N x dim array dominates memory
+    amp = np.outer(np.log(r), n)
+    amp -= (0.5 * r * r)[:, None]
+    amp -= 0.5 * np.array([math.lgamma(m + 1.0) for m in range(dim)])
+    np.exp(amp, out=amp)
+    norm = 2.0 / (n_circles * (n_circles + 1))  # 1/M
+    # entries above the diagonal, k = column - row > 0: circle q needs q | k
+    k = n[None, :] - n[:, None]
+    upper = np.zeros((dim, dim))
+    for q in range(1, min(n_circles, dim - 1) + 1):
+        on_stripe = (k > 0) & (k % q == 0)
+        upper += np.where(on_stripe, q * np.outer(amp[q - 1], amp[q - 1]), 0.0)
+    off2 = 2.0 * float(np.sum(np.square(norm * upper)))  # sum_{m != n} Phi_mn^2
+    diag = norm * (p @ np.square(amp, out=amp))
     return DistanceReport(
         b=b,
         n_circles=n_circles,
-        d2_exact=_clamp_d2(tu - 2.0 * tc + tp),
+        d2_exact=float(np.sum(np.square(diag - unit))) + off2,
         d2_guess=hs2_guess(n_circles),
         tr_unit2=tu,
-        tr_cross=tc,
-        tr_phi2=tp,
+        tr_cross=float(unit @ diag),
+        tr_phi2=float(diag @ diag) + off2,
     )
+
+
+def trace_cross(b: float, n_circles: int, tol: SeriesTolerance = DEFAULT_TOL) -> float:
+    """Cross trace Tr(unit Phi_N) = sum_n u_n Phi_nn, read from hs2_exact."""
+    return hs2_exact(b, n_circles, tol).tr_cross
+
+
+def trace_phi_sq(b: float, n_circles: int, tol: SeriesTolerance = DEFAULT_TOL) -> float:
+    """Purity Tr(Phi_N^2) = sum_mn Phi_mn^2 of Phi_N, read from hs2_exact."""
+    return hs2_exact(b, n_circles, tol).tr_phi2
 
 
 def _circle_purity(p: int, r: np.ndarray) -> np.ndarray:
@@ -195,7 +192,14 @@ def hs2_simplified(b: float, p: int, r, tol: SeriesTolerance = DEFAULT_TOL):
         raise ValueError(f"p must be >= 1, got {p}")
     tu = trace_unit_sq(b, tol)
     cross = 2.0 * np.exp(-rs * rs) * cross_bessel_sum(b, rs, tol) / (b * b * math.exp(b * b))
-    return _clamp_d2(tu - cross + _circle_purity(p, rs))
+    d2 = tu - cross + _circle_purity(p, rs)
+    if np.min(d2) < -1e-12:
+        raise ConsistencyError(
+            f"squared distance {np.min(d2)} negative beyond roundoff; "
+            "series truncation too loose"
+        )
+    d2 = np.maximum(d2, 0.0)
+    return d2 if d2.ndim else float(d2)
 
 
 def key_bits(d_hs: float) -> float:
@@ -209,4 +213,4 @@ def exact_key_bits(n_circles: int) -> float:
     """Exact key length log2 M for the N-circle protocol."""
     if n_circles < 1:
         raise ValueError(f"N must be >= 1, got {n_circles}")
-    return math.log2(n_circles * (n_circles + 1) / 2)
+    return math.log2(n_circles) + math.log2(n_circles + 1) - 1.0

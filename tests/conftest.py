@@ -1,10 +1,12 @@
 """Shared oracles for the test suite.
 
-The analytic code paths are double-precision series; the oracles here are
-deliberately different routes: extended-precision mpmath series, dense
-matrix algebra, scipy special functions, Monte Carlo, and a 3-D tensor
-quadrature of the Holevo spectrum.  Tests must
-never compare an analytic result against itself.
+The analytic code paths are double-precision series and Fock-stripe
+sums; the oracles here are deliberately different routes:
+extended-precision mpmath series and dense matrices, dense matrix
+algebra, scipy special functions, Monte Carlo, a 3-D tensor quadrature
+of the Holevo spectrum, and the Bessel-series traces of the N-circle
+mixture (k-sums for the cross trace, pairwise stripe sums for the
+purity).  Tests must never compare an analytic result against itself.
 
 The package's Fock layer is real (canonical circle angles only), so the
 complex side lives here: coherent states at any phase, built from scipy
@@ -22,6 +24,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import entr, gammainc, gammaln, i0e, i1e, xlogy
 
 from cvpqc import CutoffPolicy
+from cvpqc.distances import cross_bessel_sum
+from cvpqc.specialfns import bessel_i, bessel_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,6 +96,60 @@ def circle_disk_constant(b: float) -> float:
     """
     x = 2.0 * b * b
     return float(i0e(x) - i1e(x) / (b * b))
+
+
+def bessel_trace_cross(b: float, n_circles: int) -> float:
+    """Tr(unit Phi_N) from the Bessel k-sums: circle p adds
+    p e^(-r_p^2) sum_k (b/r_p)^k I_k(2 r_p b), through the regrouped series."""
+    p = np.arange(1, n_circles + 1)
+    r_p = p * b / n_circles
+    acc = float(np.sum(p * np.exp(-r_p * r_p) * cross_bessel_sum(b, r_p)))
+    norm = 2.0 / (n_circles * (n_circles + 1))
+    return norm * acc / (b * b * math.exp(b * b))
+
+
+def bessel_trace_phi_sq(b: float, n_circles: int) -> float:
+    """Tr(Phi_N^2) from Bessel stripe sums over all pairs of circles.
+
+    Pairs of circles overlap on stripes at multiples of lcm(p1, p2) with
+    Bessel argument 2 r_p1 r_p2; the summand is symmetric, so p2 >= p1.
+    """
+    scale = b / n_circles
+    acc = 0.0
+    for p1 in range(1, n_circles + 1):
+        r1 = p1 * scale
+        for p2 in range(p1, n_circles + 1):
+            r2 = p2 * scale
+            x = 2.0 * r1 * r2
+            stripe = bessel_i(0, x) + 2.0 * bessel_sum(math.lcm(p1, p2), x)
+            weight = p1 * p2 if p1 == p2 else 2 * p1 * p2
+            acc += weight * math.exp(-(r1 * r1 + r2 * r2)) * stripe
+    norm = 2.0 / (n_circles * (n_circles + 1))
+    return norm * norm * acc
+
+
+def mp_hs2_dense(b: float, n_circles: int, dim: int, dps: int = 40) -> float:
+    """D^2 of the dense dim x dim Fock matrices in mpmath at dps digits:
+    every circle's stripe entries e^(-r^2) r^(m+n) / sqrt(m! n!) and the
+    disk diagonal from the regularized incomplete gamma function."""
+    with mpmath.workdps(dps):
+        b = mpmath.mpf(b)
+        lam = b * b
+        phi = [[mpmath.mpf(0)] * dim for _ in range(dim)]
+        for p in range(1, n_circles + 1):
+            r = p * b / n_circles
+            c = [mpmath.exp(-r * r / 2) * r**j / mpmath.sqrt(mpmath.factorial(j))
+                 for j in range(dim)]
+            for i in range(dim):
+                for j in range(i, dim, p):
+                    phi[i][j] += p * c[i] * c[j]
+        m = mpmath.mpf(n_circles * (n_circles + 1)) / 2
+        total = mpmath.mpf(0)
+        for i in range(dim):
+            unit = mpmath.gammainc(i + 1, 0, lam, regularized=True) / lam
+            total += (phi[i][i] / m - unit) ** 2
+            total += 2 * sum((phi[i][j] / m) ** 2 for j in range(i + 1, dim))
+        return float(total)
 
 
 def dense_saturation_curve(b: float, p_max: int, r_lo: float):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -94,9 +95,10 @@ class TestExitCodes:
             ["saturation", "--b", "2", "--saturation-tol", "nan"],
             ["saturation", "--b", "2", "--saturation-tol", "-1"],
             ["holevo", "--b-grid", "10,12,13,14,15"],
+            ["distance", "--b", "2", "--N", "10,200000"],
         ],
         ids=["keybits-N0", "mc-samples-0", "mc-samples-neg", "seed-neg", "sat-tol-nan",
-             "sat-tol-neg", "holevo-b-window"],
+             "sat-tol-neg", "holevo-b-window", "distance-N-window"],
     )
     def test_out_of_window_input_is_bad_input(self, argv, capsys):
         code, out, err = run(argv, capsys)
@@ -107,6 +109,13 @@ class TestExitCodes:
         code, out, _ = run(["keybits", "--d-hs", "0.5", "--N", "4"], capsys)
         assert code == cli.EXIT_OK
         assert out.splitlines()[0] == "d_hs,approx_bits,N,exact_bits"
+
+    def test_keybits_of_huge_circle_count(self, capsys):
+        # N (N + 1) / 2 overflows a float; log2 M must still be finite
+        code, out, err = run(["keybits", "--d-hs", "0.5", "--N", "9" * 400], capsys)
+        assert code == cli.EXIT_OK and err == ""
+        exact = float(out.splitlines()[1].split(",")[3])
+        assert exact == pytest.approx(800 * math.log2(10) - 1.0)
 
 
 class TestDistanceCommand:

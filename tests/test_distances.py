@@ -22,8 +22,20 @@ from cvpqc import (
     trace_phi_sq,
     trace_unit_sq,
 )
-from cvpqc.distances import _circle_purity, cross_bessel_sum
-from cvpqc.specialfns import ArgumentRangeError, bessel_i, bessel_sum
+from cvpqc.distances import N_MAX, _circle_purity, cross_bessel_sum
+from cvpqc.specialfns import (
+    DEFAULT_TOL,
+    ArgumentRangeError,
+    SeriesTolerance,
+    bessel_i,
+    bessel_sum,
+)
+from conftest import (
+    bessel_trace_cross,
+    bessel_trace_phi_sq,
+    circle_disk_constant,
+    mp_hs2_dense,
+)
 
 TAIL = 1e-12
 
@@ -67,6 +79,20 @@ class TestCrossBesselSum:
         with pytest.raises(ValueError):
             cross_bessel_sum(b, np.array([0.5, 0.0]))
 
+    def test_exhausted_term_budget_raises(self):
+        # max_terms = 5 < KSUM_FLOOR: the relative cutoff can never fire
+        rs = np.linspace(0.01, 2.5, 41)
+        with pytest.raises(ConsistencyError):
+            cross_bessel_sum(2.5, rs, SeriesTolerance(max_terms=5))
+        with pytest.raises(ConsistencyError):
+            cross_bessel_sum(2.5, 1.0, SeriesTolerance(max_terms=5))
+
+    @pytest.mark.parametrize("b", [0.7, 2.5, 6.0])
+    def test_default_term_budget_is_not_binding(self, b):
+        rs = np.linspace(0.01, b, 41)
+        unbounded = SeriesTolerance(eps_abs=DEFAULT_TOL.eps_abs, max_terms=10**7)
+        assert np.array_equal(cross_bessel_sum(b, rs), cross_bessel_sum(b, rs, unbounded))
+
 
 class TestTraceTerms:
     @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
@@ -78,6 +104,8 @@ class TestTraceTerms:
         _, tc_num, tp_num = matrix_traces(b, n)
         assert trace_cross(b, n) == pytest.approx(tc_num, abs=1e-9)
         assert trace_phi_sq(b, n) == pytest.approx(tp_num, abs=1e-9)
+        assert bessel_trace_cross(b, n) == pytest.approx(tc_num, abs=1e-9)
+        assert bessel_trace_phi_sq(b, n) == pytest.approx(tp_num, abs=1e-9)
 
     def test_unit_purity_small_b_limit(self):
         # nearly the vacuum: purity tends to 1
@@ -113,6 +141,32 @@ class TestHs2Exact:
         vals = [hs2_exact(2.0, n).d2_exact for n in (1, 2, 4, 8)]
         assert all(v >= 0.0 for v in vals)
         assert vals == sorted(vals, reverse=True)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 60])
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 3.5])
+    def test_stripe_kernel_matches_bessel_oracle(self, b, n):
+        rep = hs2_exact(b, n)
+        tc, tp = bessel_trace_cross(b, n), bessel_trace_phi_sq(b, n)
+        assert abs(rep.tr_cross - tc) < 1e-9
+        assert abs(rep.tr_phi2 - tp) < 1e-9
+        assert abs(rep.d2_exact - (trace_unit_sq(b) - 2.0 * tc + tp)) < 1e-8
+
+    def test_matches_extended_precision_dense_reference(self):
+        # traces of ~0.18 cancel to D^2 ~ 3e-6 here: a route through
+        # Tr(unit^2) - 2 Tr(unit Phi) + Tr(Phi^2) keeps only ~1e-10 relative
+        b, n = 2.0, 200
+        ref = mp_hs2_dense(b, n, dim=40)
+        assert hs2_exact(b, n).d2_exact == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_large_n_closes_on_circle_disk_constant(self):
+        b, n = 2.0, 10_000
+        ratio = n * n * hs2_exact(b, n).d2_exact / circle_disk_constant(b)
+        assert abs(ratio - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("n", [0, -3, N_MAX + 1])
+    def test_circle_count_window(self, n):
+        with pytest.raises(ValueError, match="N must be in"):
+            hs2_exact(2.0, n)
 
 
 class TestHs2Simplified:
