@@ -40,7 +40,6 @@ from .optimizer import (
 )
 from .specialfns import (
     ArgumentRangeError,
-    SeriesTolerance,
     bessel_i,
     bessel_sum,
     poisson_tail,

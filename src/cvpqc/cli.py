@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -30,9 +29,9 @@ from .fockspace import CutoffPolicy, hs_distance_numeric
 from .holevo import QuadratureConvergenceError, holevo_curve, off_diagonal_check
 from .optimizer import find_rmin, saturation_sweep
 from .specialfns import (
-    DEFAULT_TOL,
+    SERIES_EPS,
+    SERIES_MAX_TERMS,
     ArgumentRangeError,
-    SeriesTolerance,
     bessel_i,
     bessel_sum,
 )
@@ -40,32 +39,41 @@ from .specialfns import (
 ORACLE_TOL = 1e-8
 ORACLE_TAIL_BUDGET = 1e-12
 
+# Longest accepted grid argument; the largest useful one is --N 1:100000:1.
+GRID_MAX_POINTS = 1_000_000
+
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_INCONSISTENT = 3
 
 
-def default_tolerance() -> SeriesTolerance:
-    """Package default, overridable through the CVPQC_EPS env var."""
-    eps = os.environ.get("CVPQC_EPS")
-    if eps is None:
-        return DEFAULT_TOL
-    return SeriesTolerance(eps_abs=float(eps))
+def _finite(parts) -> list[float]:
+    values = [float(p) for p in parts]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid values must be finite, got {values}")
+    return values
 
 
 def parse_grid(text: str) -> list[float]:
-    """Accepts 'start:stop:step' or a comma list of values."""
+    """Accepts 'start:stop:step' or a comma list of finite values, giving
+    1 to GRID_MAX_POINTS values."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = _finite(parts)
         if step <= 0:
             raise ValueError(f"grid step must be positive, got {step}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(count)]
-    return [float(p) for p in text.split(",") if p.strip()]
+        span = (stop - start) / step + 1e-9  # inf if the quotient overflows
+        if span >= GRID_MAX_POINTS:  # checked before any list is built
+            raise ValueError(f"grid {text!r} has more than {GRID_MAX_POINTS} points")
+        values = [start + i * step for i in range(math.floor(span) + 1)]
+    else:
+        values = _finite(p for p in text.split(",") if p.strip())
+    if not 1 <= len(values) <= GRID_MAX_POINTS:
+        raise ValueError(f"grid {text!r} must hold 1 to {GRID_MAX_POINTS} values")
+    return values
 
 
 def parse_counts(text: str) -> list[int]:
@@ -99,12 +107,12 @@ def write_rows(columns, rows, out, fmt, command):
         out.write("\n")
 
 
-def write_json_log(fh, args, tol):
+def write_json_log(fh, args):
     log = {
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "eps_abs": tol.eps_abs,
-        "max_terms": tol.max_terms,
+        "eps_abs": SERIES_EPS,
+        "max_terms": SERIES_MAX_TERMS,
         "argv": {k: v for k, v in vars(args).items() if k != "func"},
     }
     json.dump(log, fh, indent=2, default=str)
@@ -119,16 +127,23 @@ def numeric_d2(b: float, n_circles: int) -> float:
     return hs_distance_numeric(unit, mix) ** 2
 
 
+def numeric_simplified_d2(b: float, p: int, r: float) -> float:
+    """Matrix-oracle squared distance of the simplified protocol (one circle
+    of p states at radius r) at the tight oracle tail budget."""
+    cutoff = CutoffPolicy(max_radius=b, tail_budget=ORACLE_TAIL_BUDGET)
+    return hs_distance_numeric(maximally_mixed(b, cutoff), circle_mixture(p, r, cutoff)) ** 2
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_distance(args, tol, out) -> int:
+def cmd_distance(args, out) -> int:
     rows = []
     mismatch = False
     for b in args.b:
         for n in args.N:
-            rep = hs2_exact(b, n, tol)
+            rep = hs2_exact(b, n)
             d2_num = None
             if args.with_oracle:
                 d2_num = numeric_d2(b, n)
@@ -149,7 +164,7 @@ def cmd_distance(args, tol, out) -> int:
     return EXIT_OK
 
 
-def cmd_keybits(args, tol, out) -> int:
+def cmd_keybits(args, out) -> int:
     exact = None if args.N is None else exact_key_bits(args.N)
     rows = [(args.d_hs, key_bits(args.d_hs), args.N, exact)]
     write_rows(
@@ -158,15 +173,12 @@ def cmd_keybits(args, tol, out) -> int:
     return EXIT_OK
 
 
-def cmd_simplified(args, tol, out) -> int:
-    d2 = hs2_simplified(args.b, args.p, args.r, tol)
+def cmd_simplified(args, out) -> int:
+    d2 = hs2_simplified(args.b, args.p, args.r)
     d2_num = None
     mismatch = False
     if args.with_oracle:
-        cutoff = CutoffPolicy(max_radius=args.b, tail_budget=ORACLE_TAIL_BUDGET)
-        unit = maximally_mixed(args.b, cutoff)
-        circ = circle_mixture(args.p, args.r, cutoff)
-        d2_num = hs_distance_numeric(unit, circ) ** 2
+        d2_num = numeric_simplified_d2(args.b, args.p, args.r)
         mismatch = abs(d2 - d2_num) > ORACLE_TOL
     write_rows(
         ["b", "p", "r", "d2_simplified", "d2_numeric"],
@@ -179,17 +191,17 @@ def cmd_simplified(args, tol, out) -> int:
     return EXIT_OK
 
 
-def cmd_rmin(args, tol, out) -> int:
+def cmd_rmin(args, out) -> int:
     rows = []
     for b in args.b:
-        res = find_rmin(b, tol)
+        res = find_rmin(b)
         rows.append((b, res.r_min, res.residual, res.method))
     write_rows(["b", "r_min", "residual", "method"], rows, out, args.format, "rmin")
     return EXIT_OK
 
 
-def cmd_saturation(args, tol, out) -> int:
-    res = saturation_sweep(args.b, args.p_max, tol, args.saturation_tol)
+def cmd_saturation(args, out) -> int:
+    res = saturation_sweep(args.b, args.p_max, args.saturation_tol)
     rows = [(args.b, p, r, d2, res.p_sat) for p, r, d2 in res.curve]
     write_rows(
         ["b", "p", "r_at_min", "d2_min", "p_sat"], rows, out, args.format, "saturation"
@@ -197,9 +209,10 @@ def cmd_saturation(args, tol, out) -> int:
     return EXIT_OK
 
 
-def cmd_holevo(args, tol, out) -> int:
+def cmd_holevo(args, out) -> int:
     """`holevo --b-grid G` and `figures fig2 [--b-grid G]`."""
-    curve = holevo_curve(args.b_grid or parse_grid("0.5:4:0.5"))
+    grid = args.b_grid if args.b_grid is not None else parse_grid("0.5:4:0.5")
+    curve = holevo_curve(grid)
     rows = [
         (b, chi, spec.quad_error, spec.dim)
         for (b, chi), spec in zip(curve.samples, curve.spectra)
@@ -211,16 +224,16 @@ def cmd_holevo(args, tol, out) -> int:
     return EXIT_INCONSISTENT if curve.failures else EXIT_OK
 
 
-def cmd_figures(args, tol, out) -> int:
+def cmd_figures(args, out) -> int:
     if args.which == "fig1a":
-        res = saturation_sweep(args.b, args.p_max, tol)
+        res = saturation_sweep(args.b, args.p_max)
         write_rows(["p", "r_min", "d2_min"], res.curve, out, args.format, "fig1a")
     elif args.which == "fig1b":
-        grid = args.b_grid or parse_grid("0.5:7:0.5")
-        rows = [(b, find_rmin(b, tol).r_min) for b in grid]
+        grid = args.b_grid if args.b_grid is not None else parse_grid("0.5:7:0.5")
+        rows = [(b, find_rmin(b).r_min) for b in grid]
         write_rows(["b", "r_min"], rows, out, args.format, "fig1b")
     else:  # fig2
-        return cmd_holevo(args, tol, out)
+        return cmd_holevo(args, out)
     return EXIT_OK
 
 
@@ -235,31 +248,31 @@ def _check(out, results, name, ok, detail=""):
     out.write(f"{status} {name}{suffix}\n")
 
 
-def verify_identities(out, tol, results):
+def verify_identities(out, results):
     # I_0(x) + 2 sum_k I_k(x) = e^x, also in the two-variable form at 2yz
     grid = (0.6, 1.2, 1.8, 2.4, 3.0)
     cases = [(f"bessel-identity x={x}", x) for x in (0.5, 1.0, 2.0, 4.0, 8.0)]
     cases += [(f"bessel-identity-2 x={y} y={z}", 2.0 * y * z) for y in grid for z in grid]
     for name, x in cases:
-        dev = abs(math.exp(-x) * (bessel_i(0, x, tol) + 2.0 * bessel_sum(1, x, tol)) - 1.0)
+        dev = abs(math.exp(-x) * (bessel_i(0, x) + 2.0 * bessel_sum(1, x)) - 1.0)
         _check(out, results, name, dev < 1e-12, f"deviation {dev:.3e}")
 
 
-def verify_oracles(out, tol, results, quick=False):
+def verify_oracles(out, results, quick=False):
     bs = (1.0, 2.0) if quick else (0.5, 1.0, 2.0)
     ns = (1, 3) if quick else (1, 2, 3, 4, 5, 6)
     for b in bs:
         cutoff = CutoffPolicy(max_radius=b, tail_budget=ORACLE_TAIL_BUDGET)
         unit = maximally_mixed(b, cutoff)
         tu_num = float(np.vdot(unit, unit))
-        tu = trace_unit_sq(b, tol)
+        tu = trace_unit_sq(b)
         _check(out, results, f"trace-unit-sq b={b}", abs(tu - tu_num) < 1e-9,
                f"analytic {tu} vs matrix {tu_num}")
         for n in ns:
             mix = phi_n(ChannelSpec(b=b, n_circles=n), cutoff)
             tc_num = float(np.vdot(unit, mix))  # Tr(AB) of real symmetric A, B
             tp_num = float(np.vdot(mix, mix))
-            rep = hs2_exact(b, n, tol)
+            rep = hs2_exact(b, n)
             tc, tp, d2 = rep.tr_cross, rep.tr_phi2, rep.d2_exact
             _check(out, results, f"trace-cross b={b} N={n}",
                    abs(tc - tc_num) < 1e-9, f"analytic {tc} vs matrix {tc_num}")
@@ -270,18 +283,15 @@ def verify_oracles(out, tol, results, quick=False):
                    abs(d2 - d2_num) < ORACLE_TOL,
                    f"analytic {d2} vs matrix {d2_num}")
     b, p, r = 2.0, 4, 1.0
-    cutoff = CutoffPolicy(max_radius=b, tail_budget=ORACLE_TAIL_BUDGET)
-    d2 = hs2_simplified(b, p, r, tol)
-    d2_num = hs_distance_numeric(
-        maximally_mixed(b, cutoff), circle_mixture(p, r, cutoff)
-    ) ** 2
+    d2 = hs2_simplified(b, p, r)
+    d2_num = numeric_simplified_d2(b, p, r)
     _check(out, results, f"hs2-simplified b={b} p={p} r={r}",
            abs(d2 - d2_num) < ORACLE_TOL, f"analytic {d2} vs matrix {d2_num}")
 
 
-def verify_limits(out, tol, results):
+def verify_limits(out, results):
     b = 1.0
-    cutoff = CutoffPolicy(max_radius=b, tail_budget=1e-12)
+    cutoff = CutoffPolicy(max_radius=b, tail_budget=ORACLE_TAIL_BUDGET)
     unit_diag = np.diag(maximally_mixed(b, cutoff))
     n_keep = min(21, cutoff.dim)
     prev = None
@@ -304,31 +314,31 @@ def verify_limits(out, tol, results):
     _check(out, results, "disk-state first diagonal closed form",
            abs(unit_diag[0] - first) < 1e-13)
     _check(out, results, "purity b->0 limit",
-           abs(trace_unit_sq(1e-3, tol) - 1.0) < 1e-5)
+           abs(trace_unit_sq(1e-3) - 1.0) < 1e-5)
 
 
-def verify_diagonality(out, tol, results, samples, seed):
+def verify_diagonality(out, results, samples, seed):
     est = off_diagonal_check(0.5, samples, seed=seed)
     _check(out, results, f"lambda-diagonality b=0.5 samples={samples}",
            est.max_abs < 5.0 * est.stderr,
            f"max off-diagonal {est.max_abs:.3e}, stderr {est.stderr:.3e}")
 
 
-def cmd_verify(args, tol, out) -> int:
+def cmd_verify(args, out) -> int:
     if args.mc_samples < 1 or args.seed < 0:  # before any check line is written
         raise ValueError(
             f"need --mc-samples >= 1 and --seed >= 0, got {args.mc_samples} and {args.seed}"
         )
     results = []
     if args.suite in ("identities", "all"):
-        verify_identities(out, tol, results)
+        verify_identities(out, results)
     if args.suite in ("oracles", "all"):
-        verify_oracles(out, tol, results, quick=args.quick)
+        verify_oracles(out, results, quick=args.quick)
     if args.suite in ("limits", "all"):
-        verify_limits(out, tol, results)
+        verify_limits(out, results)
     if args.suite == "all":
         samples = 20_000 if args.quick else args.mc_samples
-        verify_diagonality(out, tol, results, samples, args.seed)
+        verify_diagonality(out, results, samples, args.seed)
     passed = sum(results)
     out.write(f"# {passed}/{len(results)} checks passed\n")
     return EXIT_OK if all(results) else EXIT_VERIFY_FAIL
@@ -419,17 +429,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
-    try:
-        tol = default_tolerance()
-    except ValueError as exc:
-        print(f"bad CVPQC_EPS: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     log = None
     with contextlib.ExitStack() as files:
         try:  # both outputs are opened before any work, so neither fails late
             out = sys.stdout if args.out == "-" else _open(files, "--out", args.out)
             log = args.json_log and _open(files, "--json-log", args.json_log)
-            code = args.func(args, tol, out)
+            code = args.func(args, out)
         except (ValueError, ArgumentRangeError) as exc:
             print(f"invalid input: {exc}", file=sys.stderr)
             code = EXIT_BAD_INPUT
@@ -437,7 +442,7 @@ def main(argv=None) -> int:
             print(f"internal consistency failure: {exc}", file=sys.stderr)
             code = EXIT_INCONSISTENT
         if log:
-            write_json_log(log, args, tol)
+            write_json_log(log, args)
     return code
 
 

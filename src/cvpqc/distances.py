@@ -24,9 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .ensembles import disk_state_weights
 from .fockspace import CutoffPolicy
-from .specialfns import DEFAULT_TOL, SeriesTolerance, bessel_i, poisson_tail
-from .specialfns import SUPPORTED_ORDER_MAX
+from .specialfns import SERIES_EPS, SERIES_MAX_TERMS, SUPPORTED_ORDER_MAX, bessel_i
 
 # k-sums get a floor of this many terms before the relative cutoff may
 # fire; guards against premature exit near zero partial sums.
@@ -58,14 +58,14 @@ class DistanceReport:
     tr_phi2: float = 0.0
 
 
-def cross_bessel_sum(b: float, r, tol: SeriesTolerance = DEFAULT_TOL):
+def cross_bessel_sum(b: float, r):
     """sum_{k>=1} (b/r)^k I_k(2rb), via the stable regrouping.
 
     Expanding each Bessel series and collecting powers of r gives
     sum_s (r^(2s)/s!) * sum_{m>s} b^(2m)/m!; the inner sum is tracked by
     decrementing the full exponential series term by term.  An array r
     runs until every element meets the cutoff; a scalar r gives a float.
-    Running out of ``tol.max_terms`` first raises ConsistencyError.
+    Running out of SERIES_MAX_TERMS first raises ConsistencyError.
     """
     r = np.asarray(r, dtype=float)
     if not (b > 0 and np.all(r > 0)):
@@ -79,7 +79,7 @@ def cross_bessel_sum(b: float, r, tol: SeriesTolerance = DEFAULT_TOL):
     term_r = np.ones_like(r)  # r^(2s)/s!
     r2 = r * r
     s = 0
-    while s < tol.max_terms:
+    while s < SERIES_MAX_TERMS:
         total += term_r * g
         s += 1
         pmf *= lam / s
@@ -87,21 +87,21 @@ def cross_bessel_sum(b: float, r, tol: SeriesTolerance = DEFAULT_TOL):
         if g <= 0.0:
             break
         term_r *= r2 / s
-        if s >= KSUM_FLOOR and np.all(term_r * g < tol.eps_abs * total):
+        if s >= KSUM_FLOOR and np.all(term_r * g < SERIES_EPS * total):
             break
     else:
-        raise ConsistencyError(f"cross series not converged in {tol.max_terms} terms")
+        raise ConsistencyError(f"cross series not converged in {SERIES_MAX_TERMS} terms")
     return total if total.ndim else float(total)
 
 
 @lru_cache(maxsize=None)
-def trace_unit_sq(b: float, tol: SeriesTolerance = DEFAULT_TOL) -> float:
+def trace_unit_sq(b: float) -> float:
     """Purity of the disk-mixed state:
     (e^(2b^2) - I_0(2b^2) - I_1(2b^2)) / (b^2 e^(2b^2))."""
     if not b > 0:
         raise ValueError(f"b must be positive, got {b}")
     x = 2.0 * b * b
-    return (1.0 - math.exp(-x) * (bessel_i(0, x, tol) + bessel_i(1, x, tol))) / (b * b)
+    return (1.0 - math.exp(-x) * (bessel_i(0, x) + bessel_i(1, x))) / (b * b)
 
 
 def hs2_guess(n_circles: int) -> float:
@@ -117,9 +117,7 @@ def hs2_guess(n_circles: int) -> float:
     return 1.0 / (n_circles + 1) ** 2
 
 
-def hs2_exact(
-    b: float, n_circles: int, tol: SeriesTolerance = DEFAULT_TOL
-) -> DistanceReport:
+def hs2_exact(b: float, n_circles: int) -> DistanceReport:
     """Exact squared HS distance between the disk-mixed state and the
     N-circle encryption mixture, from the Fock stripes of Phi_N.
 
@@ -128,10 +126,9 @@ def hs2_exact(
     """
     if not 1 <= n_circles <= N_MAX:
         raise ValueError(f"N must be in [1, {N_MAX}], got {n_circles}")
-    tu = trace_unit_sq(b, tol)  # validates b
+    tu = trace_unit_sq(b)  # validates b
     dim = CutoffPolicy(b, tail_budget=STRIPE_TAIL_BUDGET).dim
-    lam = b * b
-    unit = np.array([poisson_tail(m, lam) for m in range(dim)]) / lam
+    unit = disk_state_weights(b, dim)
     n = np.arange(dim)
     p = np.arange(1, n_circles + 1)
     r = p * (b / n_circles)
@@ -160,14 +157,14 @@ def hs2_exact(
     )
 
 
-def trace_cross(b: float, n_circles: int, tol: SeriesTolerance = DEFAULT_TOL) -> float:
+def trace_cross(b: float, n_circles: int) -> float:
     """Cross trace Tr(unit Phi_N) = sum_n u_n Phi_nn, read from hs2_exact."""
-    return hs2_exact(b, n_circles, tol).tr_cross
+    return hs2_exact(b, n_circles).tr_cross
 
 
-def trace_phi_sq(b: float, n_circles: int, tol: SeriesTolerance = DEFAULT_TOL) -> float:
+def trace_phi_sq(b: float, n_circles: int) -> float:
     """Purity Tr(Phi_N^2) = sum_mn Phi_mn^2 of Phi_N, read from hs2_exact."""
-    return hs2_exact(b, n_circles, tol).tr_phi2
+    return hs2_exact(b, n_circles).tr_phi2
 
 
 def _circle_purity(p: int, r: np.ndarray) -> np.ndarray:
@@ -181,7 +178,7 @@ def _circle_purity(p: int, r: np.ndarray) -> np.ndarray:
     return total / angles
 
 
-def hs2_simplified(b: float, p: int, r, tol: SeriesTolerance = DEFAULT_TOL):
+def hs2_simplified(b: float, p: int, r):
     """Squared HS distance for the simplified protocol: one circle of p
     phase-shifted states at radius r (an array, or a scalar for a float)
     against the disk-mixed state."""
@@ -190,8 +187,8 @@ def hs2_simplified(b: float, p: int, r, tol: SeriesTolerance = DEFAULT_TOL):
         raise ValueError(f"r must be in (0, b], got r={r}, b={b}")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    tu = trace_unit_sq(b, tol)
-    cross = 2.0 * np.exp(-rs * rs) * cross_bessel_sum(b, rs, tol) / (b * b * math.exp(b * b))
+    tu = trace_unit_sq(b)
+    cross = 2.0 * np.exp(-rs * rs) * cross_bessel_sum(b, rs) / (b * b * math.exp(b * b))
     d2 = tu - cross + _circle_purity(p, rs)
     if np.min(d2) < -1e-12:
         raise ConsistencyError(

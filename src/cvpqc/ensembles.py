@@ -50,16 +50,19 @@ class ChannelSpec:
         return p * self.b / self.n_circles
 
 
-def maximally_mixed(b: float, cutoff: CutoffPolicy) -> np.ndarray:
-    """Uniform mixture of coherent projectors over the disk of radius b.
+def disk_state_weights(b: float, dim: int) -> np.ndarray:
+    """Diagonal poisson_tail(n, b^2) / b^2, n < dim, of the disk-mixed state."""
+    lam = b * b
+    return np.array([poisson_tail(n, lam) / lam for n in range(dim)])
 
-    Diagonal in the Fock basis with entries poisson_tail(n, b^2) / b^2.
-    """
+
+def maximally_mixed(b: float, cutoff: CutoffPolicy) -> np.ndarray:
+    """Uniform mixture of coherent projectors over the disk of radius b,
+    diagonal in the Fock basis."""
     if not b > 0:
         raise ValueError(f"b must be positive, got {b}")
     cutoff.require(b)
-    lam = b * b
-    return np.diag([poisson_tail(n, lam) / lam for n in range(cutoff.dim)])
+    return np.diag(disk_state_weights(b, cutoff.dim))
 
 
 def circle_mixture(p: int, radius: float, cutoff: CutoffPolicy) -> np.ndarray:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ensembles import disk_state_weights
 from .fockspace import CutoffPolicy
-from .specialfns import poisson_tail
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,6 +37,10 @@ REFINE_THRESHOLD = 1e-6
 # stays a normal double (4 b^2 <= 676 < 708).  Beyond that the rows lose
 # mass (quad_error 8.8e-3 at b = 15) and chi(15) falls below chi(13).
 HOLEVO_B_MAX = 13.0
+
+# Fock block of the off-diagonal Monte Carlo, and samples per array pass.
+OFF_DIAGONAL_DIM = 20
+OFF_DIAGONAL_BATCH = 20_000
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -112,12 +116,6 @@ def entropy_bits(weights: np.ndarray) -> float:
     return float(-np.sum(w * np.log2(w)))
 
 
-def disk_state_weights(b: float, dim: int) -> np.ndarray:
-    """Diagonal of the disk-mixed state, truncated to dim."""
-    lam = b * b
-    return np.array([poisson_tail(n, lam) / lam for n in range(dim)])
-
-
 def _chi(spec: LambdaSpectrum) -> float:
     chi = entropy_bits(spec.weights) - entropy_bits(disk_state_weights(spec.b, spec.dim))
     if chi < -1e-6:
@@ -147,13 +145,7 @@ def holevo_curve(b_grid: list[float]) -> HolevoCurve:
     return HolevoCurve(samples=samples, spectra=spectra, failures=failures)
 
 
-def off_diagonal_check(
-    b: float,
-    samples: int,
-    seed: int = 0,
-    dim: int = 20,
-    batch: int = 20_000,
-) -> OffDiagonalEstimate:
+def off_diagonal_check(b: float, samples: int, seed: int = 0) -> OffDiagonalEstimate:
     """Monte Carlo estimate of the largest off-diagonal entry of the
     unreordered double disk mixture of coherent projectors.
 
@@ -166,12 +158,13 @@ def off_diagonal_check(
         raise ValueError(f"b must be positive, got {b}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    dim = OFF_DIAGONAL_DIM
     rng = np.random.default_rng(seed)
     sum_mat = np.zeros((dim, dim), dtype=complex)
     sum_sq = np.zeros((dim, dim))
     done = 0
     while done < samples:
-        k = min(batch, samples - done)
+        k = min(OFF_DIAGONAL_BATCH, samples - done)
         r1 = b * np.sqrt(rng.random(k))
         r2 = b * np.sqrt(rng.random(k))
         t1 = TWO_PI * rng.random(k)

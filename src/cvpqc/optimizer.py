@@ -8,23 +8,20 @@ to zero) reads
     r I_0(2r^2) - r I_1(2r^2) - (e^(r^2) / (b e^(b^2))) I_1(2rb) = 0,
 
 positive near r = 0 and negative at r = b, so a bracketing scan plus
-bisection finds the root.  A grid minimization of the distance itself
-serves as a derivative-free cross-check.
+bisection finds the root.  At finite p there is no such closed condition:
+the saturation sweep minimizes the distance itself over an r-grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .distances import hs2_simplified
-from .specialfns import DEFAULT_TOL, SeriesTolerance, bessel_i
-
-# Large p stands in for the p -> infinity limit: stripe sums at order >= p
-# are negligible at every radius of interest.
-P_LIMIT = 400
+from .distances import ConsistencyError, hs2_simplified
+from .specialfns import bessel_i
 
 SCAN_POINTS = 200
 GRID_POINTS = 2000
@@ -43,7 +40,7 @@ class RminResult:
     b: float
     r_min: float
     residual: float
-    method: str  # "root_find" or "grid_min"
+    method: ClassVar[str] = "root_find"  # the rmin output column
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ class SaturationResult:
     curve: list  # (p, r_at_min, d2_min) triples
 
 
-def stationarity(b: float, r: float, tol: SeriesTolerance = DEFAULT_TOL) -> float:
+def stationarity(b: float, r: float) -> float:
     """Stationarity expression whose interior root is r_min.
 
     Zero at r = 0 as well (both I_1 factors vanish against r -> 0 and
@@ -65,85 +62,72 @@ def stationarity(b: float, r: float, tol: SeriesTolerance = DEFAULT_TOL) -> floa
     if not 0 < r <= b:
         raise ValueError(f"r must be in (0, b], got r={r}, b={b}")
     x = 2.0 * r * r
-    i0 = bessel_i(0, x, tol)
-    i1 = bessel_i(1, x, tol)
-    drive = bessel_i(1, 2.0 * r * b, tol) * math.exp(r * r - b * b) / b
+    i0 = bessel_i(0, x)
+    i1 = bessel_i(1, x)
+    drive = bessel_i(1, 2.0 * r * b) * math.exp(r * r - b * b) / b
     return r * i0 - r * i1 - drive
 
 
-def d2_derivative(b: float, r: float, tol: SeriesTolerance = DEFAULT_TOL) -> float:
+def d2_derivative(b: float, r: float) -> float:
     """dD^2/dr of the p -> infinity simplified distance:
     -4 e^(-2r^2) times the stationarity expression."""
-    return -4.0 * math.exp(-2.0 * r * r) * stationarity(b, r, tol)
+    return -4.0 * math.exp(-2.0 * r * r) * stationarity(b, r)
 
 
-def _grid_min(b: float, p: int, tol: SeriesTolerance, points: int) -> tuple[float, float]:
-    """Argmin of the simplified distance over an r-grid in (0, b], with a
-    3-point parabolic refinement; the whole grid is one array call."""
-    # the last point is b itself: b * points / points can round above b
-    grid = np.append(b * np.arange(1, points) / points, b)
-    vals = hs2_simplified(b, p, grid, tol).tolist()
+def _grid_min(b: float, p: int) -> tuple[float, float]:
+    """Argmin of the simplified distance over an r-grid of GRID_POINTS
+    points in (0, b], with a 3-point parabolic refinement; the whole grid
+    is one array call."""
+    # the last point is b itself: b * GRID_POINTS / GRID_POINTS can round above b
+    grid = np.append(b * np.arange(1, GRID_POINTS) / GRID_POINTS, b)
+    vals = hs2_simplified(b, p, grid).tolist()
     rs = grid.tolist()
-    i = min(range(points), key=vals.__getitem__)
+    i = min(range(GRID_POINTS), key=vals.__getitem__)
     r_best, v_best = rs[i], vals[i]
-    if 0 < i < points - 1:
+    if 0 < i < GRID_POINTS - 1:
         # parabola through the three bracketing samples
         h = rs[1] - rs[0]
         denom = vals[i - 1] - 2.0 * vals[i] + vals[i + 1]
         if denom > 0:
             shift = 0.5 * h * (vals[i - 1] - vals[i + 1]) / denom
             r_ref = rs[i] + shift
-            v_ref = hs2_simplified(b, p, r_ref, tol)
+            v_ref = hs2_simplified(b, p, r_ref)
             if v_ref < v_best:
                 r_best, v_best = r_ref, v_ref
     return r_best, v_best
 
 
-def find_rmin(b: float, tol: SeriesTolerance = DEFAULT_TOL) -> RminResult:
+def find_rmin(b: float) -> RminResult:
     """Root of the stationarity expression via bracketing scan + bisection.
 
-    Falls back to grid minimization of the large-p distance if no sign
-    change is found (flagged in ``method``).
+    Raises ConsistencyError if the scan finds no sign change.
     """
     if not 0 < b <= 7:
         raise ValueError(f"b must be in (0, 7], got {b}")
     lo = 0.01 * b
     step = (b - lo) / SCAN_POINTS
-    f_lo = stationarity(b, lo, tol)
-    bracket = None
+    f_lo = stationarity(b, lo)
     for i in range(1, SCAN_POINTS + 1):
-        r = lo + i * step
-        f = stationarity(b, min(r, b), tol)
+        r = min(lo + i * step, b)
+        f = stationarity(b, r)
         if f_lo * f <= 0.0:
-            bracket = (lo + (i - 1) * step, min(r, b), f_lo, f)
             break
         f_lo = f
-    if bracket is None:
-        r_min, _ = _grid_min(b, P_LIMIT, tol, GRID_POINTS)
-        return RminResult(
-            b=b, r_min=r_min, residual=d2_derivative(b, r_min, tol), method="grid_min"
-        )
-    a, c, fa, fc = bracket
+    else:
+        raise ConsistencyError(f"stationarity has no sign change in r in [{lo}, {b}]")
+    a, c, fa = lo + (i - 1) * step, r, f_lo
     while c - a > 1e-12:
         m = 0.5 * (a + c)
-        fm = stationarity(b, m, tol)
+        fm = stationarity(b, m)
         if fa * fm <= 0.0:
-            c, fc = m, fm
+            c = m
         else:
             a, fa = m, fm
     r_min = 0.5 * (a + c)
-    return RminResult(
-        b=b, r_min=r_min, residual=d2_derivative(b, r_min, tol), method="root_find"
-    )
+    return RminResult(b=b, r_min=r_min, residual=d2_derivative(b, r_min))
 
 
-def saturation_sweep(
-    b: float,
-    p_max: int,
-    tol: SeriesTolerance = DEFAULT_TOL,
-    saturation_tol: float = 1e-4,
-    grid_points: int = GRID_POINTS,
-) -> SaturationResult:
+def saturation_sweep(b: float, p_max: int, saturation_tol: float = 1e-4) -> SaturationResult:
     """Minimize the simplified distance over r for each p = 1..p_max.
 
     p_sat is the smallest p whose minimum is within ``saturation_tol``
@@ -155,7 +139,7 @@ def saturation_sweep(
         raise ValueError(f"saturation_tol must be positive and finite, got {saturation_tol}")
     curve = []
     for p in range(1, p_max + 1):
-        r_best, v_best = _grid_min(b, p, tol, grid_points)
+        r_best, v_best = _grid_min(b, p)
         curve.append((p, r_best, v_best))
     d2_last = curve[-1][2]
     p_sat = p_max

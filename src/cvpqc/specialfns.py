@@ -3,44 +3,27 @@
 The distance traces, the optimizer and the disk state reduce to three
 scalar series: I_n(x), stripe sums of I_nk(x), and upper Poisson tails.
 All series run in plain double precision with relative truncation;
-factorials never appear explicitly, only term ratios.
+factorials never appear explicitly, only term ratios.  The Bessel series
+(and the cross series in `distances`) stop once a term drops below the
+fixed SERIES_EPS times the running sum, within SERIES_MAX_TERMS terms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # Documented support window; series terms stay inside double range here.
 SUPPORTED_X_MAX = 200.0
 SUPPORTED_ORDER_MAX = 500
+
+SERIES_EPS = 1e-15
+SERIES_MAX_TERMS = 10_000
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
 class ArgumentRangeError(ValueError):
     """Argument outside the supported (x, order) window."""
-
-
-@dataclass(frozen=True)
-class SeriesTolerance:
-    """Relative truncation rule for infinite series.
-
-    A series stops once a term drops below ``eps_abs`` times the running
-    partial sum (or ``max_terms`` is hit).
-    """
-
-    eps_abs: float = 1e-15
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not 0 < self.eps_abs < math.inf:
-            raise ValueError(f"eps_abs must be positive and finite, got {self.eps_abs}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_TOL = SeriesTolerance()
 
 
 def _check_range(order: int, x: float):
@@ -55,12 +38,12 @@ def _check_range(order: int, x: float):
         )
 
 
-def bessel_i(order: int, x: float, tol: SeriesTolerance = DEFAULT_TOL) -> float:
+def bessel_i(order: int, x: float) -> float:
     """Modified Bessel function of the first kind, I_order(x).
 
     Evaluated as sum_s (x/2)^(order+2s) / ((order+s)! s!) with the leading
     term built by incremental ratios (no factorial table) and the tail cut
-    by the relative rule in ``tol``.
+    by the relative rule.
     """
     _check_range(order, x)
     if x == 0.0:
@@ -74,19 +57,19 @@ def bessel_i(order: int, x: float, tol: SeriesTolerance = DEFAULT_TOL) -> float:
         return 0.0
     total = term
     h2 = h * h
-    for s in range(1, tol.max_terms):
+    for s in range(1, SERIES_MAX_TERMS):
         term *= h2 / ((order + s) * s)
         total += term
-        if term < tol.eps_abs * total:
+        if term < SERIES_EPS * total:
             break
     return total
 
 
-def bessel_sum(order_step: int, x: float, tol: SeriesTolerance = DEFAULT_TOL) -> float:
+def bessel_sum(order_step: int, x: float) -> float:
     """Stripe sum sum_{k>=1} I_{order_step*k}(x).
 
     Terms decay super-exponentially once order_step*k exceeds x, so the
-    sum is cut when a term falls below eps_abs*(running sum + 1).
+    sum is cut when a term falls below SERIES_EPS*(running sum + 1).
     """
     if order_step < 1:
         raise ValueError(f"order_step must be >= 1, got {order_step}")
@@ -94,13 +77,13 @@ def bessel_sum(order_step: int, x: float, tol: SeriesTolerance = DEFAULT_TOL) ->
     if x == 0.0:
         return 0.0
     total = 0.0
-    for k in range(1, tol.max_terms):
+    for k in range(1, SERIES_MAX_TERMS):
         order = order_step * k
         if order > SUPPORTED_ORDER_MAX:
             break  # term already below any representable contribution
-        term = bessel_i(order, x, tol)
+        term = bessel_i(order, x)
         total += term
-        if term < tol.eps_abs * (total + 1.0):
+        if term < SERIES_EPS * (total + 1.0):
             break
     return total
 

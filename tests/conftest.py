@@ -29,6 +29,10 @@ from cvpqc.specialfns import bessel_i, bessel_sum
 
 TWO_PI = 2.0 * math.pi
 
+# Large p stands in for the p -> infinity limit of the simplified distance:
+# stripe sums at order >= p are negligible at every radius of interest.
+P_LIMIT = 400
+
 
 def mp_bessel_i(order: int, x: float, terms: int = 200) -> float:
     """I_order(x) by direct extended-precision series summation."""

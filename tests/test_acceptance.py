@@ -37,9 +37,9 @@ from cvpqc import (
     trace_unit_sq,
 )
 from cvpqc import cli
-from cvpqc.optimizer import GRID_POINTS, P_LIMIT, d2_derivative, _grid_min
-from cvpqc.specialfns import DEFAULT_TOL
+from cvpqc.optimizer import GRID_POINTS, d2_derivative, _grid_min
 from conftest import (
+    P_LIMIT,
     circle_disk_constant,
     dense_saturation_curve,
     displacement_conjugate,
@@ -177,7 +177,7 @@ def test_criterion_08_rmin_consistency():
     ok_interior = True
     for b in (0.5, 1.0, 2.0, 4.0, 6.0):
         res = find_rmin(b)
-        r_grid, _ = _grid_min(b, P_LIMIT, DEFAULT_TOL, 2000)
+        r_grid, _ = _grid_min(b, P_LIMIT)
         worst_gap = max(worst_gap, abs(res.r_min - r_grid))
         worst_res = max(worst_res, abs(res.residual))
         ok_interior = ok_interior and 0.0 < res.r_min < b

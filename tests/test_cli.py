@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import cvpqc
-from cvpqc import cli
+from cvpqc import cli, optimizer
 
 
 def run(argv, capsys):
@@ -32,10 +32,15 @@ class TestParseGrid:
         assert cli.parse_grid("1,2.5,4") == [1.0, 2.5, 4.0]
 
     def test_bad_forms(self):
-        with pytest.raises(ValueError):
-            cli.parse_grid("1:2")
-        with pytest.raises(ValueError):
-            cli.parse_grid("1:2:-0.5")
+        bad = ["1:2", "1:2:-0.5", "0.5:inf:0.5", "-inf:1:0.5", "1:2:nan", "1,inf", "nan",
+               ",", "", "2:1:0.5", "0:1e12:1", "-1e308:1e308:1", "1:1000001:1"]
+        for text in bad:
+            with pytest.raises(ValueError):
+                cli.parse_grid(text)
+
+    def test_longest_grid(self):
+        grid = cli.parse_grid(f"1:{cli.GRID_MAX_POINTS}:1")
+        assert len(grid) == cli.GRID_MAX_POINTS and grid[-1] == cli.GRID_MAX_POINTS
 
 
 class TestExitCodes:
@@ -47,19 +52,6 @@ class TestExitCodes:
         code, _, err = run(["distance", "--b", "-1", "--N", "2"], capsys)
         assert code == cli.EXIT_BAD_INPUT
         assert "invalid input" in err
-
-    def test_bad_eps_env_is_bad_input(self, capsys, monkeypatch):
-        monkeypatch.setenv("CVPQC_EPS", "not-a-number")
-        code, _, err = run(["keybits", "--d-hs", "0.5"], capsys)
-        assert code == cli.EXIT_BAD_INPUT
-        assert "CVPQC_EPS" in err
-
-    @pytest.mark.parametrize("eps", ["inf", "nan"])
-    def test_non_finite_eps_env_is_bad_input(self, capsys, monkeypatch, eps):
-        monkeypatch.setenv("CVPQC_EPS", eps)
-        code, _, err = run(["distance", "--b", "1", "--N", "2"], capsys)
-        assert code == cli.EXIT_BAD_INPUT
-        assert len(err.splitlines()) == 1 and "CVPQC_EPS" in err
 
     def test_fractional_circle_count_is_bad_input(self, capsys):
         code, out, err = run(["distance", "--b", "1", "--N", "1.7"], capsys)
@@ -96,14 +88,28 @@ class TestExitCodes:
             ["saturation", "--b", "2", "--saturation-tol", "-1"],
             ["holevo", "--b-grid", "10,12,13,14,15"],
             ["distance", "--b", "2", "--N", "10,200000"],
+            ["rmin", "--b", "0.5:inf:0.5"],
+            ["distance", "--b", "1", "--N", "1:inf:1"],
+            ["holevo", "--b-grid", ","],
+            ["figures", "fig1b", "--b-grid", ","],
+            ["rmin", "--b", "2:1:0.5"],
+            ["rmin", "--b", "0:1e12:1"],
         ],
         ids=["keybits-N0", "mc-samples-0", "mc-samples-neg", "seed-neg", "sat-tol-nan",
-             "sat-tol-neg", "holevo-b-window", "distance-N-window"],
+             "sat-tol-neg", "holevo-b-window", "distance-N-window", "grid-inf-stop",
+             "counts-inf-stop", "holevo-empty-grid", "fig1b-empty-grid", "grid-descending",
+             "grid-too-long"],
     )
     def test_out_of_window_input_is_bad_input(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == cli.EXIT_BAD_INPUT
         assert out == "" and len(err.splitlines()) == 1
+
+    def test_rmin_without_sign_change_is_inconsistent(self, capsys, monkeypatch):
+        monkeypatch.setattr(optimizer, "stationarity", lambda b, r: 1.0)
+        code, out, err = run(["rmin", "--b", "2"], capsys)
+        assert code == cli.EXIT_INCONSISTENT
+        assert out == "" and len(err.splitlines()) == 1 and "no sign change" in err
 
     def test_success_is_zero(self, capsys):
         code, out, _ = run(["keybits", "--d-hs", "0.5", "--N", "4"], capsys)
@@ -239,6 +245,25 @@ def test_cli_imports_no_test_dependencies():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["distance", "--b", "2", "--N", "5"], ["rmin", "--b", "2"]], ids=["distance", "rmin"]
+)
+def test_output_ignores_eps_environment(argv):
+    # the series settings are fixed: a CVPQC_EPS left in the environment changes nothing
+    src = str(Path(cvpqc.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "CVPQC_EPS"}
+    outputs = []
+    for extra in ({}, {"CVPQC_EPS": "1e-3"}):
+        env = {**base, "PYTHONPATH": src, **extra}
+        done = subprocess.run(
+            [sys.executable, "-m", "cvpqc.cli", *argv],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestVerify:

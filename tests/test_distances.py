@@ -22,14 +22,9 @@ from cvpqc import (
     trace_phi_sq,
     trace_unit_sq,
 )
+from cvpqc import distances
 from cvpqc.distances import N_MAX, _circle_purity, cross_bessel_sum
-from cvpqc.specialfns import (
-    DEFAULT_TOL,
-    ArgumentRangeError,
-    SeriesTolerance,
-    bessel_i,
-    bessel_sum,
-)
+from cvpqc.specialfns import ArgumentRangeError, bessel_i, bessel_sum
 from conftest import (
     bessel_trace_cross,
     bessel_trace_phi_sq,
@@ -79,19 +74,21 @@ class TestCrossBesselSum:
         with pytest.raises(ValueError):
             cross_bessel_sum(b, np.array([0.5, 0.0]))
 
-    def test_exhausted_term_budget_raises(self):
-        # max_terms = 5 < KSUM_FLOOR: the relative cutoff can never fire
+    def test_exhausted_term_budget_raises(self, monkeypatch):
+        # 5 terms < KSUM_FLOOR: the relative cutoff can never fire
+        monkeypatch.setattr(distances, "SERIES_MAX_TERMS", 5)
         rs = np.linspace(0.01, 2.5, 41)
         with pytest.raises(ConsistencyError):
-            cross_bessel_sum(2.5, rs, SeriesTolerance(max_terms=5))
+            cross_bessel_sum(2.5, rs)
         with pytest.raises(ConsistencyError):
-            cross_bessel_sum(2.5, 1.0, SeriesTolerance(max_terms=5))
+            cross_bessel_sum(2.5, 1.0)
 
     @pytest.mark.parametrize("b", [0.7, 2.5, 6.0])
-    def test_default_term_budget_is_not_binding(self, b):
+    def test_default_term_budget_is_not_binding(self, b, monkeypatch):
         rs = np.linspace(0.01, b, 41)
-        unbounded = SeriesTolerance(eps_abs=DEFAULT_TOL.eps_abs, max_terms=10**7)
-        assert np.array_equal(cross_bessel_sum(b, rs), cross_bessel_sum(b, rs, unbounded))
+        default = cross_bessel_sum(b, rs)
+        monkeypatch.setattr(distances, "SERIES_MAX_TERMS", 10**7)
+        assert np.array_equal(default, cross_bessel_sum(b, rs))
 
 
 class TestTraceTerms:

@@ -107,6 +107,13 @@ class TestEntropyAndBound:
         assert all(c2 > c1 for c1, c2 in zip(chis, chis[1:]))
         assert chis[-1] < limit
 
+    @pytest.mark.parametrize("b", [3.0, 4.0, 5.0, 6.0])
+    def test_gap_to_classical_limit_shrinks_like_inverse_radius(self, b):
+        # measured ratios 0.527..0.552: a constant gap gives 1, a 1/b^2 gap 0.25
+        limit = holevo_classical_limit()
+        ratio = (limit - holevo_bound(2.0 * b)) / (limit - holevo_bound(b))
+        assert 0.5 <= ratio <= 0.6
+
     def test_curve_collects_failures_without_aborting(self, monkeypatch):
         monkeypatch.setattr(holevo, "GL_ORDER", COARSE_ORDER)
         curve = holevo_curve([0.2, 4.0])

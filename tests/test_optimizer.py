@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
-from cvpqc import find_rmin, hs2_simplified, saturation_sweep, stationarity
-from cvpqc.optimizer import P_LIMIT, d2_derivative, _grid_min
-from cvpqc.specialfns import DEFAULT_TOL
+from cvpqc import ConsistencyError, find_rmin, hs2_simplified, saturation_sweep, stationarity
+from cvpqc import optimizer
+from cvpqc.optimizer import d2_derivative, _grid_min
+from conftest import P_LIMIT
 
 
 class TestStationarity:
@@ -30,7 +32,7 @@ class TestFindRmin:
     def test_root_agrees_with_grid_minimizer(self):
         b = 2.0
         res = find_rmin(b)
-        r_grid, _ = _grid_min(b, P_LIMIT, DEFAULT_TOL, 2000)
+        r_grid, _ = _grid_min(b, P_LIMIT)
         assert res.method == "root_find"
         assert res.r_min == pytest.approx(r_grid, abs=1e-3)
         assert abs(res.residual) < 1e-10
@@ -42,6 +44,17 @@ class TestFindRmin:
         v = hs2_simplified(b, P_LIMIT, r)
         assert v < hs2_simplified(b, P_LIMIT, r - 1e-3)
         assert v < hs2_simplified(b, P_LIMIT, r + 1e-3)
+
+    def test_root_is_bracketed_across_the_window(self):
+        for b in np.geomspace(1e-6, 7.0, 40):
+            res = find_rmin(float(b))
+            assert res.method == "root_find"
+            assert 0.0 < res.r_min < b and abs(res.residual) < 1e-10
+
+    def test_no_sign_change_is_inconsistent(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "stationarity", lambda b, r: 1.0)
+        with pytest.raises(ConsistencyError, match="no sign change"):
+            find_rmin(2.0)
 
     def test_optimal_radius_grows_with_disk(self):
         rs = [find_rmin(b).r_min for b in (0.5, 1.0, 2.0, 4.0)]
@@ -56,14 +69,14 @@ class TestFindRmin:
 
 class TestSaturationSweep:
     def test_curve_shape_and_monotonicity(self):
-        res = saturation_sweep(2.0, 12, grid_points=400)
+        res = saturation_sweep(2.0, 12)
         assert [p for p, _, _ in res.curve] == list(range(1, 13))
         d2s = [d2 for _, _, d2 in res.curve]
         assert d2s == sorted(d2s, reverse=True)
         assert 1 <= res.p_sat <= 12
 
     def test_saturation_point_honors_tolerance(self):
-        res = saturation_sweep(1.0, 10, saturation_tol=1e-4, grid_points=400)
+        res = saturation_sweep(1.0, 10, saturation_tol=1e-4)
         d2_last = res.curve[-1][2]
         assert res.curve[res.p_sat - 1][2] - d2_last < 1e-4
         if res.p_sat > 1:

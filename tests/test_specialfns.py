@@ -6,7 +6,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvpqc import ArgumentRangeError, SeriesTolerance, bessel_i, bessel_sum, poisson_tail
+from cvpqc import ArgumentRangeError, bessel_i, bessel_sum, poisson_tail
 from conftest import mp_bessel_i, mp_poisson_tail
 
 
@@ -105,17 +105,3 @@ class TestPoissonTail:
         t = poisson_tail(n, lam)
         assert 0.0 <= t <= 1.0
         assert poisson_tail(n + 1, lam) <= t + 1e-15
-
-
-class TestSeriesTolerance:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeriesTolerance(eps_abs=0.0)
-        with pytest.raises(ValueError):
-            SeriesTolerance(max_terms=0)
-
-    def test_loose_tolerance_is_coarser(self):
-        loose = SeriesTolerance(eps_abs=1e-3)
-        x = 30.0
-        exact = mp_bessel_i(0, x)
-        assert abs(bessel_i(0, x, loose) - exact) > abs(bessel_i(0, x) - exact)
