@@ -39,6 +39,10 @@ from .specialfns import (
 ORACLE_TOL = 1e-8
 ORACLE_TAIL_BUDGET = 1e-12
 
+# Largest N for distance --with-oracle: the dense oracle costs O(N dim^2),
+# 1.2 s at b = 10, N = 2000.
+ORACLE_N_MAX = 2000
+
 # Longest accepted grid argument; the largest useful one is --N 1:100000:1.
 GRID_MAX_POINTS = 1_000_000
 
@@ -82,6 +86,20 @@ def parse_counts(text: str) -> list[int]:
     if any(v != int(v) for v in values):
         raise ValueError(f"expected whole numbers, got {text!r}")
     return [int(v) for v in values]
+
+
+def _arg(parse):
+    """argparse type wrapper that keeps parse's ValueError text: argparse
+    replaces that text with "invalid <name> value", but prints an
+    ArgumentTypeError as it is."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def _fmt(v):
@@ -139,6 +157,8 @@ def numeric_simplified_d2(b: float, p: int, r: float) -> float:
 
 
 def cmd_distance(args, out) -> int:
+    if args.with_oracle and max(args.N) > ORACLE_N_MAX:
+        raise ValueError(f"--with-oracle needs N <= {ORACLE_N_MAX}, got {max(args.N)}")
     rows = []
     mismatch = False
     for b in args.b:
@@ -368,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("distance", help="exact/approximate squared HS distance")
-    p.add_argument("--b", type=parse_grid, required=True)
-    p.add_argument("--N", type=parse_counts, required=True)
+    p.add_argument("--b", type=_arg(parse_grid), required=True)
+    p.add_argument("--N", type=_arg(parse_counts), required=True)
     p.add_argument("--with-oracle", action="store_true")
     p.set_defaults(func=cmd_distance)
 
@@ -386,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simplified)
 
     p = sub.add_parser("rmin", help="optimal displacement radius")
-    p.add_argument("--b", type=parse_grid, required=True)
+    p.add_argument("--b", type=_arg(parse_grid), required=True)
     p.set_defaults(func=cmd_rmin)
 
     p = sub.add_parser("saturation", help="phase-shift saturation sweep")
@@ -396,14 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_saturation)
 
     p = sub.add_parser("holevo", help="Holevo bound over a b grid")
-    p.add_argument("--b-grid", type=parse_grid, required=True)
+    p.add_argument("--b-grid", type=_arg(parse_grid), required=True)
     p.set_defaults(func=cmd_holevo)
 
     p = sub.add_parser("figures", help="figure-data reproduction")
     p.add_argument("which", choices=("fig1a", "fig1b", "fig2"))
     p.add_argument("--b", type=float, default=2.0)
     p.add_argument("--p-max", type=int, default=20)
-    p.add_argument("--b-grid", type=parse_grid, default=None)
+    p.add_argument("--b-grid", type=_arg(parse_grid), default=None)
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("verify", help="invariant and oracle suites")

@@ -15,12 +15,17 @@ states being diagonal.
 The substitution s = 2b cos(t) gives A = b^2 (2t - sin 2t) and a smooth
 integrand on t in [0, pi/2], integrated by Gauss-Legendre at GL_ORDER
 nodes; a second pass at twice the order supplies the error estimate.
-Every lambda_n comes from the same nodes, its Poisson factor built by the
-recurrence p_n = p_(n-1) s^2 / n.
+Neither rule depends on b, so each (nodes and density weight) is built
+once per process, on first use: the first radius pays for both, later
+radii reuse them.  Every lambda_n comes from the same nodes, its Poisson
+factor built by the recurrence p_n = p_(n-1) s^2 / n.  A spectrum whose
+passes disagree, or whose mass beyond the Fock cutoff exceeds the same
+threshold, raises instead of returning.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -44,7 +49,8 @@ OFF_DIAGONAL_BATCH = 20_000
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Refinement levels disagree beyond the acceptance threshold."""
+    """Refinement levels disagree, or mass is lost beyond the Fock cutoff,
+    beyond the acceptance threshold."""
 
 
 @dataclass(frozen=True)
@@ -78,14 +84,25 @@ class OffDiagonalEstimate:
     dim: int
 
 
+@functools.lru_cache(maxsize=None)
+def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos t and the b-free weight of the order-point Gauss-Legendre rule
+    on t in [0, pi/2]; built on first use, read-only."""
+    t, w = np.polynomial.legendre.leggauss(order)
+    t = 0.25 * math.pi * (t + 1.0)  # [-1, 1] -> [0, pi/2], dt = (pi/4) dx
+    # density(s) ds = (4/pi) sin(2t) (2t - sin 2t) dt, free of b
+    weight = w * np.sin(2.0 * t) * (2.0 * t - np.sin(2.0 * t))
+    cos_t = np.cos(t)
+    cos_t.setflags(write=False)
+    weight.setflags(write=False)
+    return cos_t, weight
+
+
 def _raw_weights(b: float, order: int, dim: int) -> np.ndarray:
     """lambda_n for n < dim by order-point Gauss-Legendre in t; the full
     sum over n is 1, so the deficit is the mass beyond the cutoff."""
-    t, w = np.polynomial.legendre.leggauss(order)
-    t = 0.25 * math.pi * (t + 1.0)  # [-1, 1] -> [0, pi/2], dt = (pi/4) dx
-    s = 2.0 * b * np.cos(t)
-    # density(s) ds = (4/pi) sin(2t) (2t - sin 2t) dt, free of b
-    weight = w * np.sin(2.0 * t) * (2.0 * t - np.sin(2.0 * t))
+    cos_t, weight = _rule(order)
+    s = 2.0 * b * cos_t
     rows = np.vstack([np.exp(-s * s), np.outer(1.0 / np.arange(1, dim), s * s)])
     return np.cumprod(rows, axis=0) @ weight
 
@@ -106,7 +123,12 @@ def lambda_spectrum(b: float) -> LambdaSpectrum:
         raise QuadratureConvergenceError(
             f"refinement disagreement {refine_diff:.3e} at b={b} (order={GL_ORDER})"
         )
-    return LambdaSpectrum(b=b, weights=norm, quad_error=max(refine_diff, abs(1.0 - total)))
+    deficit = abs(1.0 - total)
+    if deficit > REFINE_THRESHOLD:
+        raise QuadratureConvergenceError(
+            f"mass deficit {deficit:.3e} beyond the Fock cutoff at b={b} (dim={dim})"
+        )
+    return LambdaSpectrum(b=b, weights=norm, quad_error=max(refine_diff, deficit))
 
 
 def entropy_bits(weights: np.ndarray) -> float:

@@ -78,32 +78,35 @@ class TestExitCodes:
         assert out == "" and len(err.splitlines()) == 1 and "b must be positive" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,reason",
         [
-            ["keybits", "--d-hs", "0.5", "--N", "0"],
-            ["verify", "all", "--mc-samples", "0"],
-            ["verify", "all", "--mc-samples", "-5"],
-            ["verify", "all", "--seed", "-1"],
-            ["saturation", "--b", "2", "--saturation-tol", "nan"],
-            ["saturation", "--b", "2", "--saturation-tol", "-1"],
-            ["holevo", "--b-grid", "10,12,13,14,15"],
-            ["distance", "--b", "2", "--N", "10,200000"],
-            ["rmin", "--b", "0.5:inf:0.5"],
-            ["distance", "--b", "1", "--N", "1:inf:1"],
-            ["holevo", "--b-grid", ","],
-            ["figures", "fig1b", "--b-grid", ","],
-            ["rmin", "--b", "2:1:0.5"],
-            ["rmin", "--b", "0:1e12:1"],
+            (["keybits", "--d-hs", "0.5", "--N", "0"], ""),
+            (["verify", "all", "--mc-samples", "0"], ""),
+            (["verify", "all", "--mc-samples", "-5"], ""),
+            (["verify", "all", "--seed", "-1"], ""),
+            (["saturation", "--b", "2", "--saturation-tol", "nan"], ""),
+            (["saturation", "--b", "2", "--saturation-tol", "-1"], ""),
+            (["holevo", "--b-grid", "10,12,13,14,15"], ""),
+            (["distance", "--b", "2", "--N", "10,200000"], ""),
+            (["rmin", "--b", "0.5:inf:0.5"], "must be finite"),
+            (["distance", "--b", "1", "--N", "1:inf:1"], "must be finite"),
+            (["holevo", "--b-grid", ","], "must hold 1 to"),
+            (["figures", "fig1b", "--b-grid", ","], "must hold 1 to"),
+            (["rmin", "--b", "2:1:0.5"], "must hold 1 to"),
+            (["rmin", "--b", "0:1e12:1"], f"more than {cli.GRID_MAX_POINTS} points"),
+            (["distance", "--b", "2", "--N", f"10,{cli.ORACLE_N_MAX + 1}", "--with-oracle"],
+             f"--with-oracle needs N <= {cli.ORACLE_N_MAX}"),
         ],
         ids=["keybits-N0", "mc-samples-0", "mc-samples-neg", "seed-neg", "sat-tol-nan",
              "sat-tol-neg", "holevo-b-window", "distance-N-window", "grid-inf-stop",
              "counts-inf-stop", "holevo-empty-grid", "fig1b-empty-grid", "grid-descending",
-             "grid-too-long"],
+             "grid-too-long", "oracle-N-window"],
     )
-    def test_out_of_window_input_is_bad_input(self, argv, capsys):
+    def test_out_of_window_input_is_bad_input(self, argv, reason, capsys):
         code, out, err = run(argv, capsys)
         assert code == cli.EXIT_BAD_INPUT
         assert out == "" and len(err.splitlines()) == 1
+        assert reason in err
 
     def test_rmin_without_sign_change_is_inconsistent(self, capsys, monkeypatch):
         monkeypatch.setattr(optimizer, "stationarity", lambda b, r: 1.0)

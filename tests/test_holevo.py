@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,6 +74,12 @@ class TestLambdaSpectrum:
         with pytest.raises(QuadratureConvergenceError):
             lambda_spectrum(4.0)
 
+    def test_mass_beyond_cutoff_raises(self, monkeypatch):
+        # a 3-level cutoff keeps the refinement gap small but drops most mass
+        monkeypatch.setattr(holevo, "CutoffPolicy", lambda max_radius: SimpleNamespace(dim=3))
+        with pytest.raises(QuadratureConvergenceError, match="mass deficit"):
+            lambda_spectrum(2.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lambda_spectrum(0.0)
@@ -81,6 +88,35 @@ class TestLambdaSpectrum:
         assert lambda_spectrum(HOLEVO_B_MAX).quad_error < 1e-6
         with pytest.raises(ValueError, match="supported window"):
             lambda_spectrum(HOLEVO_B_MAX + 0.01)
+
+
+class TestCachedRules:
+    @pytest.mark.parametrize("order", [holevo.GL_ORDER, 2 * holevo.GL_ORDER])
+    @pytest.mark.parametrize("b", [0.7, 9.0])
+    def test_weights_match_a_fresh_rule(self, b, order):
+        dim = 60
+        t, w = np.polynomial.legendre.leggauss(order)
+        t = 0.25 * math.pi * (t + 1.0)
+        s = 2.0 * b * np.cos(t)
+        weight = w * np.sin(2.0 * t) * (2.0 * t - np.sin(2.0 * t))
+        rows = np.vstack([np.exp(-s * s), np.outer(1.0 / np.arange(1, dim), s * s)])
+        expected = np.cumprod(rows, axis=0) @ weight
+        assert np.array_equal(holevo._raw_weights(b, order, dim), expected)
+
+    def test_rule_is_read_only(self):
+        for arr in holevo._rule(holevo.GL_ORDER):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_curve_matches_separate_bounds(self, reverse):
+        grid = [0.5, 2.0, 6.5, 11.0]
+        if reverse:
+            grid = grid[::-1]
+        holevo._rule.cache_clear()  # the curve's first radius builds both rules
+        curve = holevo_curve(grid)
+        assert curve.samples == [(b, holevo_bound(b)) for b in grid]
 
 
 class TestEntropyAndBound:
