@@ -38,9 +38,4 @@ from .optimizer import (
     saturation_sweep,
     stationarity,
 )
-from .specialfns import (
-    ArgumentRangeError,
-    bessel_i,
-    bessel_sum,
-    poisson_tail,
-)
+from .specialfns import ArgumentRangeError, bessel_i, poisson_tail

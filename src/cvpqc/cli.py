@@ -17,7 +17,10 @@ import numpy as np
 
 from . import __version__
 from .distances import (
+    SERIES_EPS,
+    SERIES_MAX_TERMS,
     ConsistencyError,
+    cross_bessel_sum,
     exact_key_bits,
     hs2_exact,
     hs2_simplified,
@@ -28,13 +31,7 @@ from .ensembles import ChannelSpec, maximally_mixed, phi_n, circle_mixture
 from .fockspace import CutoffPolicy, hs_distance_numeric
 from .holevo import QuadratureConvergenceError, holevo_curve, off_diagonal_check
 from .optimizer import find_rmin, saturation_sweep
-from .specialfns import (
-    SERIES_EPS,
-    SERIES_MAX_TERMS,
-    ArgumentRangeError,
-    bessel_i,
-    bessel_sum,
-)
+from .specialfns import bessel_i
 
 ORACLE_TOL = 1e-8
 ORACLE_TAIL_BUDGET = 1e-12
@@ -269,12 +266,15 @@ def _check(out, results, name, ok, detail=""):
 
 
 def verify_identities(out, results):
-    # I_0(x) + 2 sum_k I_k(x) = e^x, also in the two-variable form at 2yz
+    # e^(y^2 + z^2) = I_0(2yz) + S(y, z) + S(z, y), S = cross_bessel_sum (no code
+    # shared with bessel_i's rule); y = z = sqrt(x/2) gives e^x = I_0 + 2 sum_k I_k
     grid = (0.6, 1.2, 1.8, 2.4, 3.0)
-    cases = [(f"bessel-identity x={x}", x) for x in (0.5, 1.0, 2.0, 4.0, 8.0)]
-    cases += [(f"bessel-identity-2 x={y} y={z}", 2.0 * y * z) for y in grid for z in grid]
-    for name, x in cases:
-        dev = abs(math.exp(-x) * (bessel_i(0, x) + 2.0 * bessel_sum(1, x)) - 1.0)
+    halves = {x: math.sqrt(0.5 * x) for x in (0.5, 1.0, 2.0, 4.0, 8.0)}
+    cases = [(f"bessel-identity x={x}", y, y) for x, y in halves.items()]
+    cases += [(f"bessel-identity-2 y={y} z={z}", y, z) for y in grid for z in grid]
+    for name, y, z in cases:
+        series = bessel_i(0, 2.0 * y * z) + cross_bessel_sum(y, z) + cross_bessel_sum(z, y)
+        dev = abs(math.exp(-(y * y + z * z)) * series - 1.0)
         _check(out, results, name, dev < 1e-12, f"deviation {dev:.3e}")
 
 
@@ -455,7 +455,7 @@ def main(argv=None) -> int:
             out = sys.stdout if args.out == "-" else _open(files, "--out", args.out)
             log = args.json_log and _open(files, "--json-log", args.json_log)
             code = args.func(args, out)
-        except (ValueError, ArgumentRangeError) as exc:
+        except ValueError as exc:  # ArgumentRangeError and CutoffError included
             print(f"invalid input: {exc}", file=sys.stderr)
             code = EXIT_BAD_INPUT
         except (ConsistencyError, QuadratureConvergenceError) as exc:

@@ -24,12 +24,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ensembles import disk_state_weights
+from .ensembles import B_MIN, disk_state_weights
 from .fockspace import CutoffPolicy
-from .specialfns import SERIES_EPS, SERIES_MAX_TERMS, SUPPORTED_ORDER_MAX, bessel_i
+from .specialfns import (
+    SUPPORTED_X_MAX,
+    TRAPEZOID_NODES,
+    TRAPEZOID_NODES_MAX,
+    ArgumentRangeError,
+    trapezoid_mean,
+    trapezoid_rule,
+)
 
-# k-sums get a floor of this many terms before the relative cutoff may
-# fire; guards against premature exit near zero partial sums.
+# The cross series stops once a term falls below SERIES_EPS relative, after
+# at least KSUM_FLOOR terms (no exit near a zero partial sum) and within
+# SERIES_MAX_TERMS terms.
+SERIES_EPS = 1e-15
+SERIES_MAX_TERMS = 10_000
 KSUM_FLOOR = 30
 
 # Poisson mass of the disk state beyond the stripe kernel's Fock cutoff.
@@ -72,9 +82,8 @@ def cross_bessel_sum(b: float, r):
         raise ValueError("b and r must be positive")
     lam = b * b
     # g_s = sum_{m>s} b^(2m)/m!, walked down from e^(b^2) - 1
-    pmf = math.exp(lam)  # will hold b^(2s)/s! (unnormalized)
-    g = pmf - 1.0
-    pmf = 1.0
+    g = math.expm1(lam)
+    pmf = 1.0  # b^(2s)/s!
     total = np.zeros_like(r)
     term_r = np.ones_like(r)  # r^(2s)/s!
     r2 = r * r
@@ -96,12 +105,16 @@ def cross_bessel_sum(b: float, r):
 
 @lru_cache(maxsize=None)
 def trace_unit_sq(b: float) -> float:
-    """Purity of the disk-mixed state:
-    (e^(2b^2) - I_0(2b^2) - I_1(2b^2)) / (b^2 e^(2b^2))."""
-    if not b > 0:
-        raise ValueError(f"b must be positive, got {b}")
+    """Purity (1 - e^(-x) [I_0(x) + I_1(x)]) / b^2, x = 2b^2, of the disk-mixed
+    state for B_MIN <= b <= 10: the trapezoid mean of the non-negative terms
+    (1 + cos theta_j)(1 - exp(-2x sin^2(theta_j/2))), 1 + cos = 2 - 2 sin^2."""
+    if not b >= B_MIN:
+        raise ValueError(f"b must be positive and at least {B_MIN}, got {b}")
     x = 2.0 * b * b
-    return (1.0 - math.exp(-x) * (bessel_i(0, x) + bessel_i(1, x))) / (b * b)
+    if x > SUPPORTED_X_MAX:
+        raise ArgumentRangeError(f"b={b} outside the window 2b^2 <= {SUPPORTED_X_MAX}")
+    half2 = trapezoid_rule(0, TRAPEZOID_NODES)[0]
+    return float(np.mean(2.0 * (1.0 - half2) * -np.expm1(-2.0 * x * half2))) / (b * b)
 
 
 def hs2_guess(n_circles: int) -> float:
@@ -169,13 +182,9 @@ def trace_phi_sq(b: float, n_circles: int) -> float:
 
 def _circle_purity(p: int, r: np.ndarray) -> np.ndarray:
     """Mean overlap (1/p) sum_q exp(-4 r^2 sin^2(pi q/p)) of p phase-shifted
-    states; past SUPPORTED_ORDER_MAX + 1 angles the change is below 1e-270."""
-    angles = min(p, SUPPORTED_ORDER_MAX + 1)
-    chord2 = 4.0 * r * r  # |alpha_q - alpha_0|^2 = chord2 sin^2(pi q/p)
-    total = np.zeros_like(r)
-    for q in range(angles):
-        total += np.exp(-chord2 * math.sin(math.pi * q / angles) ** 2)
-    return total / angles
+    states: the p-node trapezoid mean at x = 2r^2, capped at
+    TRAPEZOID_NODES_MAX nodes."""
+    return trapezoid_mean(2.0 * r * r, 0, min(p, TRAPEZOID_NODES_MAX))
 
 
 def hs2_simplified(b: float, p: int, r):
@@ -190,11 +199,8 @@ def hs2_simplified(b: float, p: int, r):
     tu = trace_unit_sq(b)
     cross = 2.0 * np.exp(-rs * rs) * cross_bessel_sum(b, rs) / (b * b * math.exp(b * b))
     d2 = tu - cross + _circle_purity(p, rs)
-    if np.min(d2) < -1e-12:
-        raise ConsistencyError(
-            f"squared distance {np.min(d2)} negative beyond roundoff; "
-            "series truncation too loose"
-        )
+    if np.min(d2) < -1e-12:  # the cross series truncated too early
+        raise ConsistencyError(f"squared distance {np.min(d2)} negative beyond roundoff")
     d2 = np.maximum(d2, 0.0)
     return d2 if d2.ndim else float(d2)
 

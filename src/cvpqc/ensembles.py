@@ -24,6 +24,9 @@ import numpy as np
 from .fockspace import CutoffPolicy, coherent_amplitudes
 from .specialfns import poisson_tail
 
+# Smallest supported disk radius: b^2, the disk state's Poisson mean, stays a normal double.
+B_MIN = 1e-150
+
 
 @dataclass(frozen=True)
 class ChannelSpec:

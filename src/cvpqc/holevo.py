@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import disk_state_weights
+from .ensembles import B_MIN, disk_state_weights
 from .fockspace import CutoffPolicy
 
 TWO_PI = 2.0 * math.pi
@@ -109,8 +109,8 @@ def _raw_weights(b: float, order: int, dim: int) -> np.ndarray:
 
 def lambda_spectrum(b: float) -> LambdaSpectrum:
     """Diagonal spectrum of the total channel state, radius-2b support."""
-    if not b > 0:
-        raise ValueError(f"b must be positive, got {b}")
+    if not b >= B_MIN:
+        raise ValueError(f"b must be positive and at least {B_MIN}, got {b}")
     if b > HOLEVO_B_MAX:
         raise ValueError(f"b must be <= {HOLEVO_B_MAX} (supported window), got {b}")
     dim = CutoffPolicy(max_radius=2.0 * b).dim
@@ -152,7 +152,7 @@ def holevo_bound(b: float) -> float:
 
 def holevo_curve(b_grid: list[float]) -> HolevoCurve:
     """chi(b) over a grid; per-point failures (quadrature, negative chi) are
-    recorded and the rest is still returned.  A b outside (0, HOLEVO_B_MAX]
+    recorded and the rest is still returned.  A b outside [B_MIN, HOLEVO_B_MAX]
     raises (bad input)."""
     samples, spectra, failures = [], [], []
     for b in b_grid:

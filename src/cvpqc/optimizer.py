@@ -8,7 +8,7 @@ to zero) reads
     r I_0(2r^2) - r I_1(2r^2) - (e^(r^2) / (b e^(b^2))) I_1(2rb) = 0,
 
 positive near r = 0 and negative at r = b, so a bracketing scan plus
-bisection finds the root.  At finite p there is no such closed condition:
+repeated splits of the bracket find the root.  At finite p there is no such closed condition:
 the saturation sweep minimizes the distance itself over an r-grid.
 """
 
@@ -21,9 +21,11 @@ from typing import ClassVar
 import numpy as np
 
 from .distances import ConsistencyError, hs2_simplified
-from .specialfns import bessel_i
+from .specialfns import TRAPEZOID_NODES_MAX, bessel_i
 
 SCAN_POINTS = 200
+# Each refinement splits the root's bracket into this many parts in one array call.
+SPLIT_PARTS = 16
 GRID_POINTS = 2000
 
 
@@ -52,20 +54,19 @@ class SaturationResult:
     curve: list  # (p, r_at_min, d2_min) triples
 
 
-def stationarity(b: float, r: float) -> float:
-    """Stationarity expression whose interior root is r_min.
+def stationarity(b: float, r):
+    """Stationarity expression whose interior root is r_min, for an array
+    r (a scalar r gives a float).
 
     Zero at r = 0 as well (both I_1 factors vanish against r -> 0 and
     I_1(0) = 0); the deliverable is the interior sign change, not that
     boundary zero.
     """
-    if not 0 < r <= b:
+    if not (0 < np.min(r) and np.max(r) <= b):
         raise ValueError(f"r must be in (0, b], got r={r}, b={b}")
     x = 2.0 * r * r
-    i0 = bessel_i(0, x)
-    i1 = bessel_i(1, x)
-    drive = bessel_i(1, 2.0 * r * b) * math.exp(r * r - b * b) / b
-    return r * i0 - r * i1 - drive
+    drive = bessel_i(1, 2.0 * r * b) * np.exp(r * r - b * b) / b
+    return r * bessel_i(0, x) - r * bessel_i(1, x) - drive
 
 
 def d2_derivative(b: float, r: float) -> float:
@@ -98,7 +99,8 @@ def _grid_min(b: float, p: int) -> tuple[float, float]:
 
 
 def find_rmin(b: float) -> RminResult:
-    """Root of the stationarity expression via bracketing scan + bisection.
+    """Root of the stationarity expression: a bracketing scan, then
+    SPLIT_PARTS-part splits of the bracket down to a width of 1e-12.
 
     Raises ConsistencyError if the scan finds no sign change.
     """
@@ -106,23 +108,22 @@ def find_rmin(b: float) -> RminResult:
         raise ValueError(f"b must be in (0, 7], got {b}")
     lo = 0.01 * b
     step = (b - lo) / SCAN_POINTS
-    f_lo = stationarity(b, lo)
-    for i in range(1, SCAN_POINTS + 1):
-        r = min(lo + i * step, b)
-        f = stationarity(b, r)
-        if f_lo * f <= 0.0:
-            break
-        f_lo = f
-    else:
+    rs = np.minimum(lo + np.arange(SCAN_POINTS + 1) * step, b)
+    f = stationarity(b, rs)  # the whole scan in one array call
+    changes = np.flatnonzero(f[:-1] * f[1:] <= 0.0)
+    if not changes.size:
         raise ConsistencyError(f"stationarity has no sign change in r in [{lo}, {b}]")
-    a, c, fa = lo + (i - 1) * step, r, f_lo
+    i = int(changes[0])
+    a, c, fa = float(rs[i]), float(rs[i + 1]), float(f[i])
     while c - a > 1e-12:
-        m = 0.5 * (a + c)
-        fm = stationarity(b, m)
-        if fa * fm <= 0.0:
-            c = m
-        else:
-            a, fa = m, fm
+        ms = a + (c - a) * np.arange(1, SPLIT_PARTS) / SPLIT_PARTS
+        fm = stationarity(b, ms)
+        past = np.flatnonzero(fa * fm <= 0.0)  # points on c's side of the root
+        k = int(past[0]) if past.size else len(ms)
+        if k < len(ms):
+            c = float(ms[k])
+        if k > 0:
+            a, fa = float(ms[k - 1]), float(fm[k - 1])
     r_min = 0.5 * (a + c)
     return RminResult(b=b, r_min=r_min, residual=d2_derivative(b, r_min))
 
@@ -133,8 +134,9 @@ def saturation_sweep(b: float, p_max: int, saturation_tol: float = 1e-4) -> Satu
     p_sat is the smallest p whose minimum is within ``saturation_tol``
     (absolute, in D^2) of the p_max minimum.
     """
-    if p_max < 2:
-        raise ValueError(f"p_max must be >= 2, got {p_max}")
+    if not 2 <= p_max <= TRAPEZOID_NODES_MAX:
+        # past TRAPEZOID_NODES_MAX phase shifts every row repeats the last
+        raise ValueError(f"p_max must be in [2, {TRAPEZOID_NODES_MAX}], got {p_max}")
     if not 0 < saturation_tol < math.inf:
         raise ValueError(f"saturation_tol must be positive and finite, got {saturation_tol}")
     curve = []

@@ -1,12 +1,13 @@
 """Shared oracles for the test suite.
 
-The analytic code paths are double-precision series and Fock-stripe
-sums; the oracles here are deliberately different routes:
-extended-precision mpmath series and dense matrices, dense matrix
-algebra, scipy special functions, Monte Carlo, a 3-D tensor quadrature
-of the Holevo spectrum, and the Bessel-series traces of the N-circle
-mixture (k-sums for the cross trace, pairwise stripe sums for the
-purity).  Tests must never compare an analytic result against itself.
+The analytic code paths are a periodic trapezoid rule for the Bessel
+functions, double-precision series and Fock-stripe sums; the oracles
+here are deliberately different routes: extended-precision mpmath series
+and dense matrices, the ascending Bessel series in double precision,
+dense matrix algebra, scipy special functions, Monte Carlo, a 3-D tensor
+quadrature of the Holevo spectrum, and the Bessel-series traces of the
+N-circle mixture (k-sums for the cross trace, pairwise stripe sums for
+the purity).  Tests must never compare an analytic result against itself.
 
 The package's Fock layer is real (canonical circle angles only), so the
 complex side lives here: coherent states at any phase, built from scipy
@@ -24,14 +25,75 @@ from scipy.optimize import minimize_scalar
 from scipy.special import entr, gammainc, gammaln, i0e, i1e, xlogy
 
 from cvpqc import CutoffPolicy
-from cvpqc.distances import cross_bessel_sum
-from cvpqc.specialfns import bessel_i, bessel_sum
+from cvpqc.distances import SERIES_EPS, SERIES_MAX_TERMS, cross_bessel_sum
+from cvpqc.specialfns import SUPPORTED_X_MAX, ArgumentRangeError
 
 TWO_PI = 2.0 * math.pi
 
 # Large p stands in for the p -> infinity limit of the simplified distance:
 # stripe sums at order >= p are negligible at every radius of interest.
 P_LIMIT = 400
+
+# Order window of the ascending Bessel series; its terms stay inside
+# double range for x <= SUPPORTED_X_MAX.
+SERIES_ORDER_MAX = 500
+
+
+def _check_range(order: int, x: float):
+    if x < 0:
+        raise ValueError(f"x must be non-negative, got {x}")
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
+    if x > SUPPORTED_X_MAX or order > SERIES_ORDER_MAX:
+        raise ArgumentRangeError(
+            f"argument out of supported range: order={order} (max "
+            f"{SERIES_ORDER_MAX}), x={x} (max {SUPPORTED_X_MAX})"
+        )
+
+
+def series_bessel_i(order: int, x: float) -> float:
+    """I_order(x) by its ascending series in double precision:
+    sum_s (x/2)^(order+2s) / ((order+s)! s!), the leading term built by
+    incremental ratios and the tail cut at SERIES_EPS relative."""
+    _check_range(order, x)
+    if x == 0.0:
+        return 1.0 if order == 0 else 0.0
+    h = 0.5 * x
+    term = 1.0
+    for k in range(1, order + 1):
+        term *= h / k
+    if term == 0.0:
+        # leading term underflows; every later term is smaller still
+        return 0.0
+    total = term
+    h2 = h * h
+    for s in range(1, SERIES_MAX_TERMS):
+        term *= h2 / ((order + s) * s)
+        total += term
+        if term < SERIES_EPS * total:
+            break
+    return total
+
+
+def series_bessel_sum(order_step: int, x: float) -> float:
+    """Stripe sum sum_{k>=1} I_(order_step k)(x) of series_bessel_i terms,
+    cut when a term falls below SERIES_EPS (running sum + 1) or the order
+    passes SERIES_ORDER_MAX."""
+    if order_step < 1:
+        raise ValueError(f"order_step must be >= 1, got {order_step}")
+    _check_range(0, x)
+    if x == 0.0:
+        return 0.0
+    total = 0.0
+    for k in range(1, SERIES_MAX_TERMS):
+        order = order_step * k
+        if order > SERIES_ORDER_MAX:
+            break  # term already below any representable contribution
+        term = series_bessel_i(order, x)
+        total += term
+        if term < SERIES_EPS * (total + 1.0):
+            break
+    return total
 
 
 def mp_bessel_i(order: int, x: float, terms: int = 200) -> float:
@@ -125,7 +187,7 @@ def bessel_trace_phi_sq(b: float, n_circles: int) -> float:
         for p2 in range(p1, n_circles + 1):
             r2 = p2 * scale
             x = 2.0 * r1 * r2
-            stripe = bessel_i(0, x) + 2.0 * bessel_sum(math.lcm(p1, p2), x)
+            stripe = series_bessel_i(0, x) + 2.0 * series_bessel_sum(math.lcm(p1, p2), x)
             weight = p1 * p2 if p1 == p2 else 2 * p1 * p2
             acc += weight * math.exp(-(r1 * r1 + r2 * r2)) * stripe
     norm = 2.0 / (n_circles * (n_circles + 1))

@@ -20,7 +20,6 @@ from cvpqc import (
     ChannelSpec,
     CutoffPolicy,
     bessel_i,
-    bessel_sum,
     find_rmin,
     holevo_bound,
     hs2_exact,
@@ -37,6 +36,7 @@ from cvpqc import (
     trace_unit_sq,
 )
 from cvpqc import cli
+from cvpqc.distances import cross_bessel_sum
 from cvpqc.optimizer import GRID_POINTS, d2_derivative, _grid_min
 from conftest import (
     P_LIMIT,
@@ -121,17 +121,17 @@ def test_criterion_04_guess_asymptotics():
 
 
 def test_criterion_05_bessel_identities():
-    worst = 0.0
-    for x in (0.5, 1.0, 2.0, 4.0, 8.0):
-        lhs = math.exp(-x) * (bessel_i(0, x) + 2.0 * bessel_sum(1, x))
-        worst = max(worst, abs(lhs - 1.0))
+    # generating function at t = y/z: e^(y^2 + z^2) = I_0(2yz) + S(y, z) + S(z, y)
+    # with S(y, z) = sum_k (y/z)^k I_k(2yz), the cross series; at y = z = sqrt(x/2)
+    # it reads e^x = I_0(x) + 2 sum_k I_k(x)
     grid = (0.6, 1.2, 1.8, 2.4, 3.0)
-    for x in grid:
-        for y in grid:
-            arg = 2.0 * x * y
-            lhs = math.exp(-arg) * (bessel_i(0, arg) + 2.0 * bessel_sum(1, arg))
-            worst = max(worst, abs(lhs - 1.0))
-    report(5, "Bessel identities", worst < 1e-12, f"worst {worst:.3e}")
+    pairs = [(math.sqrt(0.5 * x),) * 2 for x in (0.5, 1.0, 2.0, 4.0, 8.0)]
+    pairs += [(y, z) for y in grid for z in grid]
+    worst = 0.0
+    for y, z in pairs:
+        series = bessel_i(0, 2.0 * y * z) + cross_bessel_sum(y, z) + cross_bessel_sum(z, y)
+        worst = max(worst, abs(math.exp(-(y * y + z * z)) * series - 1.0))
+    report(5, "Bessel identities", len(pairs) == 30 and worst < 1e-12, f"worst {worst:.3e}")
 
 
 def test_criterion_06_diagonal_limit():

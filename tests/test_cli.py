@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -7,6 +8,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import cvpqc
@@ -96,11 +98,22 @@ class TestExitCodes:
             (["rmin", "--b", "0:1e12:1"], f"more than {cli.GRID_MAX_POINTS} points"),
             (["distance", "--b", "2", "--N", f"10,{cli.ORACLE_N_MAX + 1}", "--with-oracle"],
              f"--with-oracle needs N <= {cli.ORACLE_N_MAX}"),
+            (["distance", "--b", "1e-300", "--N", "3"], "at least 1e-150"),
+            (["distance", "--b", "1e-150,9.9e-151", "--N", "3"], "at least 1e-150"),
+            (["simplified", "--b", "1e-300", "--p", "3", "--r", "5e-301"], "at least 1e-150"),
+            (["saturation", "--b", "1e-300"], "at least 1e-150"),
+            (["figures", "fig1a", "--b", "9.9e-151"], "at least 1e-150"),
+            (["holevo", "--b-grid", "1e-300"], "at least 1e-150"),
+            (["saturation", "--b", "2", "--p-max", "502"], "p_max must be in [2, 501]"),
+            (["saturation", "--b", "2", "--p-max", "100000000"], "p_max must be in [2, 501]"),
+            (["figures", "fig1a", "--p-max", "502"], "p_max must be in [2, 501]"),
         ],
         ids=["keybits-N0", "mc-samples-0", "mc-samples-neg", "seed-neg", "sat-tol-nan",
              "sat-tol-neg", "holevo-b-window", "distance-N-window", "grid-inf-stop",
              "counts-inf-stop", "holevo-empty-grid", "fig1b-empty-grid", "grid-descending",
-             "grid-too-long", "oracle-N-window"],
+             "grid-too-long", "oracle-N-window", "distance-b-min", "distance-below-b-min",
+             "simplified-b-min", "saturation-b-min", "fig1a-below-b-min", "holevo-b-min",
+             "saturation-p-max", "saturation-huge-p-max", "fig1a-p-max"],
     )
     def test_out_of_window_input_is_bad_input(self, argv, reason, capsys):
         code, out, err = run(argv, capsys)
@@ -108,8 +121,24 @@ class TestExitCodes:
         assert out == "" and len(err.splitlines()) == 1
         assert reason in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance", "--b", "1e-150", "--N", "3", "--with-oracle"],
+            ["simplified", "--b", "1e-150", "--p", "3", "--r", "5e-151", "--with-oracle"],
+            ["saturation", "--b", "1e-150", "--p-max", "3"],
+            ["figures", "fig1a", "--b", "1e-150", "--p-max", "3"],
+            ["holevo", "--b-grid", "1e-150"],
+        ],
+        ids=["distance", "simplified", "saturation", "fig1a", "holevo"],
+    )
+    def test_edge_of_the_window_runs(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_OK, err
+        assert err == "" and len(out.splitlines()) >= 2
+
     def test_rmin_without_sign_change_is_inconsistent(self, capsys, monkeypatch):
-        monkeypatch.setattr(optimizer, "stationarity", lambda b, r: 1.0)
+        monkeypatch.setattr(optimizer, "stationarity", lambda b, r: np.ones_like(r))
         code, out, err = run(["rmin", "--b", "2"], capsys)
         assert code == cli.EXIT_INCONSISTENT
         assert out == "" and len(err.splitlines()) == 1 and "no sign change" in err
@@ -141,6 +170,14 @@ class TestDistanceCommand:
         # oracle column filled and consistent (exit code already says so)
         assert abs(float(row[2]) - float(row[4])) < 1e-8
 
+    def test_small_disk_purity(self, capsys):
+        # 1 - e^(-x) (I_0 + I_1) by subtraction printed 2.22 here
+        code, out, _ = run(["distance", "--b", "1e-8", "--N", "3"], capsys)
+        assert code == cli.EXIT_OK
+        row = dict(zip(*[line.split(",") for line in out.splitlines()]))
+        assert abs(float(row["tr_unit2"]) - 1.0) <= 1e-15
+        assert abs(float(row["tr_cross"]) - 1.0) <= 1e-15
+
     def test_json_output_validates_against_schema(self, tmp_path, capsys):
         out_path = tmp_path / "d.json"
         code, _, _ = run(
@@ -170,6 +207,14 @@ class TestOtherCommands:
         )
         assert code == cli.EXIT_OK
         assert out.splitlines()[0] == "b,p,r,d2_simplified,d2_numeric"
+
+    def test_simplified_small_disk_meets_oracle(self, capsys):
+        # the cross series' start value e^(b^2) - 1 cancelled here: 3.7e-8 vs 1.9e-17
+        argv = ["simplified", "--b", "1e-4", "--p", "3", "--r", "5e-5", "--with-oracle"]
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_OK, err
+        d2, d2_num = (float(v) for v in out.splitlines()[1].split(",")[3:])
+        assert abs(d2 - d2_num) < 1e-15
 
     def test_saturation_reports_p_sat(self, capsys):
         code, out, _ = run(["saturation", "--b", "1", "--p-max", "6"], capsys)
@@ -248,6 +293,24 @@ def test_cli_imports_no_test_dependencies():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # numpy is the only runtime dependency; scipy and mpmath serve the tests alone
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    package = Path(cvpqc.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 8
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -24,12 +25,15 @@ from cvpqc import (
 )
 from cvpqc import distances
 from cvpqc.distances import N_MAX, _circle_purity, cross_bessel_sum
-from cvpqc.specialfns import ArgumentRangeError, bessel_i, bessel_sum
+from cvpqc.ensembles import B_MIN
+from cvpqc.specialfns import ArgumentRangeError
 from conftest import (
     bessel_trace_cross,
     bessel_trace_phi_sq,
     circle_disk_constant,
     mp_hs2_dense,
+    series_bessel_i,
+    series_bessel_sum,
 )
 
 TAIL = 1e-12
@@ -51,6 +55,15 @@ class TestCrossBesselSum:
     def test_matches_literal_form(self, b, r):
         literal = sum(
             (b / r) ** k * scipy.special.iv(k, 2.0 * r * b) for k in range(1, 120)
+        )
+        assert cross_bessel_sum(b, r) == pytest.approx(literal, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [2e-5, 5e-5, 1e-4])
+    def test_matches_literal_form_for_small_disk(self, r):
+        # the start value e^(b^2) - 1 cancels at b = 1e-4; expm1 does not
+        b = 1e-4
+        literal = sum(
+            (b / r) ** k * scipy.special.iv(k, 2.0 * r * b) for k in range(1, 40)
         )
         assert cross_bessel_sum(b, r) == pytest.approx(literal, rel=1e-12)
 
@@ -108,9 +121,22 @@ class TestTraceTerms:
         # nearly the vacuum: purity tends to 1
         assert trace_unit_sq(1e-3) == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize("b", [B_MIN, 1e-10, 1e-8, 1e-6, 1e-3, 0.5, 2.0, 10.0])
+    def test_unit_purity_matches_high_precision(self, b):
+        # 1 - e^(-x) (I_0 + I_1) cancels to x/2 as b -> 0; 700 digits resolve it
+        with mpmath.workdps(700):
+            x = 2 * mpmath.mpf(b) ** 2
+            bessel = mpmath.besseli(0, x) + mpmath.besseli(1, x)
+            ref = float((1 - mpmath.exp(-x) * bessel) / mpmath.mpf(b) ** 2)
+        assert trace_unit_sq(b) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             trace_unit_sq(-1.0)
+        with pytest.raises(ValueError, match="at least"):
+            trace_unit_sq(0.5 * B_MIN)
+        with pytest.raises(ArgumentRangeError):
+            trace_unit_sq(10.5)
         with pytest.raises(ValueError):
             trace_cross(1.0, 0)
         with pytest.raises(ValueError):
@@ -187,7 +213,7 @@ class TestHs2Simplified:
             hs2_simplified(1.0, 0, 0.5)
         with pytest.raises(ValueError):
             hs2_simplified(1.0, 3, np.array([0.5, 1.5]))
-        # x = 2 b^2 = 242 lies outside the supported series window
+        # x = 2 b^2 = 242 lies outside the supported window of the trapezoid rule
         with pytest.raises(ArgumentRangeError):
             hs2_simplified(11.0, 3, 10.5)
 
@@ -196,7 +222,7 @@ class TestHs2Simplified:
     def test_overlap_mean_matches_bessel_stripes(self, p, x):
         # Tr rho_p^2 = e^-x (I_0(x) + 2 sum_k I_pk(x)) at x = 2 r^2
         r = np.array([math.sqrt(0.5 * x)])
-        stripes = math.exp(-x) * (bessel_i(0, x) + 2.0 * bessel_sum(p, x))
+        stripes = math.exp(-x) * (series_bessel_i(0, x) + 2.0 * series_bessel_sum(p, x))
         assert _circle_purity(p, r)[0] == pytest.approx(stripes, rel=1e-14)
 
     @pytest.mark.parametrize("p", [1, 3, 20, 600])

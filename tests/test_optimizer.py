@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from cvpqc import ConsistencyError, find_rmin, hs2_simplified, saturation_sweep, stationarity
+from cvpqc import (
+    ConsistencyError,
+    bessel_i,
+    find_rmin,
+    hs2_simplified,
+    saturation_sweep,
+    stationarity,
+)
 from cvpqc import optimizer
 from cvpqc.optimizer import d2_derivative, _grid_min
+from cvpqc.specialfns import TRAPEZOID_NODES_MAX
 from conftest import P_LIMIT
 
 
@@ -21,11 +29,24 @@ class TestStationarity:
         )
         assert d2_derivative(b, r) == pytest.approx(fd, abs=1e-5)
 
+    def test_array_matches_scalar_calls(self):
+        b = 3.0
+        rs = np.linspace(0.03, b, 201)
+        vals = stationarity(b, rs)
+        assert vals.shape == rs.shape
+        for r, v in zip(rs, vals):
+            # the expression is a difference of terms of size r I_0(2r^2)
+            scale = r * bessel_i(0, 2.0 * r * r)
+            assert abs(v - stationarity(b, float(r))) <= 1e-14 * scale
+        assert isinstance(stationarity(b, 1.0), float)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             stationarity(1.0, 0.0)
         with pytest.raises(ValueError):
             stationarity(1.0, 1.5)
+        with pytest.raises(ValueError):
+            stationarity(1.0, np.array([0.5, 1.5]))
 
 
 class TestFindRmin:
@@ -52,7 +73,7 @@ class TestFindRmin:
             assert 0.0 < res.r_min < b and abs(res.residual) < 1e-10
 
     def test_no_sign_change_is_inconsistent(self, monkeypatch):
-        monkeypatch.setattr(optimizer, "stationarity", lambda b, r: 1.0)
+        monkeypatch.setattr(optimizer, "stationarity", lambda b, r: np.ones_like(r))
         with pytest.raises(ConsistencyError, match="no sign change"):
             find_rmin(2.0)
 
@@ -85,3 +106,11 @@ class TestSaturationSweep:
     def test_validation(self):
         with pytest.raises(ValueError):
             saturation_sweep(1.0, 1)
+        # past TRAPEZOID_NODES_MAX phase shifts every row repeats the last one
+        with pytest.raises(ValueError, match=r"\[2, 501\]"):
+            saturation_sweep(1.0, TRAPEZOID_NODES_MAX + 1)
+
+    def test_largest_p_max_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_grid_min", lambda b, p: (b, 1.0 / p))
+        res = saturation_sweep(1.0, TRAPEZOID_NODES_MAX)
+        assert len(res.curve) == TRAPEZOID_NODES_MAX

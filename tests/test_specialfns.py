@@ -1,39 +1,70 @@
 import math
 
+import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvpqc import ArgumentRangeError, bessel_i, bessel_sum, poisson_tail
-from conftest import mp_bessel_i, mp_poisson_tail
+from cvpqc import ArgumentRangeError, bessel_i, poisson_tail
+from cvpqc.distances import cross_bessel_sum
+from cvpqc.specialfns import SUPPORTED_X_MAX, bessel_sum
+from conftest import mp_bessel_i, mp_poisson_tail, series_bessel_i
+
+
+def bessel_route(order):
+    """The production rule at orders 0 and 1; the ascending series, a test
+    oracle, above them."""
+    return bessel_i if order <= 1 else series_bessel_i
 
 
 class TestBesselI:
     @pytest.mark.parametrize("order", [0, 1, 2, 5, 17])
     @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 40.0, 120.0])
     def test_matches_extended_precision_series(self, order, x):
-        assert bessel_i(order, x) == pytest.approx(mp_bessel_i(order, x), rel=1e-13)
+        assert bessel_route(order)(order, x) == pytest.approx(mp_bessel_i(order, x), rel=1e-13)
 
     @pytest.mark.parametrize("order", [0, 3, 25])
     @pytest.mark.parametrize("x", [0.5, 8.0, 150.0])
     def test_matches_scipy(self, order, x):
+        assert bessel_route(order)(order, x) == pytest.approx(
+            scipy.special.iv(order, x), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("x", [1e-300, 1e-12, 1e-6, 1e-2, 199.0, 200.0])
+    def test_edges_of_the_window_match_scipy(self, order, x):
+        # the n = 1 rule sums cos(theta_j) expm1(...), so small x keeps its digits
         assert bessel_i(order, x) == pytest.approx(scipy.special.iv(order, x), rel=1e-12)
+
+    def test_array_matches_scalar_calls(self):
+        xs = np.append(np.geomspace(1e-8, SUPPORTED_X_MAX, 40), 0.0)
+        for order in (0, 1):
+            vals = bessel_i(order, xs)
+            assert vals.shape == xs.shape
+            for x, v in zip(xs, vals):
+                assert v == pytest.approx(bessel_i(order, float(x)), rel=1e-15)
+            assert isinstance(bessel_i(order, 1.0), float)
 
     def test_zero_argument(self):
         assert bessel_i(0, 0.0) == 1.0
-        assert bessel_i(4, 0.0) == 0.0
+        assert bessel_i(1, 0.0) == 0.0
+        assert series_bessel_i(4, 0.0) == 0.0
 
     def test_high_order_underflow_is_zero(self):
         # leading term (x/2)^order / order! underflows long before order 500
-        assert bessel_i(490, 0.5) == 0.0
+        assert series_bessel_i(490, 0.5) == 0.0
 
     def test_range_guard(self):
         with pytest.raises(ArgumentRangeError):
             bessel_i(0, 250.0)
         with pytest.raises(ArgumentRangeError):
+            bessel_i(0, np.array([1.0, 250.0]))
+        with pytest.raises(ArgumentRangeError):
             bessel_i(501, 1.0)
+        with pytest.raises(ArgumentRangeError):
+            bessel_i(2, 1.0)
         with pytest.raises(ValueError):
             bessel_i(-1, 1.0)
         with pytest.raises(ValueError):
@@ -42,7 +73,7 @@ class TestBesselI:
     @given(x=st.floats(min_value=0.01, max_value=50.0))
     @settings(max_examples=30, deadline=None)
     def test_order_monotone_decreasing(self, x):
-        assert bessel_i(0, x) >= bessel_i(1, x) >= bessel_i(2, x) > 0.0
+        assert bessel_i(0, x) >= bessel_i(1, x) >= series_bessel_i(2, x) > 0.0
 
 
 class TestBesselSum:
@@ -53,8 +84,10 @@ class TestBesselSum:
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 4.0, 8.0])
     def test_exponential_identity(self, x):
-        # e^x = I_0(x) + 2 sum_k I_k(x)
-        lhs = math.exp(-x) * (bessel_i(0, x) + 2.0 * bessel_sum(1, x))
+        # e^x = I_0(x) + 2 sum_k I_k(x), the sum from the cross series at
+        # b = r = sqrt(x/2), which shares no code with the trapezoid rule
+        y = math.sqrt(0.5 * x)
+        lhs = math.exp(-x) * (bessel_i(0, x) + 2.0 * cross_bessel_sum(y, y))
         assert abs(lhs - 1.0) < 1e-13
 
     def test_zero_argument(self):
@@ -88,6 +121,14 @@ class TestPoissonTail:
         assert poisson_tail(n, lam) == pytest.approx(
             scipy.stats.poisson.sf(n, lam), rel=1e-12
         )
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    @pytest.mark.parametrize("lam", [1e-16, 1e-12, 1e-8, 1e-4, 0.5])
+    def test_small_mean_matches_oracles(self, n, lam):
+        # 1 - e^(-lam) and log1p((lam - n)/n) both lose the digits of a small lam
+        t = poisson_tail(n, lam)
+        assert t == pytest.approx(mp_poisson_tail(n, lam), rel=1e-12, abs=0.0)
+        assert t == pytest.approx(scipy.stats.poisson.sf(n, lam), rel=1e-10, abs=0.0)
 
     def test_degenerate_cases(self):
         assert poisson_tail(5, 0.0) == 0.0
