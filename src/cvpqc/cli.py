@@ -144,8 +144,9 @@ def numeric_d2(b: float, n_circles: int) -> float:
 
 def numeric_simplified_d2(b: float, p: int, r: float) -> float:
     """Matrix-oracle squared distance of the simplified protocol (one circle
-    of p states at radius r) at the tight oracle tail budget."""
-    cutoff = CutoffPolicy(max_radius=b, tail_budget=ORACLE_TAIL_BUDGET)
+    of p states at radius r) at the tight oracle tail budget, scaled by b^8
+    below b = 1 as D^2 is: a fixed budget drops stripes as large as D^2."""
+    cutoff = CutoffPolicy(max_radius=b, tail_budget=ORACLE_TAIL_BUDGET * min(1.0, b**8))
     return hs_distance_numeric(maximally_mixed(b, cutoff), circle_mixture(p, r, cutoff)) ** 2
 
 

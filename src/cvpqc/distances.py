@@ -1,19 +1,14 @@
 """Analytic Hilbert-Schmidt distances and the key-length estimate.
 
-The N-circle distance comes from the Fock-space stripes of Phi_N: circle
-p at radius r_p = p b / N adds p c_m(r_p) c_n(r_p) / M wherever p divides
-m - n, with c_n(r) = e^(-r^2/2) r^n / sqrt(n!) taken from its logarithm.
-Only circles with p < dim reach an off-diagonal entry.  The disk-mixed
-state is the diagonal u_n = P(X > n) / b^2, X ~ Poisson(b^2), so
-D^2 = sum_n (Phi_nn - u_n)^2 + sum_{m != n} Phi_mn^2 is a sum of
-non-negative terms; it never forms the cancelling difference
-Tr(unit^2) - 2 Tr(unit Phi_N) + Tr(Phi_N^2).
-
-The simplified protocol's cross term needs sum_k (b/r)^k I_k(2rb), taken
-through the regrouping sum_s (r^(2s)/s!) sum_{m>s} b^(2m)/m! -- the same
-terms, free of the (b/r)^k overflow of the literal form for r << b.  The
-purity of p phase-shifted states on one circle is the finite mean of
-their coherent overlaps, so the simplified distance is array-valued in r.
+Both distances sum non-negative Fock-stripe terms of the amplitudes
+c_n(r) = e^(-r^2/2) r^n / sqrt(n!) against the disk-mixed state, the
+diagonal u_n = P(X > n) / b^2, X ~ Poisson(b^2); neither forms the
+cancelling difference Tr(unit^2) - 2 Tr(unit rho) + Tr(rho^2).  In the
+N-circle mixture, circle p at radius p b / N adds p c_m c_n / M wherever
+p divides m - n.  One circle of p states at radius r has entries c_m c_n
+there, so D^2 = sum_n (c_n^2 - u_n)^2 + 2 sum_(j>=1) S_jp with the stripe
+sums S_k = sum_n c_n^2 c_(n+k)^2, which do not depend on p.  The cross
+series sum_k (b/r)^k I_k(2rb) is the independent route of `verify identities`.
 """
 
 from __future__ import annotations
@@ -26,14 +21,7 @@ import numpy as np
 
 from .ensembles import B_MIN, disk_state_weights
 from .fockspace import CutoffPolicy
-from .specialfns import (
-    SUPPORTED_X_MAX,
-    TRAPEZOID_NODES,
-    TRAPEZOID_NODES_MAX,
-    ArgumentRangeError,
-    trapezoid_mean,
-    trapezoid_rule,
-)
+from .specialfns import SUPPORTED_X_MAX, TRAPEZOID_NODES, ArgumentRangeError, trapezoid_rule
 
 # The cross series stops once a term falls below SERIES_EPS relative, after
 # at least KSUM_FLOOR terms (no exit near a zero partial sum) and within
@@ -45,14 +33,18 @@ KSUM_FLOOR = 30
 # Poisson mass of the disk state beyond the stripe kernel's Fock cutoff.
 STRIPE_TAIL_BUDGET = 1e-12
 
+# Smallest disk radius of the simplified protocol: d_0 = e^(-r^2) - u_0 cancels
+# near r = b/sqrt(2), and the stripe D^2 errs by up to 8.5e-8 relative at b = 1e-2
+# (1.5e-3 at b = 1e-3) against an 80-digit mpmath sum.
+B_SIMPLIFIED_MIN = 1e-2
+
 # Largest supported circle count: the N x dim amplitude array stays below
 # about 150 MB at b = 10, and the eps*N relative error of D^2 below 1e-10.
 N_MAX = 100_000
 
 
 class ConsistencyError(RuntimeError):
-    """A series ran out of terms, or an assembled quantity violates an
-    exact property (series too loose)."""
+    """The cross series ran out of terms, or a root scan found no sign change."""
 
 
 @dataclass(frozen=True)
@@ -103,16 +95,21 @@ def cross_bessel_sum(b: float, r):
     return total if total.ndim else float(total)
 
 
+def _check_disk(b: float, b_min: float):
+    """The disk-radius window b_min <= b, 2b^2 <= SUPPORTED_X_MAX (b <= 10)."""
+    if not b >= b_min:
+        raise ValueError(f"b must be positive and at least {b_min}, got {b}")
+    if 2.0 * b * b > SUPPORTED_X_MAX:
+        raise ArgumentRangeError(f"b={b} outside the window 2b^2 <= {SUPPORTED_X_MAX}")
+
+
 @lru_cache(maxsize=None)
 def trace_unit_sq(b: float) -> float:
     """Purity (1 - e^(-x) [I_0(x) + I_1(x)]) / b^2, x = 2b^2, of the disk-mixed
     state for B_MIN <= b <= 10: the trapezoid mean of the non-negative terms
     (1 + cos theta_j)(1 - exp(-2x sin^2(theta_j/2))), 1 + cos = 2 - 2 sin^2."""
-    if not b >= B_MIN:
-        raise ValueError(f"b must be positive and at least {B_MIN}, got {b}")
+    _check_disk(b, B_MIN)
     x = 2.0 * b * b
-    if x > SUPPORTED_X_MAX:
-        raise ArgumentRangeError(f"b={b} outside the window 2b^2 <= {SUPPORTED_X_MAX}")
     half2 = trapezoid_rule(0, TRAPEZOID_NODES)[0]
     return float(np.mean(2.0 * (1.0 - half2) * -np.expm1(-2.0 * x * half2))) / (b * b)
 
@@ -130,6 +127,30 @@ def hs2_guess(n_circles: int) -> float:
     return 1.0 / (n_circles + 1) ** 2
 
 
+def _amplitudes(r: np.ndarray, dim: int) -> np.ndarray:
+    """c_n(r), n < dim, for each radius r > 0 of an array, from its logarithm,
+    in place: at N_MAX circles this array dominates memory."""
+    amp = np.outer(np.log(r), np.arange(dim))
+    amp -= (0.5 * r * r)[:, None]
+    amp -= 0.5 * np.array([math.lgamma(m + 1.0) for m in range(dim)])
+    return np.exp(amp, out=amp)
+
+
+def _stripe_table(b: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal part sum_n (c_n(r)^2 - u_n)^2 and stripe sums S[:, k] = S_k(r),
+    k < dim, of one circle at each radius r of an array.  Below b = 1 the
+    tail budget shrinks like b^8, as D^2 does, so the stripes k >= dim that
+    the cutoff drops stay far below D^2."""
+    _check_disk(b, B_SIMPLIFIED_MIN)
+    dim = CutoffPolicy(b, tail_budget=STRIPE_TAIL_BUDGET * min(1.0, b**8)).dim
+    w = np.square(_amplitudes(r, dim))
+    diag = np.sum(np.square(w - disk_state_weights(b, dim)), axis=1)
+    table = np.empty((len(r), dim))
+    for k in range(dim):
+        table[:, k] = np.einsum("ij,ij->i", w[:, : dim - k], w[:, k:])
+    return diag, table
+
+
 def hs2_exact(b: float, n_circles: int) -> DistanceReport:
     """Exact squared HS distance between the disk-mixed state and the
     N-circle encryption mixture, from the Fock stripes of Phi_N.
@@ -145,11 +166,7 @@ def hs2_exact(b: float, n_circles: int) -> DistanceReport:
     n = np.arange(dim)
     p = np.arange(1, n_circles + 1)
     r = p * (b / n_circles)
-    # c_n(r_p) from its logarithm, in place: this N x dim array dominates memory
-    amp = np.outer(np.log(r), n)
-    amp -= (0.5 * r * r)[:, None]
-    amp -= 0.5 * np.array([math.lgamma(m + 1.0) for m in range(dim)])
-    np.exp(amp, out=amp)
+    amp = _amplitudes(r, dim)
     norm = 2.0 / (n_circles * (n_circles + 1))  # 1/M
     # entries above the diagonal, k = column - row > 0: circle q needs q | k
     k = n[None, :] - n[:, None]
@@ -180,29 +197,18 @@ def trace_phi_sq(b: float, n_circles: int) -> float:
     return hs2_exact(b, n_circles).tr_phi2
 
 
-def _circle_purity(p: int, r: np.ndarray) -> np.ndarray:
-    """Mean overlap (1/p) sum_q exp(-4 r^2 sin^2(pi q/p)) of p phase-shifted
-    states: the p-node trapezoid mean at x = 2r^2, capped at
-    TRAPEZOID_NODES_MAX nodes."""
-    return trapezoid_mean(2.0 * r * r, 0, min(p, TRAPEZOID_NODES_MAX))
-
-
 def hs2_simplified(b: float, p: int, r):
     """Squared HS distance for the simplified protocol: one circle of p
     phase-shifted states at radius r (an array, or a scalar for a float)
-    against the disk-mixed state."""
+    against the disk-mixed state, sum_n (c_n^2 - u_n)^2 + 2 sum_j S_jp."""
     rs = np.asarray(r, dtype=float)
     if not np.all((0 < rs) & (rs <= b)):
         raise ValueError(f"r must be in (0, b], got r={r}, b={b}")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    tu = trace_unit_sq(b)
-    cross = 2.0 * np.exp(-rs * rs) * cross_bessel_sum(b, rs) / (b * b * math.exp(b * b))
-    d2 = tu - cross + _circle_purity(p, rs)
-    if np.min(d2) < -1e-12:  # the cross series truncated too early
-        raise ConsistencyError(f"squared distance {np.min(d2)} negative beyond roundoff")
-    d2 = np.maximum(d2, 0.0)
-    return d2 if d2.ndim else float(d2)
+    diag, table = _stripe_table(b, rs.reshape(-1))
+    d2 = diag + 2.0 * table[:, p::p].sum(axis=1)
+    return d2.reshape(rs.shape) if rs.ndim else float(d2[0])
 
 
 def key_bits(d_hs: float) -> float:

@@ -8,8 +8,9 @@ to zero) reads
     r I_0(2r^2) - r I_1(2r^2) - (e^(r^2) / (b e^(b^2))) I_1(2rb) = 0,
 
 positive near r = 0 and negative at r = b, so a bracketing scan plus
-repeated splits of the bracket find the root.  At finite p there is no such closed condition:
-the saturation sweep minimizes the distance itself over an r-grid.
+repeated splits of the bracket find the root.  At finite p there is no
+such closed condition: the saturation sweep minimizes the distance itself
+over an r-grid, each p's row a sum over one p-independent stripe table.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .distances import ConsistencyError, hs2_simplified
+from .distances import B_SIMPLIFIED_MIN, ConsistencyError, _stripe_table
 from .specialfns import TRAPEZOID_NODES_MAX, bessel_i
 
 SCAN_POINTS = 200
@@ -75,37 +76,14 @@ def d2_derivative(b: float, r: float) -> float:
     return -4.0 * math.exp(-2.0 * r * r) * stationarity(b, r)
 
 
-def _grid_min(b: float, p: int) -> tuple[float, float]:
-    """Argmin of the simplified distance over an r-grid of GRID_POINTS
-    points in (0, b], with a 3-point parabolic refinement; the whole grid
-    is one array call."""
-    # the last point is b itself: b * GRID_POINTS / GRID_POINTS can round above b
-    grid = np.append(b * np.arange(1, GRID_POINTS) / GRID_POINTS, b)
-    vals = hs2_simplified(b, p, grid).tolist()
-    rs = grid.tolist()
-    i = min(range(GRID_POINTS), key=vals.__getitem__)
-    r_best, v_best = rs[i], vals[i]
-    if 0 < i < GRID_POINTS - 1:
-        # parabola through the three bracketing samples
-        h = rs[1] - rs[0]
-        denom = vals[i - 1] - 2.0 * vals[i] + vals[i + 1]
-        if denom > 0:
-            shift = 0.5 * h * (vals[i - 1] - vals[i + 1]) / denom
-            r_ref = rs[i] + shift
-            v_ref = hs2_simplified(b, p, r_ref)
-            if v_ref < v_best:
-                r_best, v_best = r_ref, v_ref
-    return r_best, v_best
-
-
 def find_rmin(b: float) -> RminResult:
     """Root of the stationarity expression: a bracketing scan, then
     SPLIT_PARTS-part splits of the bracket down to a width of 1e-12.
 
     Raises ConsistencyError if the scan finds no sign change.
     """
-    if not 0 < b <= 7:
-        raise ValueError(f"b must be in (0, 7], got {b}")
+    if not B_SIMPLIFIED_MIN <= b <= 7:
+        raise ValueError(f"b must be in [{B_SIMPLIFIED_MIN}, 7], got {b}")
     lo = 0.01 * b
     step = (b - lo) / SCAN_POINTS
     rs = np.minimum(lo + np.arange(SCAN_POINTS + 1) * step, b)
@@ -129,24 +107,35 @@ def find_rmin(b: float) -> RminResult:
 
 
 def saturation_sweep(b: float, p_max: int, saturation_tol: float = 1e-4) -> SaturationResult:
-    """Minimize the simplified distance over r for each p = 1..p_max.
+    """Minimize the simplified distance over r for each p = 1..p_max: the
+    argmin over GRID_POINTS radii in (0, b], then a 3-point parabola step,
+    each one stripe table for every p.
 
     p_sat is the smallest p whose minimum is within ``saturation_tol``
     (absolute, in D^2) of the p_max minimum.
     """
     if not 2 <= p_max <= TRAPEZOID_NODES_MAX:
-        # past TRAPEZOID_NODES_MAX phase shifts every row repeats the last
+        # rows past p = dim - 1 repeat the last; the cap only bounds the output
         raise ValueError(f"p_max must be in [2, {TRAPEZOID_NODES_MAX}], got {p_max}")
     if not 0 < saturation_tol < math.inf:
         raise ValueError(f"saturation_tol must be positive and finite, got {saturation_tol}")
-    curve = []
-    for p in range(1, p_max + 1):
-        r_best, v_best = _grid_min(b, p)
-        curve.append((p, r_best, v_best))
-    d2_last = curve[-1][2]
-    p_sat = p_max
-    for p, _, d2 in curve:
-        if d2 - d2_last < saturation_tol:
-            p_sat = p
-            break
+    # the last point is b itself: b * GRID_POINTS / GRID_POINTS can round above b
+    grid = np.append(b * np.arange(1, GRID_POINTS) / GRID_POINTS, b)
+    diag, table = _stripe_table(b, grid)
+    ps, k = np.arange(1, p_max + 1), np.arange(table.shape[1])
+    stripes = np.where((k > 0) & (k % ps[:, None] == 0), 2.0, 0.0)  # p_max x dim
+    d2 = diag + stripes @ table.T  # row p - 1 holds D^2(p, grid)
+    rows, i = ps - 1, np.argmin(d2, axis=1)
+    # parabola through the three samples around each interior minimum
+    j = np.clip(i, 1, GRID_POINTS - 2)
+    lo, mid, hi = d2[rows, j - 1], d2[rows, j], d2[rows, j + 1]
+    fit = (i == j) & (lo - 2.0 * mid + hi > 0)
+    shift = np.divide(lo - hi, lo - 2.0 * mid + hi, out=np.zeros(p_max), where=fit)
+    r_ref = grid[j] + 0.5 * (grid[1] - grid[0]) * shift
+    diag_ref, table_ref = _stripe_table(b, r_ref)
+    v_ref = diag_ref + np.sum(stripes * table_ref, axis=1)
+    take = fit & (v_ref < d2[rows, i])
+    r_best, v_best = np.where(take, r_ref, grid[i]), np.where(take, v_ref, d2[rows, i])
+    curve = list(zip(ps.tolist(), r_best.tolist(), v_best.tolist()))
+    p_sat = next(p for p, _, d2_min in curve if d2_min - curve[-1][2] < saturation_tol)
     return SaturationResult(b=b, p_sat=p_sat, curve=curve)

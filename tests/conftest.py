@@ -218,6 +218,22 @@ def mp_hs2_dense(b: float, n_circles: int, dim: int, dps: int = 40) -> float:
         return float(total)
 
 
+def mp_simplified_d2(b: float, p: int, r: float, dim: int, dps: int = 80) -> float:
+    """D^2 of one circle of p states at radius r against the disk state, in
+    mpmath at dps digits: the stripe sums of c_n^2 = e^(-r^2) r^(2n) / n! and
+    the disk diagonal from the regularized incomplete gamma function."""
+    with mpmath.workdps(dps):
+        b, r = mpmath.mpf(b), mpmath.mpf(r)
+        lam = b * b
+        w = [mpmath.exp(-r * r) * r ** (2 * n) / mpmath.factorial(n) for n in range(dim)]
+        total = mpmath.mpf(0)
+        for n in range(dim):
+            unit = mpmath.gammainc(n + 1, 0, lam, regularized=True) / lam
+            total += (w[n] - unit) ** 2
+            total += 2 * sum(w[n] * w[m] for m in range(n + p, dim, p))
+        return float(total)
+
+
 def dense_saturation_curve(b: float, p_max: int, r_lo: float):
     """(p, r_at_min, d2_min) for p = 1..p_max on the dense Fock route.
 

@@ -37,7 +37,7 @@ from cvpqc import (
 )
 from cvpqc import cli
 from cvpqc.distances import cross_bessel_sum
-from cvpqc.optimizer import GRID_POINTS, d2_derivative, _grid_min
+from cvpqc.optimizer import GRID_POINTS, d2_derivative
 from conftest import (
     P_LIMIT,
     circle_disk_constant,
@@ -177,7 +177,7 @@ def test_criterion_08_rmin_consistency():
     ok_interior = True
     for b in (0.5, 1.0, 2.0, 4.0, 6.0):
         res = find_rmin(b)
-        r_grid, _ = _grid_min(b, P_LIMIT)
+        r_grid = saturation_sweep(b, P_LIMIT).curve[-1][1]
         worst_gap = max(worst_gap, abs(res.r_min - r_grid))
         worst_res = max(worst_res, abs(res.residual))
         ok_interior = ok_interior and 0.0 < res.r_min < b

@@ -100,9 +100,11 @@ class TestExitCodes:
              f"--with-oracle needs N <= {cli.ORACLE_N_MAX}"),
             (["distance", "--b", "1e-300", "--N", "3"], "at least 1e-150"),
             (["distance", "--b", "1e-150,9.9e-151", "--N", "3"], "at least 1e-150"),
-            (["simplified", "--b", "1e-300", "--p", "3", "--r", "5e-301"], "at least 1e-150"),
-            (["saturation", "--b", "1e-300"], "at least 1e-150"),
-            (["figures", "fig1a", "--b", "9.9e-151"], "at least 1e-150"),
+            (["simplified", "--b", "9e-3", "--p", "3", "--r", "5e-3"], "at least 0.01"),
+            (["saturation", "--b", "9e-3"], "at least 0.01"),
+            (["figures", "fig1a", "--b", "9.9e-3"], "at least 0.01"),
+            (["rmin", "--b", "1e-3"], "[0.01, 7]"),
+            (["figures", "fig1b", "--b-grid", "9.9e-3,1"], "[0.01, 7]"),
             (["holevo", "--b-grid", "1e-300"], "at least 1e-150"),
             (["saturation", "--b", "2", "--p-max", "502"], "p_max must be in [2, 501]"),
             (["saturation", "--b", "2", "--p-max", "100000000"], "p_max must be in [2, 501]"),
@@ -112,7 +114,8 @@ class TestExitCodes:
              "sat-tol-neg", "holevo-b-window", "distance-N-window", "grid-inf-stop",
              "counts-inf-stop", "holevo-empty-grid", "fig1b-empty-grid", "grid-descending",
              "grid-too-long", "oracle-N-window", "distance-b-min", "distance-below-b-min",
-             "simplified-b-min", "saturation-b-min", "fig1a-below-b-min", "holevo-b-min",
+             "simplified-b-min", "saturation-b-min", "fig1a-below-b-min", "rmin-b-min",
+             "fig1b-below-b-min", "holevo-b-min",
              "saturation-p-max", "saturation-huge-p-max", "fig1a-p-max"],
     )
     def test_out_of_window_input_is_bad_input(self, argv, reason, capsys):
@@ -125,12 +128,14 @@ class TestExitCodes:
         "argv",
         [
             ["distance", "--b", "1e-150", "--N", "3", "--with-oracle"],
-            ["simplified", "--b", "1e-150", "--p", "3", "--r", "5e-151", "--with-oracle"],
-            ["saturation", "--b", "1e-150", "--p-max", "3"],
-            ["figures", "fig1a", "--b", "1e-150", "--p-max", "3"],
+            ["simplified", "--b", "1e-2", "--p", "3", "--r", "5e-3", "--with-oracle"],
+            ["saturation", "--b", "1e-2", "--p-max", "3"],
+            ["figures", "fig1a", "--b", "1e-2", "--p-max", "3"],
+            ["rmin", "--b", "1e-2"],
+            ["figures", "fig1b", "--b-grid", "1e-2"],
             ["holevo", "--b-grid", "1e-150"],
         ],
-        ids=["distance", "simplified", "saturation", "fig1a", "holevo"],
+        ids=["distance", "simplified", "saturation", "fig1a", "rmin", "fig1b", "holevo"],
     )
     def test_edge_of_the_window_runs(self, argv, capsys):
         code, out, err = run(argv, capsys)
@@ -209,8 +214,9 @@ class TestOtherCommands:
         assert out.splitlines()[0] == "b,p,r,d2_simplified,d2_numeric"
 
     def test_simplified_small_disk_meets_oracle(self, capsys):
-        # the cross series' start value e^(b^2) - 1 cancelled here: 3.7e-8 vs 1.9e-17
-        argv = ["simplified", "--b", "1e-4", "--p", "3", "--r", "5e-5", "--with-oracle"]
+        # at the window's edge the oracle's cutoff must keep S_3 = 5e-15, which a fixed
+        # 1e-12 tail budget drops (dim 3)
+        argv = ["simplified", "--b", "1e-2", "--p", "3", "--r", "5e-3", "--with-oracle"]
         code, out, err = run(argv, capsys)
         assert code == cli.EXIT_OK, err
         d2, d2_num = (float(v) for v in out.splitlines()[1].split(",")[3:])
@@ -311,6 +317,26 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_only_verify_identities_calls_the_cross_series():
+    # the simplified distance sums Fock stripes; the cross series is left in the
+    # package only as the independent route of `verify identities`
+    def callers(node, scope, found):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if "cross_bessel_sum" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                    found.add(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            callers(child, f"{scope}.{child.name}" if named else scope, found)
+        return found
+
+    package = Path(cvpqc.__file__).resolve().parent
+    found = set()
+    for path in package.glob("*.py"):
+        callers(ast.parse(path.read_text(), filename=str(path)), path.stem, found)
+    assert found == {"cli.verify_identities"}
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from cvpqc import (
     trace_unit_sq,
 )
 from cvpqc import distances
-from cvpqc.distances import N_MAX, _circle_purity, cross_bessel_sum
+from cvpqc.distances import B_SIMPLIFIED_MIN, N_MAX, _stripe_table, cross_bessel_sum
 from cvpqc.ensembles import B_MIN
 from cvpqc.specialfns import ArgumentRangeError
 from conftest import (
@@ -32,7 +32,7 @@ from conftest import (
     bessel_trace_phi_sq,
     circle_disk_constant,
     mp_hs2_dense,
-    series_bessel_i,
+    mp_simplified_d2,
     series_bessel_sum,
 )
 
@@ -216,14 +216,29 @@ class TestHs2Simplified:
         # x = 2 b^2 = 242 lies outside the supported window of the trapezoid rule
         with pytest.raises(ArgumentRangeError):
             hs2_simplified(11.0, 3, 10.5)
+        with pytest.raises(ValueError, match="at least 0.01"):
+            hs2_simplified(0.99 * B_SIMPLIFIED_MIN, 3, 5e-3)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 7, 20, 400, 501, 10**9])
     @pytest.mark.parametrize("x", [1e-3, 0.5, 2.0, 8.0, 50.0, 200.0])
     def test_overlap_mean_matches_bessel_stripes(self, p, x):
-        # Tr rho_p^2 = e^-x (I_0(x) + 2 sum_k I_pk(x)) at x = 2 r^2
-        r = np.array([math.sqrt(0.5 * x)])
-        stripes = math.exp(-x) * (series_bessel_i(0, x) + 2.0 * series_bessel_sum(p, x))
-        assert _circle_purity(p, r)[0] == pytest.approx(stripes, rel=1e-14)
+        # S_k(r) = e^-x I_k(x) at x = 2 r^2, for a circle at the disk's edge b = r;
+        # the cutoff drops Poisson mass below the 1e-12 tail budget
+        r = math.sqrt(0.5 * x)
+        table = _stripe_table(r, np.array([r]))[1][0]
+        stripes = 2.0 * math.exp(-x) * series_bessel_sum(p, x)
+        assert 2.0 * table[p::p].sum() == pytest.approx(stripes, rel=0.0, abs=1e-11)
+
+    @pytest.mark.parametrize("b", [1e-2, 2e-2, 0.1])
+    def test_small_disk_matches_high_precision(self, b):
+        # at r = b/sqrt(2) D^2 falls like b^8: the parent's three-trace sum printed
+        # 0.0 there at b = 1e-2, p >= 4; d_0 = e^(-r^2) - u_0 still cancels
+        rs = np.array([b / 2000, 0.3 * b, b / math.sqrt(2.0), b])
+        for p in (1, 2, 3, 4, 5, 10, 501):
+            vals = hs2_simplified(b, p, rs)
+            for r, v in zip(rs, vals):
+                ref = mp_simplified_d2(b, p, float(r), dim=16)
+                assert v == pytest.approx(ref, rel=1e-6, abs=0.0), (p, r)
 
     @pytest.mark.parametrize("p", [1, 3, 20, 600])
     def test_array_matches_scalar_calls(self, p):

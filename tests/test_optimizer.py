@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,8 +10,9 @@ from cvpqc import (
     saturation_sweep,
     stationarity,
 )
-from cvpqc import optimizer
-from cvpqc.optimizer import d2_derivative, _grid_min
+from cvpqc import distances, optimizer
+from cvpqc.distances import B_SIMPLIFIED_MIN
+from cvpqc.optimizer import d2_derivative
 from cvpqc.specialfns import TRAPEZOID_NODES_MAX
 from conftest import P_LIMIT
 
@@ -53,7 +55,7 @@ class TestFindRmin:
     def test_root_agrees_with_grid_minimizer(self):
         b = 2.0
         res = find_rmin(b)
-        r_grid, _ = _grid_min(b, P_LIMIT)
+        r_grid = saturation_sweep(b, P_LIMIT).curve[-1][1]
         assert res.method == "root_find"
         assert res.r_min == pytest.approx(r_grid, abs=1e-3)
         assert abs(res.residual) < 1e-10
@@ -67,10 +69,26 @@ class TestFindRmin:
         assert v < hs2_simplified(b, P_LIMIT, r + 1e-3)
 
     def test_root_is_bracketed_across_the_window(self):
-        for b in np.geomspace(1e-6, 7.0, 40):
+        for b in np.geomspace(B_SIMPLIFIED_MIN, 7.0, 40):
             res = find_rmin(float(b))
             assert res.method == "root_find"
             assert 0.0 < res.r_min < b and abs(res.residual) < 1e-10
+
+    def test_small_disk_root_matches_high_precision(self):
+        # the terms of the stationarity expression agree to O(b^2) relative, so the
+        # root loses digits like eps / b^2 as b falls
+        b = B_SIMPLIFIED_MIN
+        with mpmath.workdps(80):
+            mb = mpmath.mpf(b)
+
+            def f(r):
+                x = 2 * r * r
+                drive = mpmath.besseli(1, 2 * r * mb) * mpmath.exp(r * r - mb * mb) / mb
+                return r * (mpmath.besseli(0, x) - mpmath.besseli(1, x)) - drive
+
+            root = float(mpmath.findroot(f, mb / mpmath.sqrt(2)))
+        assert 0.5 * b < root < b
+        assert find_rmin(b).r_min == pytest.approx(root, rel=1e-9, abs=0.0)
 
     def test_no_sign_change_is_inconsistent(self, monkeypatch):
         monkeypatch.setattr(optimizer, "stationarity", lambda b, r: np.ones_like(r))
@@ -84,6 +102,8 @@ class TestFindRmin:
     def test_validation(self):
         with pytest.raises(ValueError):
             find_rmin(0.0)
+        with pytest.raises(ValueError, match="0.01"):
+            find_rmin(0.99 * B_SIMPLIFIED_MIN)
         with pytest.raises(ValueError):
             find_rmin(8.0)
 
@@ -110,7 +130,11 @@ class TestSaturationSweep:
         with pytest.raises(ValueError, match=r"\[2, 501\]"):
             saturation_sweep(1.0, TRAPEZOID_NODES_MAX + 1)
 
-    def test_largest_p_max_is_accepted(self, monkeypatch):
-        monkeypatch.setattr(optimizer, "_grid_min", lambda b, p: (b, 1.0 / p))
-        res = saturation_sweep(1.0, TRAPEZOID_NODES_MAX)
-        assert len(res.curve) == TRAPEZOID_NODES_MAX
+    def test_largest_p_max_is_accepted(self):
+        b = 1.0
+        res = saturation_sweep(b, TRAPEZOID_NODES_MAX)
+        assert [p for p, _, _ in res.curve] == list(range(1, TRAPEZOID_NODES_MAX + 1))
+        # no stripe k >= 1 of the table is a multiple of p >= dim
+        dim = distances._stripe_table(b, np.array([b]))[1].shape[1]
+        assert len({d2 for p, _, d2 in res.curve if p >= dim}) == 1
+        assert res.curve[:20] == saturation_sweep(b, 20).curve
