@@ -28,7 +28,7 @@ from .distances import (
     trace_unit_sq,
 )
 from .ensembles import ChannelSpec, maximally_mixed, phi_n, circle_mixture
-from .fockspace import CutoffPolicy, hs_distance_numeric
+from .fockspace import disk_cutoff, hs_distance_numeric
 from .holevo import QuadratureConvergenceError, holevo_curve, off_diagonal_check
 from .optimizer import find_rmin, saturation_sweep
 from .specialfns import bessel_i
@@ -36,8 +36,8 @@ from .specialfns import bessel_i
 ORACLE_TOL = 1e-8
 ORACLE_TAIL_BUDGET = 1e-12
 
-# Largest N for distance --with-oracle: the dense oracle costs O(N dim^2),
-# 1.2 s at b = 10, N = 2000.
+# Largest N for distance --with-oracle: the dense oracle costs O(dim^3 + N dim),
+# 0.08 s at b = 10, N = 2000 (2-CPU Xeon).
 ORACLE_N_MAX = 2000
 
 # Longest accepted grid argument; the largest useful one is --N 1:100000:1.
@@ -136,7 +136,7 @@ def write_json_log(fh, args):
 
 def numeric_d2(b: float, n_circles: int) -> float:
     """Matrix-oracle squared distance at the tight oracle tail budget."""
-    cutoff = CutoffPolicy(max_radius=b, tail_budget=ORACLE_TAIL_BUDGET)
+    cutoff = disk_cutoff(b, ORACLE_TAIL_BUDGET)
     unit = maximally_mixed(b, cutoff)
     mix = phi_n(ChannelSpec(b=b, n_circles=n_circles), cutoff)
     return hs_distance_numeric(unit, mix) ** 2
@@ -144,9 +144,8 @@ def numeric_d2(b: float, n_circles: int) -> float:
 
 def numeric_simplified_d2(b: float, p: int, r: float) -> float:
     """Matrix-oracle squared distance of the simplified protocol (one circle
-    of p states at radius r) at the tight oracle tail budget, scaled by b^8
-    below b = 1 as D^2 is: a fixed budget drops stripes as large as D^2."""
-    cutoff = CutoffPolicy(max_radius=b, tail_budget=ORACLE_TAIL_BUDGET * min(1.0, b**8))
+    of p states at radius r) at the tight oracle tail budget."""
+    cutoff = disk_cutoff(b, ORACLE_TAIL_BUDGET)
     return hs_distance_numeric(maximally_mixed(b, cutoff), circle_mixture(p, r, cutoff)) ** 2
 
 
@@ -283,7 +282,7 @@ def verify_oracles(out, results, quick=False):
     bs = (1.0, 2.0) if quick else (0.5, 1.0, 2.0)
     ns = (1, 3) if quick else (1, 2, 3, 4, 5, 6)
     for b in bs:
-        cutoff = CutoffPolicy(max_radius=b, tail_budget=ORACLE_TAIL_BUDGET)
+        cutoff = disk_cutoff(b, ORACLE_TAIL_BUDGET)
         unit = maximally_mixed(b, cutoff)
         tu_num = float(np.vdot(unit, unit))
         tu = trace_unit_sq(b)
@@ -312,7 +311,7 @@ def verify_oracles(out, results, quick=False):
 
 def verify_limits(out, results):
     b = 1.0
-    cutoff = CutoffPolicy(max_radius=b, tail_budget=ORACLE_TAIL_BUDGET)
+    cutoff = disk_cutoff(b, ORACLE_TAIL_BUDGET)
     unit_diag = np.diag(maximally_mixed(b, cutoff))
     n_keep = min(21, cutoff.dim)
     prev = None

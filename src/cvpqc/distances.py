@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ensembles import B_MIN, disk_state_weights
-from .fockspace import CutoffPolicy
+from .fockspace import disk_cutoff
 from .specialfns import SUPPORTED_X_MAX, TRAPEZOID_NODES, ArgumentRangeError, trapezoid_rule
 
 # The cross series stops once a term falls below SERIES_EPS relative, after
@@ -30,7 +30,8 @@ SERIES_EPS = 1e-15
 SERIES_MAX_TERMS = 10_000
 KSUM_FLOOR = 30
 
-# Poisson mass of the disk state beyond the stripe kernel's Fock cutoff.
+# Poisson mass of the disk state beyond the stripe kernel's Fock cutoff at
+# b >= 1 (scaled down below, see fockspace.disk_cutoff).
 STRIPE_TAIL_BUDGET = 1e-12
 
 # Smallest disk radius of the simplified protocol: d_0 = e^(-r^2) - u_0 cancels
@@ -138,11 +139,9 @@ def _amplitudes(r: np.ndarray, dim: int) -> np.ndarray:
 
 def _stripe_table(b: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal part sum_n (c_n(r)^2 - u_n)^2 and stripe sums S[:, k] = S_k(r),
-    k < dim, of one circle at each radius r of an array.  Below b = 1 the
-    tail budget shrinks like b^8, as D^2 does, so the stripes k >= dim that
-    the cutoff drops stay far below D^2."""
+    k < dim, of one circle at each radius r of an array."""
     _check_disk(b, B_SIMPLIFIED_MIN)
-    dim = CutoffPolicy(b, tail_budget=STRIPE_TAIL_BUDGET * min(1.0, b**8)).dim
+    dim = disk_cutoff(b, STRIPE_TAIL_BUDGET).dim
     w = np.square(_amplitudes(r, dim))
     diag = np.sum(np.square(w - disk_state_weights(b, dim)), axis=1)
     table = np.empty((len(r), dim))
@@ -156,12 +155,12 @@ def hs2_exact(b: float, n_circles: int) -> DistanceReport:
     N-circle encryption mixture, from the Fock stripes of Phi_N.
 
     Costs O(N dim + dim^3) at the disk state's Fock cutoff dim (tail
-    budget STRIPE_TAIL_BUDGET); N must lie in [1, N_MAX].
+    budget STRIPE_TAIL_BUDGET, scaled below b = 1); N must lie in [1, N_MAX].
     """
     if not 1 <= n_circles <= N_MAX:
         raise ValueError(f"N must be in [1, {N_MAX}], got {n_circles}")
     tu = trace_unit_sq(b)  # validates b
-    dim = CutoffPolicy(b, tail_budget=STRIPE_TAIL_BUDGET).dim
+    dim = disk_cutoff(b, STRIPE_TAIL_BUDGET).dim
     unit = disk_state_weights(b, dim)
     n = np.arange(dim)
     p = np.arange(1, n_circles + 1)

@@ -85,9 +85,13 @@ def circle_mixture(p: int, radius: float, cutoff: CutoffPolicy) -> np.ndarray:
 
 
 def phi_n(spec: ChannelSpec, cutoff: CutoffPolicy) -> np.ndarray:
-    """Encryption mixture (1/M) sum_p p * rho_p at radii p*b/N."""
+    """Encryption mixture (1/M) sum_p p * rho_p at radii p*b/N; a circle p >= dim
+    meets the block on its diagonal alone, so those circles add as one term."""
     cutoff.require(spec.b)
-    acc = np.zeros((cutoff.dim, cutoff.dim))
-    for p in range(1, spec.n_circles + 1):
+    dim, n = cutoff.dim, spec.n_circles
+    acc = np.zeros((dim, dim))
+    for p in range(1, min(n, dim - 1) + 1):
         acc += p * circle_mixture(p, spec.radius(p), cutoff)
+    far = np.arange(dim, n + 1)
+    acc[np.diag_indices(dim)] += far @ np.square(coherent_amplitudes(far * spec.b / n, dim))
     return acc / spec.operations

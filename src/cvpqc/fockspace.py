@@ -14,7 +14,6 @@ upper Poisson tail and the dimension can be chosen against a tail budget.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,16 +57,23 @@ class CutoffPolicy:
         return self._dim
 
 
-def coherent_amplitudes(r: float, dim: int) -> np.ndarray:
+def disk_cutoff(b: float, tail_budget: float) -> CutoffPolicy:
+    """Cutoff for a distance to the disk state of radius b.  Below b = 1 the
+    budget shrinks like b^8, so the stripes it drops stay far below D^2; it
+    stops at the smallest normal double, reached near b = 2e-37."""
+    return CutoffPolicy(b, max(tail_budget * min(1.0, b**8), np.finfo(float).tiny))
+
+
+def coherent_amplitudes(r, dim: int) -> np.ndarray:
     """Fock amplitudes e^(-r^2/2) r^n / sqrt(n!) of the coherent state at
-    real radius r, n < dim, by recurrence."""
-    if r < 0:
+    real radius r, n < dim, by recurrence; one row per radius of an array r."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
         raise ValueError(f"radius must be non-negative, got {r}")
-    c = np.empty(dim)
-    c[0] = math.exp(-0.5 * r**2)
-    for n in range(1, dim):
-        c[n] = c[n - 1] * r / math.sqrt(n)
-    return c
+    c = np.empty(r.shape + (dim,))
+    c[..., 0] = np.exp(-0.5 * r**2)
+    c[..., 1:] = r[..., None] / np.sqrt(np.arange(1, dim))  # c_n = c_(n-1) r / sqrt(n)
+    return np.cumprod(c, axis=-1, out=c)
 
 
 def hs_distance_numeric(a: np.ndarray, b: np.ndarray) -> float:

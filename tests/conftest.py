@@ -24,7 +24,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import entr, gammainc, gammaln, i0e, i1e, xlogy
 
-from cvpqc import CutoffPolicy
+from cvpqc import CutoffPolicy, circle_mixture
 from cvpqc.distances import SERIES_EPS, SERIES_MAX_TERMS, cross_bessel_sum
 from cvpqc.specialfns import SUPPORTED_X_MAX, ArgumentRangeError
 
@@ -232,6 +232,48 @@ def mp_simplified_d2(b: float, p: int, r: float, dim: int, dps: int = 80) -> flo
             total += (w[n] - unit) ** 2
             total += 2 * sum(w[n] * w[m] for m in range(n + p, dim, p))
         return float(total)
+
+
+def literal_phi_n(spec, cutoff: CutoffPolicy) -> np.ndarray:
+    """Phi_N as the literal sum (1/M) sum_p p * circle_mixture(p, r_p) over
+    every circle p = 1..N, each a dense dim x dim stripe matrix."""
+    acc = np.zeros((cutoff.dim, cutoff.dim))
+    for p in range(1, spec.n_circles + 1):
+        acc += p * circle_mixture(p, spec.radius(p), cutoff)
+    return acc / spec.operations
+
+
+def column_off_diagonal_check(b: float, samples: int, seed: int = 0):
+    """(max_abs, stderr) of the off-diagonal Monte Carlo with one sample per
+    row of a (samples, 20) amplitude array: the draws of
+    holevo.off_diagonal_check (r1, r2, t1, t2 per batch of 20 000 samples),
+    its |gamma|^2 and |c|^2 through np.abs, and sums over the columns."""
+    dim, batch = 20, 20_000
+    rng = np.random.default_rng(seed)
+    sum_mat = np.zeros((dim, dim), dtype=complex)
+    sum_sq = np.zeros((dim, dim))
+    done = 0
+    while done < samples:
+        k = min(batch, samples - done)
+        r1 = b * np.sqrt(rng.random(k))
+        r2 = b * np.sqrt(rng.random(k))
+        t1 = TWO_PI * rng.random(k)
+        t2 = TWO_PI * rng.random(k)
+        gamma = r1 * np.exp(1j * t1) + r2 * np.exp(1j * t2)
+        c = np.zeros((k, dim), dtype=complex)
+        c[:, 0] = np.exp(-0.5 * np.abs(gamma) ** 2)
+        for n in range(1, dim):
+            c[:, n] = c[:, n - 1] * gamma / math.sqrt(n)
+        sum_mat += c.T @ c.conj()
+        p = np.abs(c) ** 2
+        sum_sq += p.T @ p
+        done += k
+    mean = sum_mat / samples
+    var = np.maximum(sum_sq / samples - np.abs(mean) ** 2, 0.0)
+    se = np.sqrt(var / samples)
+    mags = np.abs(mean)
+    idx = np.unravel_index(np.argmax(np.where(~np.eye(dim, dtype=bool), mags, -1.0)), mags.shape)
+    return float(mags[idx]), float(se[idx])
 
 
 def dense_saturation_curve(b: float, p_max: int, r_lo: float):

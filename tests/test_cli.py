@@ -13,6 +13,7 @@ import pytest
 
 import cvpqc
 from cvpqc import cli, optimizer
+from conftest import mp_hs2_dense
 
 
 def run(argv, capsys):
@@ -182,6 +183,20 @@ class TestDistanceCommand:
         row = dict(zip(*[line.split(",") for line in out.splitlines()]))
         assert abs(float(row["tr_unit2"]) - 1.0) <= 1e-15
         assert abs(float(row["tr_cross"]) - 1.0) <= 1e-15
+
+    def test_small_disk_matches_high_precision(self, capsys):
+        # a fixed 1e-12 tail budget kept one Fock level at b = 1e-6: both columns
+        # read 2.5e-25, not 2.0e-12; below b ~ 2e-37 the scaled budget is floored
+        bs = [1e-150, 1e-40, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5]
+        code, out, err = run(["distance", "--b", ",".join(map(repr, bs)),
+                              "--N", "1,3,10", "--with-oracle"], capsys)
+        assert code == cli.EXIT_OK, err
+        lines = out.splitlines()
+        for row in (dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]):
+            b, n = float(row["b"]), int(row["N"])
+            ref = mp_hs2_dense(b, n, dim=12, dps=int(-2 * math.log10(b)) + 60)
+            for column in ("d2_exact", "d2_numeric"):
+                assert float(row[column]) == pytest.approx(ref, rel=1e-9, abs=0.0), (b, n)
 
     def test_json_output_validates_against_schema(self, tmp_path, capsys):
         out_path = tmp_path / "d.json"

@@ -11,7 +11,8 @@ from cvpqc import (
     phi_n,
     poisson_tail,
 )
-from conftest import TWO_PI, displacement_conjugate, projector_average
+from cvpqc import ensembles
+from conftest import TWO_PI, displacement_conjugate, literal_phi_n, projector_average
 
 
 def circle_points(r, p, theta=0.0):
@@ -96,6 +97,33 @@ class TestPhiN:
         cutoff = CutoffPolicy(max_radius=b, tail_budget=1e-12)
         one = phi_n(ChannelSpec(b=b, n_circles=1), cutoff)
         np.testing.assert_allclose(one, projector_average([b], cutoff.dim), atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "n_of_dim",
+        [lambda d: 1, lambda d: d - 2, lambda d: d - 1, lambda d: d, lambda d: d + 1,
+         lambda d: 320],
+        ids=["1", "dim-2", "dim-1", "dim", "dim+1", "320"],
+    )
+    @pytest.mark.parametrize("b", [0.5, 2.0, 4.0])
+    def test_matches_literal_per_circle_sum(self, b, n_of_dim):
+        # circles p >= dim meet the block on its diagonal only
+        cutoff = CutoffPolicy(max_radius=b, tail_budget=1e-12)
+        spec = ChannelSpec(b=b, n_circles=n_of_dim(cutoff.dim))
+        np.testing.assert_allclose(
+            phi_n(spec, cutoff), literal_phi_n(spec, cutoff), rtol=0.0, atol=1e-15
+        )
+
+    def test_builds_only_circles_that_reach_the_block(self, monkeypatch):
+        calls = []
+
+        def counting(p, radius, cutoff):
+            calls.append(p)
+            return circle_mixture(p, radius, cutoff)
+
+        monkeypatch.setattr(ensembles, "circle_mixture", counting)
+        cutoff = CutoffPolicy(max_radius=2.0, tail_budget=1e-12)
+        phi_n(ChannelSpec(b=2.0, n_circles=320), cutoff)
+        assert 0 < len(calls) <= cutoff.dim - 1
 
 
 class TestEncrypt:

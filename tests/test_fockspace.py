@@ -48,6 +48,16 @@ class TestCoherentStates:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             coherent_amplitudes(-0.1, 5)
+        with pytest.raises(ValueError):
+            coherent_amplitudes(np.array([0.5, -0.1]), 5)
+
+    def test_array_gives_one_row_per_radius(self):
+        r = np.array([0.0, 0.3, 1.7, 4.2])
+        rows = coherent_amplitudes(r, 30)
+        assert rows.shape == (4, 30)
+        for ri, row in zip(r, rows):
+            assert np.array_equal(row, coherent_amplitudes(float(ri), 30))
+        assert coherent_amplitudes(r[:0], 30).shape == (0, 30)
 
     def test_phase_oracle_matches_real_amplitudes(self):
         # the scipy log-amplitude oracle at angle theta is the recurrence's

@@ -13,7 +13,12 @@ from cvpqc import (
 )
 from cvpqc import holevo
 from cvpqc.holevo import HOLEVO_B_MAX, disk_state_weights, entropy_bits
-from conftest import holevo_classical_limit, tensor_holevo_chi, tensor_lambda_weights
+from conftest import (
+    column_off_diagonal_check,
+    holevo_classical_limit,
+    tensor_holevo_chi,
+    tensor_lambda_weights,
+)
 
 # Gauss-Legendre order at which the refinement gap is 5.5e-9 at b = 0.2
 # and 1.7e-2 at b = 4: the first passes the 1e-6 threshold, the second fails.
@@ -179,6 +184,18 @@ class TestOffDiagonalCheck:
         assert large.stderr < small.stderr
         assert large.max_abs < small.max_abs
         assert large.max_abs < 5.0 * large.stderr
+
+    @pytest.mark.parametrize("samples", [1, 19_999, 20_000, 20_001, 100_000])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_column_reference(self, seed, samples):
+        # same draws, other summation order: the estimates move by rounding only
+        est = off_diagonal_check(0.5, samples, seed=seed)
+        max_abs, stderr = column_off_diagonal_check(0.5, samples, seed=seed)
+        assert est.max_abs == pytest.approx(max_abs, rel=1e-12, abs=0.0)
+        if samples > 1:
+            assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+        else:  # one sample has no spread: both read sqrt(rounding of E|x|^2 - |Ex|^2)
+            assert max(est.stderr, stderr) <= math.sqrt(8 * np.finfo(float).eps) * max_abs
 
     def test_validation(self):
         with pytest.raises(ValueError):
