@@ -14,7 +14,9 @@ states being diagonal.
 
 The substitution s = 2b cos(t) gives A = b^2 (2t - sin 2t) and a smooth
 integrand on t in [0, pi/2], integrated by Gauss-Legendre at GL_ORDER
-nodes; a second pass at twice the order supplies the error estimate.
+nodes; a second pass at twice the order supplies the error estimate.  Both
+orders are even: Newton's method on the three-term recurrence of P_n finds
+the positive nodes from Tricomi's guesses in O(n^2), and mirrors them.
 Neither rule depends on b, so each (nodes and density weight) is built
 once per process, on first use: the first radius pays for both, later
 radii reuse them.  Every lambda_n comes from the same nodes, its Poisson
@@ -38,6 +40,7 @@ TWO_PI = 2.0 * math.pi
 
 GL_ORDER = 200
 REFINE_THRESHOLD = 1e-6
+NEWTON_MAX_STEPS = 10  # on the Gauss-Legendre nodes (3 suffice) before the rule raises
 # Supported disk radii: e^(-s^2) at s = 2b, the start of each Poisson row,
 # stays a normal double (4 b^2 <= 676 < 708).  Beyond that the rows lose
 # mass (quad_error 8.8e-3 at b = 15) and chi(15) falls below chi(13).
@@ -52,7 +55,7 @@ OFF_DIAGONAL_BLOCK = 2_000
 
 class QuadratureConvergenceError(RuntimeError):
     """Refinement levels disagree, or mass is lost beyond the Fock cutoff,
-    beyond the acceptance threshold."""
+    beyond the acceptance threshold; or the quadrature nodes do not converge."""
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,30 @@ class OffDiagonalEstimate:
     dim: int
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule, n even."""
+    i = np.arange(n // 2, 0, -1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(math.pi * (i - 0.25) / (n + 0.5))
+    for _ in range(NEWTON_MAX_STEPS):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            xp = x * p
+            p_prev, p = p, xp + (k - 1) / k * (xp - p_prev)
+        q = (1.0 - x) * (1.0 + x)
+        dp = n * (p_prev - x * p) / q  # P_n'
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() < 1e-15:
+            w = 2.0 / ((q - 2.0 * x * step) * dp * dp)  # 2 / ((1 - x^2) P_n'^2), moved by the step
+            return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+    raise QuadratureConvergenceError(f"Gauss-Legendre nodes unconverged at order {n}")
+
+
 @functools.lru_cache(maxsize=None)
 def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """cos t and the b-free weight of the order-point Gauss-Legendre rule
     on t in [0, pi/2]; built on first use, read-only."""
-    t, w = np.polynomial.legendre.leggauss(order)
+    t, w = _gauss_legendre(order)
     t = 0.25 * math.pi * (t + 1.0)  # [-1, 1] -> [0, pi/2], dt = (pi/4) dx
     # density(s) ds = (4/pi) sin(2t) (2t - sin 2t) dt, free of b
     weight = w * np.sin(2.0 * t) * (2.0 * t - np.sin(2.0 * t))

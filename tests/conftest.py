@@ -302,6 +302,25 @@ def dense_saturation_curve(b: float, p_max: int, r_lo: float):
     return curve
 
 
+def mp_gauss_legendre(n: int, x0: float, dps: int = 50):
+    """Node and weight of the n-point Gauss-Legendre rule nearest x0, in
+    mpmath at dps digits: Newton on P_n, with P_n and P_(n-1) from their
+    three-term recurrence, then w = 2 / ((1 - x^2) P_n'(x)^2).  Newton
+    squares the error, so once a step falls below 10^(-dps/2) the node
+    holds about dps digits and P_n' about dps/2."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x0)
+        while True:
+            p_prev, p = mpmath.mpf(1), x
+            for k in range(2, n + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            dp = n * (p_prev - x * p) / (1 - x * x)
+            step = p / dp
+            x -= step
+            if abs(step) < mpmath.mpf(10) ** (-dps // 2):
+                return x, 2 / ((1 - x * x) * dp * dp)
+
+
 def tensor_lambda_weights(b: float, dim: int, order_xy: int = 32, phi_points: int = 64):
     """Normalized lambda_n, n < dim, by the 3-D route over both disk radii.
 

@@ -86,6 +86,7 @@ class TestExitCodes:
             (["keybits", "--d-hs", "0.5", "--N", "0"], ""),
             (["verify", "all", "--mc-samples", "0"], ""),
             (["verify", "all", "--mc-samples", "-5"], ""),
+            (["verify", "all", "--mc-samples", "99"], f"--mc-samples >= {cli.MC_SAMPLES_MIN}"),
             (["verify", "all", "--seed", "-1"], ""),
             (["saturation", "--b", "2", "--saturation-tol", "nan"], ""),
             (["saturation", "--b", "2", "--saturation-tol", "-1"], ""),
@@ -111,8 +112,8 @@ class TestExitCodes:
             (["saturation", "--b", "2", "--p-max", "100000000"], "p_max must be in [2, 501]"),
             (["figures", "fig1a", "--p-max", "502"], "p_max must be in [2, 501]"),
         ],
-        ids=["keybits-N0", "mc-samples-0", "mc-samples-neg", "seed-neg", "sat-tol-nan",
-             "sat-tol-neg", "holevo-b-window", "distance-N-window", "grid-inf-stop",
+        ids=["keybits-N0", "mc-samples-0", "mc-samples-neg", "mc-samples-99", "seed-neg",
+             "sat-tol-nan", "sat-tol-neg", "holevo-b-window", "distance-N-window", "grid-inf-stop",
              "counts-inf-stop", "holevo-empty-grid", "fig1b-empty-grid", "grid-descending",
              "grid-too-long", "oracle-N-window", "distance-b-min", "distance-below-b-min",
              "simplified-b-min", "saturation-b-min", "fig1a-below-b-min", "rmin-b-min",
@@ -135,8 +136,10 @@ class TestExitCodes:
             ["rmin", "--b", "1e-2"],
             ["figures", "fig1b", "--b-grid", "1e-2"],
             ["holevo", "--b-grid", "1e-150"],
+            ["verify", "all", "--mc-samples", "100"],
         ],
-        ids=["distance", "simplified", "saturation", "fig1a", "rmin", "fig1b", "holevo"],
+        ids=["distance", "simplified", "saturation", "fig1a", "rmin", "fig1b", "holevo",
+             "verify-mc-samples"],
     )
     def test_edge_of_the_window_runs(self, argv, capsys):
         code, out, err = run(argv, capsys)
@@ -197,6 +200,19 @@ class TestDistanceCommand:
             ref = mp_hs2_dense(b, n, dim=12, dps=int(-2 * math.log10(b)) + 60)
             for column in ("d2_exact", "d2_numeric"):
                 assert float(row[column]) == pytest.approx(ref, rel=1e-9, abs=0.0), (b, n)
+
+    def test_oracle_builds_the_disk_state_once_per_radius(self, capsys, monkeypatch):
+        built, disk = [], cli.maximally_mixed
+        monkeypatch.setattr(cli, "maximally_mixed",
+                            lambda b, cutoff: built.append(b) or disk(b, cutoff))
+        cli._oracle_disk.cache_clear()
+        code, _, err = run(["distance", "--b", "1.5,2.5", "--N", "1,2,3", "--with-oracle"], capsys)
+        assert code == cli.EXIT_OK, err
+        assert built == [1.5, 2.5]
+
+    def test_oracle_disk_state_is_read_only(self):
+        cutoff, unit = cli._oracle_disk(2.0)
+        assert unit.shape == (cutoff.dim, cutoff.dim) and not unit.flags.writeable
 
     def test_json_output_validates_against_schema(self, tmp_path, capsys):
         out_path = tmp_path / "d.json"
@@ -354,6 +370,18 @@ def test_only_verify_identities_calls_the_cross_series():
     assert found == {"cli.verify_identities"}
 
 
+def test_package_builds_no_dense_eigenproblem():
+    # the Holevo rules come from Newton's method in O(n^2); leggauss and the
+    # O(n^3) eigen-solvers stay in the tests, as oracles
+    package = Path(cvpqc.__file__).resolve().parent
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                last = name.rsplit(".", 1)[-1]
+                assert last != "leggauss" and not last.startswith("eig"), (path.name, name)
+
+
 @pytest.mark.parametrize(
     "argv", [["distance", "--b", "2", "--N", "5"], ["rmin", "--b", "2"]], ids=["distance", "rmin"]
 )
@@ -380,6 +408,15 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1].endswith("checks passed")
+
+    def test_identities_call_the_cross_series_once_per_row(self, capsys, monkeypatch):
+        # 5 calls over the 5 x 5 grid (S(z, y) is the transpose) and 5 on the diagonal
+        calls = []
+        series = cli.cross_bessel_sum
+        monkeypatch.setattr(cli, "cross_bessel_sum", lambda b, r: calls.append(b) or series(b, r))
+        code, out, _ = run(["verify", "identities"], capsys)
+        assert code == cli.EXIT_OK and out.splitlines()[-1] == "# 30/30 checks passed"
+        assert len(calls) == 10
 
     def test_quick_all_is_deterministic(self, tmp_path, capsys):
         paths = [tmp_path / "a.txt", tmp_path / "b.txt"]

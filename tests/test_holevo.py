@@ -16,6 +16,7 @@ from cvpqc.holevo import HOLEVO_B_MAX, disk_state_weights, entropy_bits
 from conftest import (
     column_off_diagonal_check,
     holevo_classical_limit,
+    mp_gauss_legendre,
     tensor_holevo_chi,
     tensor_lambda_weights,
 )
@@ -100,13 +101,28 @@ class TestCachedRules:
     @pytest.mark.parametrize("b", [0.7, 9.0])
     def test_weights_match_a_fresh_rule(self, b, order):
         dim = 60
-        t, w = np.polynomial.legendre.leggauss(order)
+        t, w = holevo._gauss_legendre(order)
         t = 0.25 * math.pi * (t + 1.0)
         s = 2.0 * b * np.cos(t)
         weight = w * np.sin(2.0 * t) * (2.0 * t - np.sin(2.0 * t))
         rows = np.vstack([np.exp(-s * s), np.outer(1.0 / np.arange(1, dim), s * s)])
         expected = np.cumprod(rows, axis=0) @ weight
         assert np.array_equal(holevo._raw_weights(b, order, dim), expected)
+
+    @pytest.mark.parametrize("order", [COARSE_ORDER, holevo.GL_ORDER, 2 * holevo.GL_ORDER])
+    def test_rule_matches_high_precision(self, order):
+        # leggauss itself misses these weights by 2.2e-11 (order 200) and 5.7e-10 (400)
+        x, w = holevo._gauss_legendre(order)
+        assert np.all(np.diff(x) > 0) and abs(w.sum() - 2.0) < 4e-15
+        for i in sorted({0, 1, order - 2, order - 1, *range(0, order, 7)}):
+            node, weight = mp_gauss_legendre(order, x[i])
+            assert abs(float(x[i] - node)) < 2e-16
+            assert abs(float(w[i] / weight - 1)) < 1e-11
+
+    def test_unconverged_rule_raises(self, monkeypatch):
+        monkeypatch.setattr(holevo, "NEWTON_MAX_STEPS", 2)
+        with pytest.raises(QuadratureConvergenceError, match="unconverged"):
+            holevo._gauss_legendre(holevo.GL_ORDER)
 
     def test_rule_is_read_only(self):
         for arr in holevo._rule(holevo.GL_ORDER):
