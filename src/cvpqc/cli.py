@@ -18,8 +18,6 @@ import numpy as np
 
 from . import __version__
 from .distances import (
-    SERIES_EPS,
-    SERIES_MAX_TERMS,
     ConsistencyError,
     cross_bessel_sum,
     exact_key_bits,
@@ -35,7 +33,6 @@ from .optimizer import find_rmin, saturation_sweep
 from .specialfns import bessel_i
 
 ORACLE_TOL = 1e-8
-ORACLE_TAIL_BUDGET = 1e-12
 
 # Largest N for distance --with-oracle: the dense oracle costs O(dim^3 + N dim),
 # 0.08 s at b = 10, N = 2000 (2-CPU Xeon).
@@ -130,8 +127,6 @@ def write_json_log(fh, args):
     log = {
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "eps_abs": SERIES_EPS,
-        "max_terms": SERIES_MAX_TERMS,
         "argv": {k: v for k, v in vars(args).items() if k != "func"},
     }
     json.dump(log, fh, indent=2, default=str)
@@ -141,14 +136,14 @@ def write_json_log(fh, args):
 @functools.lru_cache(maxsize=8)  # bounded: one dim x dim matrix per radius
 def _oracle_disk(b: float) -> tuple[CutoffPolicy, np.ndarray]:
     """Oracle cutoff and the read-only disk-mixed state on it, once per radius."""
-    cutoff = disk_cutoff(b, ORACLE_TAIL_BUDGET)
+    cutoff = disk_cutoff(b)
     unit = maximally_mixed(b, cutoff)
     unit.setflags(write=False)
     return cutoff, unit
 
 
 def numeric_d2(b: float, n_circles: int) -> float:
-    """Matrix-oracle squared distance at the tight oracle tail budget."""
+    """Matrix-oracle squared distance on the disk cutoff of hs2_exact."""
     cutoff, unit = _oracle_disk(b)
     mix = phi_n(ChannelSpec(b=b, n_circles=n_circles), cutoff)
     return hs_distance_numeric(unit, mix) ** 2
@@ -156,7 +151,7 @@ def numeric_d2(b: float, n_circles: int) -> float:
 
 def numeric_simplified_d2(b: float, p: int, r: float) -> float:
     """Matrix-oracle squared distance of the simplified protocol (one circle
-    of p states at radius r) at the tight oracle tail budget."""
+    of p states at radius r) on the disk cutoff of hs2_exact."""
     cutoff, unit = _oracle_disk(b)
     return hs_distance_numeric(unit, circle_mixture(p, r, cutoff)) ** 2
 

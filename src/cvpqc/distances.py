@@ -8,7 +8,9 @@ N-circle mixture, circle p at radius p b / N adds p c_m c_n / M wherever
 p divides m - n.  One circle of p states at radius r has entries c_m c_n
 there, so D^2 = sum_n (c_n^2 - u_n)^2 + 2 sum_(j>=1) S_jp with the stripe
 sums S_k = sum_n c_n^2 c_(n+k)^2, which do not depend on p.  The cross
-series sum_k (b/r)^k I_k(2rb) is the independent route of `verify identities`.
+sum sum_k (b/r)^k I_k(2rb) is a finite sum of the same Poisson terms; it
+shares no code with bessel_i's trapezoid rule, so `verify identities`
+checks one against the other.
 """
 
 from __future__ import annotations
@@ -20,32 +22,21 @@ from functools import lru_cache
 import numpy as np
 
 from .ensembles import B_MIN, disk_state_weights
-from .fockspace import disk_cutoff
+from .fockspace import CutoffPolicy, coherent_amplitudes, disk_cutoff
 from .specialfns import SUPPORTED_X_MAX, TRAPEZOID_NODES, ArgumentRangeError, trapezoid_rule
-
-# The cross series stops once a term falls below SERIES_EPS relative, after
-# at least KSUM_FLOOR terms (no exit near a zero partial sum) and within
-# SERIES_MAX_TERMS terms.
-SERIES_EPS = 1e-15
-SERIES_MAX_TERMS = 10_000
-KSUM_FLOOR = 30
-
-# Poisson mass of the disk state beyond the stripe kernel's Fock cutoff at
-# b >= 1 (scaled down below, see fockspace.disk_cutoff).
-STRIPE_TAIL_BUDGET = 1e-12
 
 # Smallest disk radius of the simplified protocol: d_0 = e^(-r^2) - u_0 cancels
 # near r = b/sqrt(2), and the stripe D^2 errs by up to 8.5e-8 relative at b = 1e-2
 # (1.5e-3 at b = 1e-3) against an 80-digit mpmath sum.
 B_SIMPLIFIED_MIN = 1e-2
 
-# Largest supported circle count: the N x dim amplitude array stays below
-# about 150 MB at b = 10, and the eps*N relative error of D^2 below 1e-10.
+# Largest supported circle count: the N x dim amplitudes, the largest array,
+# stay below about 150 MB at b = 10, and the relative error eps*N of D^2 below 1e-10.
 N_MAX = 100_000
 
 
 class ConsistencyError(RuntimeError):
-    """The cross series ran out of terms, or a root scan found no sign change."""
+    """A root scan found no sign change."""
 
 
 @dataclass(frozen=True)
@@ -62,37 +53,18 @@ class DistanceReport:
 
 
 def cross_bessel_sum(b: float, r):
-    """sum_{k>=1} (b/r)^k I_k(2rb), via the stable regrouping.
-
-    Expanding each Bessel series and collecting powers of r gives
-    sum_s (r^(2s)/s!) * sum_{m>s} b^(2m)/m!; the inner sum is tracked by
-    decrementing the full exponential series term by term.  An array r
-    runs until every element meets the cutoff; a scalar r gives a float.
-    Running out of SERIES_MAX_TERMS first raises ConsistencyError.
+    """sum_{k>=1} (b/r)^k I_k(2rb) = e^(b^2 + r^2) P(X > Y), X ~ Poisson(b^2)
+    and Y ~ Poisson(r^2) independent (Skellam), as the finite Fock sum
+    e^(b^2 + r^2) sum_n c_n(r)^2 b^2 u_n of non-negative terms, cut where
+    the larger radius leaves a Poisson tail below 1e-16.  An array r gives
+    an array; a scalar r gives a float.
     """
     r = np.asarray(r, dtype=float)
     if not (b > 0 and np.all(r > 0)):
         raise ValueError("b and r must be positive")
-    lam = b * b
-    # g_s = sum_{m>s} b^(2m)/m!, walked down from e^(b^2) - 1
-    g = math.expm1(lam)
-    pmf = 1.0  # b^(2s)/s!
-    total = np.zeros_like(r)
-    term_r = np.ones_like(r)  # r^(2s)/s!
-    r2 = r * r
-    s = 0
-    while s < SERIES_MAX_TERMS:
-        total += term_r * g
-        s += 1
-        pmf *= lam / s
-        g -= pmf
-        if g <= 0.0:
-            break
-        term_r *= r2 / s
-        if s >= KSUM_FLOOR and np.all(term_r * g < SERIES_EPS * total):
-            break
-    else:
-        raise ConsistencyError(f"cross series not converged in {SERIES_MAX_TERMS} terms")
+    dim = CutoffPolicy(float(np.max(r, initial=b)), 1e-16).dim
+    weights = np.square(coherent_amplitudes(r, dim)) @ disk_state_weights(b, dim)
+    total = np.exp(b * b + r * r) * (b * b) * weights
     return total if total.ndim else float(total)
 
 
@@ -128,21 +100,13 @@ def hs2_guess(n_circles: int) -> float:
     return 1.0 / (n_circles + 1) ** 2
 
 
-def _amplitudes(r: np.ndarray, dim: int) -> np.ndarray:
-    """c_n(r), n < dim, for each radius r > 0 of an array, from its logarithm,
-    in place: at N_MAX circles this array dominates memory."""
-    amp = np.outer(np.log(r), np.arange(dim))
-    amp -= (0.5 * r * r)[:, None]
-    amp -= 0.5 * np.array([math.lgamma(m + 1.0) for m in range(dim)])
-    return np.exp(amp, out=amp)
-
-
 def _stripe_table(b: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal part sum_n (c_n(r)^2 - u_n)^2 and stripe sums S[:, k] = S_k(r),
     k < dim, of one circle at each radius r of an array."""
     _check_disk(b, B_SIMPLIFIED_MIN)
-    dim = disk_cutoff(b, STRIPE_TAIL_BUDGET).dim
-    w = np.square(_amplitudes(r, dim))
+    dim = disk_cutoff(b).dim
+    w = coherent_amplitudes(r, dim)
+    np.square(w, out=w)
     diag = np.sum(np.square(w - disk_state_weights(b, dim)), axis=1)
     table = np.empty((len(r), dim))
     for k in range(dim):
@@ -154,18 +118,18 @@ def hs2_exact(b: float, n_circles: int) -> DistanceReport:
     """Exact squared HS distance between the disk-mixed state and the
     N-circle encryption mixture, from the Fock stripes of Phi_N.
 
-    Costs O(N dim + dim^3) at the disk state's Fock cutoff dim (tail
-    budget STRIPE_TAIL_BUDGET, scaled below b = 1); N must lie in [1, N_MAX].
+    Costs O(N dim + dim^3) at the disk state's Fock cutoff dim (see
+    fockspace.disk_cutoff); N must lie in [1, N_MAX].
     """
     if not 1 <= n_circles <= N_MAX:
         raise ValueError(f"N must be in [1, {N_MAX}], got {n_circles}")
     tu = trace_unit_sq(b)  # validates b
-    dim = disk_cutoff(b, STRIPE_TAIL_BUDGET).dim
+    dim = disk_cutoff(b).dim
     unit = disk_state_weights(b, dim)
     n = np.arange(dim)
     p = np.arange(1, n_circles + 1)
     r = p * (b / n_circles)
-    amp = _amplitudes(r, dim)
+    amp = coherent_amplitudes(r, dim)
     norm = 2.0 / (n_circles * (n_circles + 1))  # 1/M
     # entries above the diagonal, k = column - row > 0: circle q needs q | k
     k = n[None, :] - n[:, None]

@@ -54,9 +54,11 @@ class ChannelSpec:
 
 
 def disk_state_weights(b: float, dim: int) -> np.ndarray:
-    """Diagonal poisson_tail(n, b^2) / b^2, n < dim, of the disk-mixed state."""
-    lam = b * b
-    return np.array([poisson_tail(n, lam) / lam for n in range(dim)])
+    """Diagonal P(X > n) / b^2, n < dim, X ~ Poisson(b^2), of the disk-mixed
+    state: the one tail P(X > dim - 1) plus the Poisson terms c_m(b)^2,
+    n < m < dim, summed downward from the smallest, so nothing cancels."""
+    terms = np.append(np.square(coherent_amplitudes(b, dim))[1:], poisson_tail(dim - 1, b * b))
+    return np.cumsum(terms[::-1])[::-1] / (b * b)
 
 
 def maximally_mixed(b: float, cutoff: CutoffPolicy) -> np.ndarray:

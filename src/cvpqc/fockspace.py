@@ -57,22 +57,24 @@ class CutoffPolicy:
         return self._dim
 
 
-def disk_cutoff(b: float, tail_budget: float) -> CutoffPolicy:
-    """Cutoff for a distance to the disk state of radius b.  Below b = 1 the
-    budget shrinks like b^8, so the stripes it drops stay far below D^2; it
-    stops at the smallest normal double, reached near b = 2e-37."""
-    return CutoffPolicy(b, max(tail_budget * min(1.0, b**8), np.finfo(float).tiny))
+def disk_cutoff(b: float) -> CutoffPolicy:
+    """Cutoff for a distance to the disk state of radius b, in the stripe
+    kernel and the dense oracle alike: tail budget 1e-12 at b >= 1, shrinking
+    like b^8 below, so the stripes it drops stay far below D^2; it stops at
+    the smallest normal double, reached near b = 2e-37."""
+    return CutoffPolicy(b, max(1e-12 * min(1.0, b**8), np.finfo(float).tiny))
 
 
 def coherent_amplitudes(r, dim: int) -> np.ndarray:
     """Fock amplitudes e^(-r^2/2) r^n / sqrt(n!) of the coherent state at
-    real radius r, n < dim, by recurrence; one row per radius of an array r."""
+    real radius r, n < dim, by recurrence; one row per radius of an array r.
+    Filled in place, so the output is the only array of its size."""
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError(f"radius must be non-negative, got {r}")
     c = np.empty(r.shape + (dim,))
     c[..., 0] = np.exp(-0.5 * r**2)
-    c[..., 1:] = r[..., None] / np.sqrt(np.arange(1, dim))  # c_n = c_(n-1) r / sqrt(n)
+    np.divide(r[..., None], np.sqrt(np.arange(1, dim)), out=c[..., 1:])  # c_n = c_(n-1) r / sqrt(n)
     return np.cumprod(c, axis=-1, out=c)
 
 

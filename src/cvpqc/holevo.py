@@ -20,9 +20,9 @@ the positive nodes from Tricomi's guesses in O(n^2), and mirrors them.
 Neither rule depends on b, so each (nodes and density weight) is built
 once per process, on first use: the first radius pays for both, later
 radii reuse them.  Every lambda_n comes from the same nodes, its Poisson
-factor built by the recurrence p_n = p_(n-1) s^2 / n.  A spectrum whose
-passes disagree, or whose mass beyond the Fock cutoff exceeds the same
-threshold, raises instead of returning.
+factor the squared coherent amplitude c_n(s)^2 = e^(-s^2) s^(2n) / n!.  A
+spectrum whose passes disagree, or whose mass beyond the Fock cutoff
+exceeds the same threshold, raises instead of returning.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import B_MIN, disk_state_weights
-from .fockspace import CutoffPolicy
+from .fockspace import CutoffPolicy, coherent_amplitudes
 
 TWO_PI = 2.0 * math.pi
 
@@ -126,9 +126,7 @@ def _raw_weights(b: float, order: int, dim: int) -> np.ndarray:
     """lambda_n for n < dim by order-point Gauss-Legendre in t; the full
     sum over n is 1, so the deficit is the mass beyond the cutoff."""
     cos_t, weight = _rule(order)
-    s = 2.0 * b * cos_t
-    rows = np.vstack([np.exp(-s * s), np.outer(1.0 / np.arange(1, dim), s * s)])
-    return np.cumprod(rows, axis=0) @ weight
+    return weight @ np.square(coherent_amplitudes(2.0 * b * cos_t, dim))
 
 
 def lambda_spectrum(b: float) -> LambdaSpectrum:

@@ -25,7 +25,6 @@ from scipy.optimize import minimize_scalar
 from scipy.special import entr, gammainc, gammaln, i0e, i1e, xlogy
 
 from cvpqc import CutoffPolicy, circle_mixture
-from cvpqc.distances import SERIES_EPS, SERIES_MAX_TERMS, cross_bessel_sum
 from cvpqc.specialfns import SUPPORTED_X_MAX, ArgumentRangeError
 
 TWO_PI = 2.0 * math.pi
@@ -37,6 +36,13 @@ P_LIMIT = 400
 # Order window of the ascending Bessel series; its terms stay inside
 # double range for x <= SUPPORTED_X_MAX.
 SERIES_ORDER_MAX = 500
+
+# The double-precision series stop once a term falls below SERIES_EPS
+# relative, within SERIES_MAX_TERMS terms; the cross series takes at least
+# KSUM_FLOOR terms, so it never stops near a zero partial sum.
+SERIES_EPS = 1e-15
+SERIES_MAX_TERMS = 10_000
+KSUM_FLOOR = 30
 
 
 def _check_range(order: int, x: float):
@@ -94,6 +100,49 @@ def series_bessel_sum(order_step: int, x: float) -> float:
         if term < SERIES_EPS * (total + 1.0):
             break
     return total
+
+
+def series_cross_bessel_sum(b: float, r):
+    """sum_{k>=1} (b/r)^k I_k(2rb) by the regrouped double series.
+
+    Expanding each Bessel series and collecting powers of r gives
+    sum_s (r^(2s)/s!) * sum_{m>s} b^(2m)/m!; the inner sum is tracked by
+    decrementing the full exponential series term by term.  An array r
+    runs until every element meets the cutoff; a scalar r gives a float.
+    """
+    r = np.asarray(r, dtype=float)
+    lam = b * b
+    g = math.expm1(lam)  # g_s = sum_{m>s} b^(2m)/m!, walked down from e^(b^2) - 1
+    pmf = 1.0  # b^(2s)/s!
+    total = np.zeros_like(r)
+    term_r = np.ones_like(r)  # r^(2s)/s!
+    r2 = r * r
+    for s in range(1, SERIES_MAX_TERMS + 1):
+        total += term_r * g
+        pmf *= lam / s
+        g -= pmf
+        if g <= 0.0:
+            break
+        term_r *= r2 / s
+        if s >= KSUM_FLOOR and np.all(term_r * g < SERIES_EPS * total):
+            break
+    else:
+        raise RuntimeError(f"cross series not converged in {SERIES_MAX_TERMS} terms")
+    return total if total.ndim else float(total)
+
+
+def mp_cross_bessel_sum(b: float, r: float, dps: int = 50) -> float:
+    """sum_{k>=1} (b/r)^k I_k(2rb) term by term in mpmath at dps digits,
+    until the terms, falling past k = b^2, drop below 10^-dps of the total."""
+    with mpmath.workdps(dps):
+        b, r = mpmath.mpf(b), mpmath.mpf(r)
+        total, k = mpmath.mpf(0), 0
+        while True:
+            k += 1
+            term = (b / r) ** k * mpmath.besseli(k, 2 * r * b)
+            total += term
+            if k > b * b and term < mpmath.mpf(10) ** -dps * total:
+                return float(total)
 
 
 def mp_bessel_i(order: int, x: float, terms: int = 200) -> float:
@@ -169,7 +218,7 @@ def bessel_trace_cross(b: float, n_circles: int) -> float:
     p e^(-r_p^2) sum_k (b/r_p)^k I_k(2 r_p b), through the regrouped series."""
     p = np.arange(1, n_circles + 1)
     r_p = p * b / n_circles
-    acc = float(np.sum(p * np.exp(-r_p * r_p) * cross_bessel_sum(b, r_p)))
+    acc = float(np.sum(p * np.exp(-r_p * r_p) * series_cross_bessel_sum(b, r_p)))
     norm = 2.0 / (n_circles * (n_circles + 1))
     return norm * acc / (b * b * math.exp(b * b))
 

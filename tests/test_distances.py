@@ -8,7 +8,6 @@ import scipy.special
 
 from cvpqc import (
     ChannelSpec,
-    ConsistencyError,
     CutoffPolicy,
     circle_mixture,
     exact_key_bits,
@@ -23,20 +22,25 @@ from cvpqc import (
     trace_phi_sq,
     trace_unit_sq,
 )
-from cvpqc import distances
 from cvpqc.distances import B_SIMPLIFIED_MIN, N_MAX, _stripe_table, cross_bessel_sum
 from cvpqc.ensembles import B_MIN
+from cvpqc.fockspace import disk_cutoff
 from cvpqc.specialfns import ArgumentRangeError
 from conftest import (
     bessel_trace_cross,
     bessel_trace_phi_sq,
     circle_disk_constant,
+    mp_cross_bessel_sum,
     mp_hs2_dense,
     mp_simplified_d2,
     series_bessel_sum,
+    series_cross_bessel_sum,
 )
 
 TAIL = 1e-12
+
+# The (y, z) grid of `verify identities` and acceptance criterion 5.
+IDENTITY_GRID = (0.6, 1.2, 1.8, 2.4, 3.0)
 
 
 def matrix_traces(b, n):
@@ -60,7 +64,7 @@ class TestCrossBesselSum:
 
     @pytest.mark.parametrize("r", [2e-5, 5e-5, 1e-4])
     def test_matches_literal_form_for_small_disk(self, r):
-        # the start value e^(b^2) - 1 cancels at b = 1e-4; expm1 does not
+        # the sum is about b^2 = 1e-8 here, from non-negative terms alone
         b = 1e-4
         literal = sum(
             (b / r) ** k * scipy.special.iv(k, 2.0 * r * b) for k in range(1, 40)
@@ -68,7 +72,7 @@ class TestCrossBesselSum:
         assert cross_bessel_sum(b, r) == pytest.approx(literal, rel=1e-12)
 
     def test_stable_for_small_radius(self):
-        # the literal (b/r)^k form overflows here; the regrouped sum must not
+        # the literal (b/r)^k form overflows here; the Fock sum must not
         v = cross_bessel_sum(6.0, 0.01)
         assert math.isfinite(v) and v > 0.0
 
@@ -87,21 +91,23 @@ class TestCrossBesselSum:
         with pytest.raises(ValueError):
             cross_bessel_sum(b, np.array([0.5, 0.0]))
 
-    def test_exhausted_term_budget_raises(self, monkeypatch):
-        # 5 terms < KSUM_FLOOR: the relative cutoff can never fire
-        monkeypatch.setattr(distances, "SERIES_MAX_TERMS", 5)
-        rs = np.linspace(0.01, 2.5, 41)
-        with pytest.raises(ConsistencyError):
-            cross_bessel_sum(2.5, rs)
-        with pytest.raises(ConsistencyError):
-            cross_bessel_sum(2.5, 1.0)
-
     @pytest.mark.parametrize("b", [0.7, 2.5, 6.0])
-    def test_default_term_budget_is_not_binding(self, b, monkeypatch):
+    def test_default_term_budget_is_not_binding(self, b):
+        # the Fock route has no term budget; it matches the regrouped series,
+        # cut by a relative test, on the same grid
         rs = np.linspace(0.01, b, 41)
-        default = cross_bessel_sum(b, rs)
-        monkeypatch.setattr(distances, "SERIES_MAX_TERMS", 10**7)
-        assert np.array_equal(default, cross_bessel_sum(b, rs))
+        assert cross_bessel_sum(b, rs) == pytest.approx(series_cross_bessel_sum(b, rs), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "b,r",
+        [(1.5, 1.0), (2.0, 1.8), (0.7, 0.2), (1e-4, 2e-5), (1e-4, 5e-5), (1e-4, 1e-4),
+         (6.0, 0.01)]
+        + [(b, float(r)) for b in (0.7, 2.5, 6.0) for r in np.linspace(0.01, b, 41)]
+        + [(y, z) for y in IDENTITY_GRID for z in IDENTITY_GRID]
+        + [(h, h) for h in np.sqrt(0.5 * np.array([0.5, 1.0, 2.0, 4.0, 8.0]))],
+    )
+    def test_matches_high_precision(self, b, r):
+        assert cross_bessel_sum(b, r) == pytest.approx(mp_cross_bessel_sum(b, r), rel=1e-14, abs=0.0)
 
 
 class TestTraceTerms:
@@ -179,6 +185,12 @@ class TestHs2Exact:
         # Tr(unit^2) - 2 Tr(unit Phi) + Tr(Phi^2) keeps only ~1e-10 relative
         b, n = 2.0, 200
         ref = mp_hs2_dense(b, n, dim=40)
+        assert hs2_exact(b, n).d2_exact == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("b,n", [(4.0, 320), (7.0, 100), (10.0, 40), (2.0, 1000)])
+    def test_matches_dense_reference_on_its_fock_block(self, b, n):
+        # the reference keeps the same disk_cutoff block, so only arithmetic differs
+        ref = mp_hs2_dense(b, n, dim=disk_cutoff(b).dim)
         assert hs2_exact(b, n).d2_exact == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_large_n_closes_on_circle_disk_constant(self):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from cvpqc import (
     poisson_tail,
 )
 from cvpqc import ensembles
+from cvpqc.fockspace import disk_cutoff
 from conftest import TWO_PI, displacement_conjugate, literal_phi_n, projector_average
 
 
@@ -67,6 +69,21 @@ class TestMaximallyMixed:
         assert unit.dtype == np.float64
         expected = [poisson_tail(n, b * b) / (b * b) for n in range(cutoff.dim)]
         np.testing.assert_allclose(np.diag(unit), expected, atol=1e-13)
+
+    @pytest.mark.parametrize("b", [1e-6, 1e-2, 0.5, 2.0, 10.0, 13.0])
+    @pytest.mark.parametrize("cutoff", ["disk", "holevo"])
+    def test_weights_match_incomplete_gamma(self, b, cutoff):
+        # the distance cutoff, and the Holevo one at radius 2b (dim 849 at b = 13);
+        # compared wherever the 50-digit weight is a normal double
+        dim = (disk_cutoff(b) if cutoff == "disk" else CutoffPolicy(max_radius=2.0 * b)).dim
+        with mpmath.workdps(50):
+            lam = mpmath.mpf(b) ** 2
+            ref = np.array([float(mpmath.gammainc(n + 1, 0, lam, regularized=True) / lam)
+                            for n in range(dim)])
+        normal = ref >= np.finfo(float).tiny
+        assert normal[0]
+        got = ensembles.disk_state_weights(b, dim)
+        np.testing.assert_allclose(got[normal], ref[normal], rtol=2e-13, atol=0.0)
 
     def test_first_entry_identity(self):
         # tail(0, b^2)/b^2 = (1 - e^(-b^2))/b^2

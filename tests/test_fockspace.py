@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -58,6 +60,29 @@ class TestCoherentStates:
         for ri, row in zip(r, rows):
             assert np.array_equal(row, coherent_amplitudes(float(ri), 30))
         assert coherent_amplitudes(r[:0], 30).shape == (0, 30)
+
+    @pytest.mark.parametrize("r", [1e-3, 0.5, 2.0, 10.0])
+    def test_amplitudes_match_high_precision(self, r):
+        # compared wherever the 40-digit amplitude is a normal double
+        dim = 179
+        with mpmath.workdps(40):
+            mr = mpmath.mpf(r)
+            ref = np.array([float(mpmath.exp(-mr * mr / 2) * mr**n / mpmath.sqrt(mpmath.factorial(n)))
+                            for n in range(dim)])
+        normal = ref >= np.finfo(float).tiny
+        assert normal[:2].all()
+        np.testing.assert_allclose(coherent_amplitudes(r, dim)[normal], ref[normal], rtol=1e-14, atol=0.0)
+
+    def test_amplitude_array_is_the_only_allocation(self):
+        # at N_MAX circles the N x dim amplitudes of hs2_exact dominate memory
+        r = np.linspace(0.1, 10.0, 10_000)
+        tracemalloc.start()
+        try:
+            c = coherent_amplitudes(r, 179)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * c.nbytes
 
     def test_phase_oracle_matches_real_amplitudes(self):
         # the scipy log-amplitude oracle at angle theta is the recurrence's

@@ -12,6 +12,7 @@ from cvpqc import (
     off_diagonal_check,
 )
 from cvpqc import holevo
+from cvpqc.fockspace import coherent_amplitudes
 from cvpqc.holevo import HOLEVO_B_MAX, disk_state_weights, entropy_bits
 from conftest import (
     column_off_diagonal_check,
@@ -103,10 +104,8 @@ class TestCachedRules:
         dim = 60
         t, w = holevo._gauss_legendre(order)
         t = 0.25 * math.pi * (t + 1.0)
-        s = 2.0 * b * np.cos(t)
         weight = w * np.sin(2.0 * t) * (2.0 * t - np.sin(2.0 * t))
-        rows = np.vstack([np.exp(-s * s), np.outer(1.0 / np.arange(1, dim), s * s)])
-        expected = np.cumprod(rows, axis=0) @ weight
+        expected = weight @ np.square(coherent_amplitudes(2.0 * b * np.cos(t), dim))
         assert np.array_equal(holevo._raw_weights(b, order, dim), expected)
 
     @pytest.mark.parametrize("order", [COARSE_ORDER, holevo.GL_ORDER, 2 * holevo.GL_ORDER])
