@@ -216,10 +216,7 @@ def cmd_simplified(args, out) -> int:
 
 
 def cmd_rmin(args, out) -> int:
-    rows = []
-    for b in args.b:
-        res = find_rmin(b)
-        rows.append((b, res.r_min, res.residual, res.method))
+    rows = [(res.b, res.r_min, res.residual, res.method) for res in find_rmin(args.b)]
     write_rows(["b", "r_min", "residual", "method"], rows, out, args.format, "rmin")
     return EXIT_OK
 
@@ -254,7 +251,7 @@ def cmd_figures(args, out) -> int:
         write_rows(["p", "r_min", "d2_min"], res.curve, out, args.format, "fig1a")
     elif args.which == "fig1b":
         grid = args.b_grid if args.b_grid is not None else parse_grid("0.5:7:0.5")
-        rows = [(b, find_rmin(b).r_min) for b in grid]
+        rows = [(res.b, res.r_min) for res in find_rmin(grid)]
         write_rows(["b", "r_min"], rows, out, args.format, "fig1b")
     else:  # fig2
         return cmd_holevo(args, out)

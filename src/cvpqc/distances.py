@@ -83,8 +83,8 @@ def trace_unit_sq(b: float) -> float:
     (1 + cos theta_j)(1 - exp(-2x sin^2(theta_j/2))), 1 + cos = 2 - 2 sin^2."""
     _check_disk(b, B_MIN)
     x = 2.0 * b * b
-    half2 = trapezoid_rule(0, TRAPEZOID_NODES)[0]
-    return float(np.mean(2.0 * (1.0 - half2) * -np.expm1(-2.0 * x * half2))) / (b * b)
+    half2, weight = trapezoid_rule(0, TRAPEZOID_NODES)
+    return float((2.0 * (1.0 - half2) * -np.expm1(-2.0 * x * half2)) @ weight) / (b * b)
 
 
 def hs2_guess(n_circles: int) -> float:

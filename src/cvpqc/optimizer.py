@@ -8,7 +8,8 @@ to zero) reads
     r I_0(2r^2) - r I_1(2r^2) - (e^(r^2) / (b e^(b^2))) I_1(2rb) = 0,
 
 positive near r = 0 and negative at r = b, so a bracketing scan plus
-repeated splits of the bracket find the root.  At finite p there is no
+repeated splits of the bracket find the root, for a whole grid of radii
+in the same array calls.  At finite p there is no
 such closed condition: the saturation sweep minimizes the distance itself
 over an r-grid, each p's row a sum over one p-independent stripe table.
 """
@@ -27,6 +28,9 @@ from .specialfns import TRAPEZOID_NODES_MAX, bessel_i
 SCAN_POINTS = 200
 # Each refinement splits the root's bracket into this many parts in one array call.
 SPLIT_PARTS = 16
+# Radii per root search: its scan's (radii, SCAN_POINTS + 1, 81-node) Bessel terms
+# stay near 17 MB, however long the grid.
+RADII_PER_SEARCH = 128
 GRID_POINTS = 2000
 
 
@@ -55,55 +59,80 @@ class SaturationResult:
     curve: list  # (p, r_at_min, d2_min) triples
 
 
-def stationarity(b: float, r):
-    """Stationarity expression whose interior root is r_min, for an array
-    r (a scalar r gives a float).
+def stationarity(b, r):
+    """Stationarity expression whose interior root is r_min, with b broadcast
+    against r (scalars give a float).
 
     Zero at r = 0 as well (both I_1 factors vanish against r -> 0 and
     I_1(0) = 0); the deliverable is the interior sign change, not that
     boundary zero.
     """
-    if not (0 < np.min(r) and np.max(r) <= b):
-        raise ValueError(f"r must be in (0, b], got r={r}, b={b}")
+    b, r = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(r, dtype=float))
+    outside = ~((0 < r) & (r <= b))
+    if outside.any():
+        i = np.flatnonzero(outside)[0]
+        raise ValueError(f"r must be in (0, b], got r={r.flat[i]}, b={b.flat[i]}")
     x = 2.0 * r * r
     drive = bessel_i(1, 2.0 * r * b) * np.exp(r * r - b * b) / b
-    return r * bessel_i(0, x) - r * bessel_i(1, x) - drive
+    value = r * bessel_i(0, x) - r * bessel_i(1, x) - drive
+    return value if value.ndim else float(value)
 
 
-def d2_derivative(b: float, r: float) -> float:
+def d2_derivative(b, r):
     """dD^2/dr of the p -> infinity simplified distance:
     -4 e^(-2r^2) times the stationarity expression."""
-    return -4.0 * math.exp(-2.0 * r * r) * stationarity(b, r)
+    return -4.0 * np.exp(-2.0 * np.square(r)) * stationarity(b, r)
 
 
-def find_rmin(b: float) -> RminResult:
-    """Root of the stationarity expression: a bracketing scan, then
-    SPLIT_PARTS-part splits of the bracket down to a width of 1e-12.
+def find_rmin(b):
+    """Root of the stationarity expression for a radius b, or a list of roots
+    for an array of radii: a bracketing scan, then SPLIT_PARTS-part splits of
+    the bracket down to a width of 1e-12.  All radii share each array call;
+    a bracket that has converged is frozen, so every radius gets the root it
+    gets alone.
 
     Raises ConsistencyError if the scan finds no sign change.
     """
-    if not B_SIMPLIFIED_MIN <= b <= 7:
-        raise ValueError(f"b must be in [{B_SIMPLIFIED_MIN}, 7], got {b}")
+    bs = np.asarray(b, dtype=float)
+    flat = bs.reshape(-1)
+    outside = ~((B_SIMPLIFIED_MIN <= flat) & (flat <= 7))
+    if outside.any():
+        raise ValueError(f"b must be in [{B_SIMPLIFIED_MIN}, 7], got {flat[outside][0]}")
+    results = [
+        res
+        for start in range(0, flat.size, RADII_PER_SEARCH)
+        for res in _search(flat[start : start + RADII_PER_SEARCH])
+    ]
+    return results if bs.ndim else results[0]
+
+
+def _search(b: np.ndarray) -> list[RminResult]:
+    """find_rmin for a 1-D array of radii in the window."""
     lo = 0.01 * b
     step = (b - lo) / SCAN_POINTS
-    rs = np.minimum(lo + np.arange(SCAN_POINTS + 1) * step, b)
-    f = stationarity(b, rs)  # the whole scan in one array call
-    changes = np.flatnonzero(f[:-1] * f[1:] <= 0.0)
-    if not changes.size:
-        raise ConsistencyError(f"stationarity has no sign change in r in [{lo}, {b}]")
-    i = int(changes[0])
-    a, c, fa = float(rs[i]), float(rs[i + 1]), float(f[i])
-    while c - a > 1e-12:
-        ms = a + (c - a) * np.arange(1, SPLIT_PARTS) / SPLIT_PARTS
-        fm = stationarity(b, ms)
-        past = np.flatnonzero(fa * fm <= 0.0)  # points on c's side of the root
-        k = int(past[0]) if past.size else len(ms)
-        if k < len(ms):
-            c = float(ms[k])
-        if k > 0:
-            a, fa = float(ms[k - 1]), float(fm[k - 1])
+    rs = np.minimum(lo[:, None] + np.arange(SCAN_POINTS + 1) * step[:, None], b[:, None])
+    f = stationarity(b[:, None], rs)  # the whole scan in one array call
+    changes = f[:, :-1] * f[:, 1:] <= 0.0
+    missing = np.flatnonzero(~changes.any(axis=1))
+    if missing.size:
+        i = missing[0]
+        raise ConsistencyError(f"stationarity has no sign change in r in [{lo[i]}, {b[i]}]")
+    i, rows = np.argmax(changes, axis=1), np.arange(len(b))  # each row's first change
+    a, c, fa = rs[rows, i], rs[rows, i + 1], f[rows, i]
+    while (open_ := np.flatnonzero(c - a > 1e-12)).size:
+        ao, co, fo = a[open_], c[open_], fa[open_]
+        # a, the SPLIT_PARTS - 1 split points, c
+        ms = np.column_stack(
+            [ao, ao[:, None] + (co - ao)[:, None] * np.arange(1, SPLIT_PARTS) / SPLIT_PARTS, co]
+        )
+        fm = stationarity(b[open_, None], ms[:, 1:-1])
+        past = fo[:, None] * fm <= 0.0  # split points on c's side of the root
+        k = np.where(past.any(axis=1), np.argmax(past, axis=1), SPLIT_PARTS - 1)
+        at = np.arange(len(open_))
+        a[open_], c[open_], fa[open_] = ms[at, k], ms[at, k + 1], np.column_stack([fo, fm])[at, k]
     r_min = 0.5 * (a + c)
-    return RminResult(b=b, r_min=r_min, residual=d2_derivative(b, r_min))
+    residual = d2_derivative(b, r_min)
+    return [RminResult(*row) for row in zip(b.tolist(), r_min.tolist(), residual.tolist())]
 
 
 def saturation_sweep(b: float, p_max: int, saturation_tol: float = 1e-4) -> SaturationResult:

@@ -7,9 +7,10 @@ rule at theta_j = 2 pi j / K errs only by the aliasing terms
 e^(-x) I_(jK +- n)(x), j >= 1 (Trefethen & Weideman, SIAM Review 56, 2014),
 below 7e-27 relative at the fixed K = 160 for n <= 1 and x <= 200: no
 series is left to truncate.  sin^2(theta/2) keeps the digits that
-cos(theta) - 1 loses near theta = 0.  At K = p nodes the mean is the purity
-of p phase-shifted coherent states.  The Poisson tail starts from the term
-at m = n, taken from its logarithm, and recurs outward.
+cos(theta) - 1 loses near theta = 0.  Nodes j and K - j carry the same
+sin^2 and cosine, so the rule is summed over the distinct nodes
+j = 0..K//2 only.  The Poisson tail starts from the term at m = n, taken
+from its logarithm, and recurs outward.
 """
 
 from __future__ import annotations
@@ -34,10 +35,14 @@ class ArgumentRangeError(ValueError):
 
 @lru_cache(maxsize=None)
 def trapezoid_rule(order: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """sin^2(theta_j / 2) and the weights cos(order theta_j) / nodes at
-    theta_j = 2 pi j / nodes; built on first use, read-only."""
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    rule = np.sin(0.5 * theta) ** 2, np.cos(order * theta) / nodes
+    """sin^2(theta_j / 2) and the weights cos(order theta_j) / nodes at the
+    distinct nodes theta_j = 2 pi j / nodes, j = 0..nodes//2; a weight counts
+    twice where node j also stands for node nodes - j (0 < j < nodes/2).
+    Built on first use, read-only."""
+    j = np.arange(nodes // 2 + 1)
+    theta = 2.0 * math.pi * j / nodes
+    folds = np.where((j > 0) & (2 * j < nodes), 2.0, 1.0)
+    rule = np.sin(0.5 * theta) ** 2, folds * np.cos(order * theta) / nodes
     for array in rule:
         array.setflags(write=False)
     return rule

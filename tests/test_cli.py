@@ -107,6 +107,8 @@ class TestExitCodes:
             (["figures", "fig1a", "--b", "9.9e-3"], "at least 0.01"),
             (["rmin", "--b", "1e-3"], "[0.01, 7]"),
             (["figures", "fig1b", "--b-grid", "9.9e-3,1"], "[0.01, 7]"),
+            (["rmin", "--b", "0.5,8"], "[0.01, 7], got 8.0"),
+            (["figures", "fig1b", "--b-grid", "0.5,7.5"], "[0.01, 7], got 7.5"),
             (["holevo", "--b-grid", "1e-300"], "at least 1e-150"),
             (["saturation", "--b", "2", "--p-max", "502"], "p_max must be in [2, 501]"),
             (["saturation", "--b", "2", "--p-max", "100000000"], "p_max must be in [2, 501]"),
@@ -117,7 +119,7 @@ class TestExitCodes:
              "counts-inf-stop", "holevo-empty-grid", "fig1b-empty-grid", "grid-descending",
              "grid-too-long", "oracle-N-window", "distance-b-min", "distance-below-b-min",
              "simplified-b-min", "saturation-b-min", "fig1a-below-b-min", "rmin-b-min",
-             "fig1b-below-b-min", "holevo-b-min",
+             "fig1b-below-b-min", "rmin-mixed-window", "fig1b-mixed-window", "holevo-b-min",
              "saturation-p-max", "saturation-huge-p-max", "fig1a-p-max"],
     )
     def test_out_of_window_input_is_bad_input(self, argv, reason, capsys):
@@ -281,6 +283,22 @@ class TestOtherCommands:
         code, out, _ = run(["figures", "fig1b", "--b-grid", "1,2"], capsys)
         assert code == cli.EXIT_OK
         assert out.splitlines()[0] == "b,r_min"
+
+    @pytest.mark.parametrize(
+        "argv", [["rmin", "--b", "0.5:7:0.5"], ["figures", "fig1b"]], ids=["rmin", "fig1b"]
+    )
+    def test_radius_grid_is_one_root_search(self, argv, capsys, monkeypatch):
+        # one scan, the splits of every open bracket together, and one residual call
+        searches, scans = [], []
+        find, stationarity = cli.find_rmin, optimizer.stationarity
+        monkeypatch.setattr(cli, "find_rmin", lambda b: searches.append(b) or find(b))
+        monkeypatch.setattr(
+            optimizer, "stationarity", lambda b, r: scans.append(r) or stationarity(b, r)
+        )
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_OK, err
+        assert len(out.splitlines()) == 15
+        assert len(searches) == 1 and len(scans) <= 12
 
 
 # Every subcommand that writes rows (verify writes a PASS/FAIL report).

@@ -50,6 +50,23 @@ class TestStationarity:
         with pytest.raises(ValueError):
             stationarity(1.0, np.array([0.5, 1.5]))
 
+    def test_broadcasts_radii_against_rows(self):
+        bs = np.array([1.0, 2.0, 3.0])
+        rs = np.array([[0.2, 0.5, 1.0], [0.4, 1.0, 2.0], [0.6, 1.5, 3.0]])
+        vals = stationarity(bs[:, None], rs)
+        assert vals.shape == rs.shape
+        for b, row, vrow in zip(bs, rs, vals):
+            scale = row * bessel_i(0, 2.0 * row * row)
+            assert np.all(np.abs(vrow - stationarity(b, row)) <= 1e-14 * scale)
+        derivs = d2_derivative(bs, rs[:, 1])
+        for b, r, d in zip(bs, rs[:, 1], derivs):
+            assert d == pytest.approx(d2_derivative(b, r), rel=1e-14, abs=1e-16)
+
+    def test_window_is_checked_per_element(self):
+        # r = 1.5 lies in (0, 2] but not in (0, 1]; the message names the first bad pair
+        with pytest.raises(ValueError, match=r"r=1\.5, b=1\.0"):
+            stationarity(np.array([[1.0], [2.0]]), np.array([[0.5, 1.5], [0.5, 1.5]]))
+
 
 class TestFindRmin:
     def test_root_agrees_with_grid_minimizer(self):
@@ -102,6 +119,8 @@ class TestFindRmin:
     def test_validation(self):
         with pytest.raises(ValueError):
             find_rmin(0.0)
+        with pytest.raises(ValueError, match=r"\[0\.01, 7\], got 8\.0"):
+            find_rmin(np.array([0.5, 8.0, 9.0]))
         with pytest.raises(ValueError, match="0.01"):
             find_rmin(0.99 * B_SIMPLIFIED_MIN)
         with pytest.raises(ValueError):
@@ -138,3 +157,48 @@ class TestSaturationSweep:
         dim = distances._stripe_table(b, np.array([b]))[1].shape[1]
         assert len({d2 for p, _, d2 in res.curve if p >= dim}) == 1
         assert res.curve[:20] == saturation_sweep(b, 20).curve
+
+
+class TestBatchedRoots:
+    @pytest.mark.parametrize(
+        "grid",
+        [np.geomspace(1e-2, 7.0, 40), np.arange(1, 15) * 0.5],
+        ids=["geomspace", "half-steps"],
+    )
+    def test_grid_matches_one_radius_at_a_time(self, grid):
+        batch = find_rmin(grid)
+        assert isinstance(batch, list) and len(batch) == len(grid)
+        for b, res in zip(grid, batch):
+            alone = find_rmin(float(b))
+            assert res.b == b
+            assert abs(res.r_min - alone.r_min) <= 1e-12
+            assert abs(res.residual - alone.residual) <= 1e-12
+
+    def test_length_one_array_gives_a_list(self):
+        batch = find_rmin(np.array([2.0]))
+        assert isinstance(batch, list) and len(batch) == 1
+        assert batch[0] == find_rmin(2.0)
+
+    def test_scalar_gives_python_floats(self):
+        res = find_rmin(2.0)
+        assert isinstance(res, optimizer.RminResult)
+        for value in (res.b, res.r_min, res.residual):
+            assert type(value) is float
+
+    def test_grid_longer_than_one_search(self):
+        # the radii are searched RADII_PER_SEARCH at a time, in order
+        grid = np.linspace(0.5, 7.0, optimizer.RADII_PER_SEARCH + 3)
+        batch = find_rmin(grid)
+        assert [res.b for res in batch] == grid.tolist()
+        for i in (0, optimizer.RADII_PER_SEARCH - 1, optimizer.RADII_PER_SEARCH, len(grid) - 1):
+            alone = find_rmin(float(grid[i]))
+            assert abs(batch[i].r_min - alone.r_min) <= 1e-12
+            assert abs(batch[i].residual - alone.residual) <= 1e-12
+
+    def test_one_row_without_sign_change_is_named(self, monkeypatch):
+        # a root at r = b/2 in every row but b = 3, which stays positive
+        monkeypatch.setattr(
+            optimizer, "stationarity", lambda b, r: np.where(b == 3.0, 1.0, 0.5 * b - r)
+        )
+        with pytest.raises(ConsistencyError, match=r"no sign change in r in \[0\.03, 3\.0\]"):
+            find_rmin(np.array([1.0, 2.0, 3.0, 4.0]))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cvpqc import ArgumentRangeError, bessel_i, poisson_tail
 from cvpqc.distances import cross_bessel_sum
-from cvpqc.specialfns import SUPPORTED_X_MAX, bessel_sum
+from cvpqc.specialfns import SUPPORTED_X_MAX, bessel_sum, trapezoid_mean, trapezoid_rule
 from conftest import mp_bessel_i, mp_poisson_tail, series_bessel_i
 
 
@@ -74,6 +74,41 @@ class TestBesselI:
     @settings(max_examples=30, deadline=None)
     def test_order_monotone_decreasing(self, x):
         assert bessel_i(0, x) >= bessel_i(1, x) >= series_bessel_i(2, x) > 0.0
+
+
+RULE_NODES = [1, 2, 3, 4, 5, 159, 160, 161, 501]
+
+
+def literal_mean(x: float, order: int, nodes: int) -> float:
+    """(1/K) sum over all K nodes j = 0..K-1, term by term; expm1 for order >= 1,
+    as in the production rule."""
+    step = np.exp if order == 0 else np.expm1
+    theta = [2.0 * math.pi * j / nodes for j in range(nodes)]
+    terms = [step(-2.0 * x * math.sin(0.5 * t) ** 2) * math.cos(order * t) for t in theta]
+    return math.fsum(terms) / nodes
+
+
+class TestTrapezoidRule:
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("nodes", RULE_NODES)
+    def test_distinct_nodes_give_the_full_mean(self, nodes, order):
+        xs = np.geomspace(1e-12, SUPPORTED_X_MAX, 29)
+        folded = trapezoid_mean(xs, order, nodes)
+        for x, value in zip(xs, folded):
+            assert value == pytest.approx(literal_mean(x, order, nodes), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("nodes", RULE_NODES)
+    def test_order_zero_weights_sum_to_one(self, nodes):
+        assert abs(math.fsum(trapezoid_rule(0, nodes)[1]) - 1.0) <= 2e-16
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("nodes", RULE_NODES)
+    def test_rule_holds_the_distinct_nodes_read_only(self, nodes, order):
+        half2, weight = trapezoid_rule(order, nodes)
+        assert half2.shape == weight.shape == (nodes // 2 + 1,)
+        for array in (half2, weight):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestBesselSum:
