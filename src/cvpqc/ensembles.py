@@ -55,10 +55,9 @@ class ChannelSpec:
 
 def disk_state_weights(b: float, dim: int) -> np.ndarray:
     """Diagonal P(X > n) / b^2, n < dim, X ~ Poisson(b^2), of the disk-mixed
-    state: the one tail P(X > dim - 1) plus the Poisson terms c_m(b)^2,
-    n < m < dim, summed downward from the smallest, so nothing cancels."""
-    terms = np.append(np.square(coherent_amplitudes(b, dim))[1:], poisson_tail(dim - 1, b * b))
-    return np.cumsum(terms[::-1])[::-1] / (b * b)
+    state: every tail from the one reverse cumulative sum of poisson_tail,
+    so nothing cancels."""
+    return poisson_tail(np.arange(dim), b * b) / (b * b)
 
 
 def maximally_mixed(b: float, cutoff: CutoffPolicy) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Truncated Fock space: the cutoff rule, coherent-state amplitudes and
-the Hilbert-Schmidt distance of the dense matrix oracle.
+"""Truncated Fock space: the cutoff rule and the Hilbert-Schmidt distance
+of the dense matrix oracle.  The coherent-state amplitudes live in
+specialfns, beside the Poisson tails they feed, and are bound here too.
 
 Every production Fock matrix is a real float64 array: the disk-mixed
 state is diagonal, and circle mixtures at the canonical angles 2*pi*q/p
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfns import poisson_tail
+from .specialfns import coherent_amplitudes  # noqa: F401  (callers import it from here)
+from .specialfns import poisson_cut, poisson_tail
 
 
 class CutoffError(ValueError):
@@ -47,12 +49,12 @@ class CutoffPolicy:
 
     @property
     def dim(self) -> int:
-        """Smallest dimension with discarded Poisson mass below budget; cached."""
+        """Smallest dimension with discarded Poisson mass below budget, from
+        one tail array over n = int(lam) - 1 .. the Chernoff cut; cached."""
         if "_dim" not in self.__dict__:
             lam = self.max_radius**2
-            d = max(1, int(lam))
-            while poisson_tail(d - 1, lam) >= self.tail_budget:
-                d += 1
+            n = np.arange(max(0, int(lam) - 1), poisson_cut(lam) + 1)
+            d = int(n[np.argmax(poisson_tail(n, lam) < self.tail_budget)]) + 1
             object.__setattr__(self, "_dim", d)
         return self._dim
 
@@ -63,19 +65,6 @@ def disk_cutoff(b: float) -> CutoffPolicy:
     like b^8 below, so the stripes it drops stay far below D^2; it stops at
     the smallest normal double, reached near b = 2e-37."""
     return CutoffPolicy(b, max(1e-12 * min(1.0, b**8), np.finfo(float).tiny))
-
-
-def coherent_amplitudes(r, dim: int) -> np.ndarray:
-    """Fock amplitudes e^(-r^2/2) r^n / sqrt(n!) of the coherent state at
-    real radius r, n < dim, by recurrence; one row per radius of an array r.
-    Filled in place, so the output is the only array of its size."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError(f"radius must be non-negative, got {r}")
-    c = np.empty(r.shape + (dim,))
-    c[..., 0] = np.exp(-0.5 * r**2)
-    np.divide(r[..., None], np.sqrt(np.arange(1, dim)), out=c[..., 1:])  # c_n = c_(n-1) r / sqrt(n)
-    return np.cumprod(c, axis=-1, out=c)
 
 
 def hs_distance_numeric(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,16 +1,22 @@
-"""Modified Bessel functions by the periodic trapezoid rule, and upper
-Poisson tails.
+"""Modified Bessel functions by the periodic trapezoid rule, coherent-state
+amplitudes, and upper Poisson tails.
 
-e^(-x) I_n(x) is the mean of exp(-2x sin^2(theta/2)) cos(n theta) over the
-circle.  The integrand is periodic and entire, so the K-point trapezoid
-rule at theta_j = 2 pi j / K errs only by the aliasing terms
-e^(-x) I_(jK +- n)(x), j >= 1 (Trefethen & Weideman, SIAM Review 56, 2014),
-below 7e-27 relative at the fixed K = 160 for n <= 1 and x <= 200: no
-series is left to truncate.  sin^2(theta/2) keeps the digits that
-cos(theta) - 1 loses near theta = 0.  Nodes j and K - j carry the same
-sin^2 and cosine, so the rule is summed over the distinct nodes
-j = 0..K//2 only.  The Poisson tail starts from the term at m = n, taken
-from its logarithm, and recurs outward.
+e^(-x) I_0(x) is the mean of exp(-2x sin^2(theta/2)) over the circle, and
+integration by parts gives e^(-x) I_1(x) as x times the mean of
+sin^2(theta) exp(-2x sin^2(theta/2)), whose terms are all non-negative.
+Both integrands are periodic and entire, so the K-point trapezoid rule at
+theta_j = 2 pi j / K errs only by aliasing terms from the Fourier orders
+K - 2 and up (Trefethen & Weideman, SIAM Review 56, 2014), far below eps
+at the fixed K = 160 for x <= 200: no series is left to truncate.
+sin^2(theta/2) keeps the digits that cos(theta) - 1 loses near theta = 0.
+Nodes j and K - j carry the same sin^2, so the rule is summed over the
+distinct nodes j = 0..K//2 only.
+
+The Poisson terms P(X = m) are the squared coherent amplitudes, and every
+upper tail is one reverse cumulative sum of them, so no term cancels.  The
+sum stops at the Chernoff cut lam + sqrt(2 lam L) + 2L, L = 745, past which
+the tail is below e^(-745), under the smallest double.  The window
+lam <= POISSON_LAM_MAX keeps the first amplitude e^(-lam/2) a normal double.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ TRAPEZOID_NODES = 160
 # Largest useful node count: past it the aliasing terms fall below 5e-212.
 TRAPEZOID_NODES_MAX = 501
 
-_LOG_2PI = math.log(2.0 * math.pi)
+# Largest Poisson mean: e^(-lam/2) stays a normal double.
+POISSON_LAM_MAX = 1400.0
 
 
 class ArgumentRangeError(ValueError):
@@ -35,28 +42,27 @@ class ArgumentRangeError(ValueError):
 
 @lru_cache(maxsize=None)
 def trapezoid_rule(order: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """sin^2(theta_j / 2) and the weights cos(order theta_j) / nodes at the
-    distinct nodes theta_j = 2 pi j / nodes, j = 0..nodes//2; a weight counts
-    twice where node j also stands for node nodes - j (0 < j < nodes/2).
-    Built on first use, read-only."""
+    """sin^2(theta_j / 2) and the weights sin^(2 order)(theta_j) / nodes,
+    order 0 or 1, at the distinct nodes theta_j = 2 pi j / nodes,
+    j = 0..nodes//2; a weight counts twice where node j also stands for
+    node nodes - j (0 < j < nodes/2).  Built on first use, read-only."""
     j = np.arange(nodes // 2 + 1)
-    theta = 2.0 * math.pi * j / nodes
+    half2 = np.sin(math.pi * j / nodes) ** 2
     folds = np.where((j > 0) & (2 * j < nodes), 2.0, 1.0)
-    rule = np.sin(0.5 * theta) ** 2, folds * np.cos(order * theta) / nodes
+    rule = half2, folds * (4.0 * half2 * (1.0 - half2)) ** order / nodes  # sin^2 = 4h(1 - h)
     for array in rule:
         array.setflags(write=False)
     return rule
 
 
 def trapezoid_mean(x, order: int, nodes: int):
-    """(1/nodes) sum_j exp(-2x sin^2(theta_j/2)) cos(order theta_j) for
-    array x: e^(-x) I_order(x) plus the aliasing terms.  For order >= 1
-    the cosines sum to zero, so expm1 may stand in for exp; it keeps the
-    relative accuracy as x -> 0."""
+    """(x^order / nodes) sum_j sin^(2 order)(theta_j) exp(-2x sin^2(theta_j/2))
+    for array x and order 0 or 1: e^(-x) I_order(x) plus the aliasing
+    terms, from non-negative terms only."""
+    x = np.asarray(x, dtype=float)
     half2, weight = trapezoid_rule(order, nodes)
-    terms = np.multiply.outer(-2.0 * np.asarray(x, dtype=float), half2)
-    (np.exp if order == 0 else np.expm1)(terms, out=terms)  # in place: no second array
-    return terms @ weight
+    terms = np.multiply.outer(-2.0 * x, half2)
+    return x**order * (np.exp(terms, out=terms) @ weight)  # in place: no second array
 
 
 def bessel_i(order: int, x):
@@ -83,52 +89,36 @@ def bessel_sum(order_step: int, x):
     return 0.5 * (np.exp(x) * mean - bessel_i(0, x))  # bessel_i checks the window
 
 
-def _poisson_log_pmf(n: int, lam: float) -> float:
-    """log(lam^n e^(-lam) / n!), n >= 1, as n log(lam/n) + (n - lam) minus
-    Stirling's remainder and log sqrt(2 pi n); the literal form cancels
-    terms near 5000 at lam ~ 740.  log1p((lam - n)/n) keeps the digits of
-    log(lam/n) near the mode, but loses those of lam when lam < n/2."""
-    if n > 15:
-        k = 1.0 / (n * n)
-        stirling = (1 / 12 - k * (1 / 360 - k * (1 / 1260 - k / 1680))) / n
-    else:
-        stirling = math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - 0.5 * _LOG_2PI
-    log_ratio = math.log1p((lam - n) / n) if 2.0 * lam >= n else math.log(lam / n)
-    return n * log_ratio + (n - lam) - stirling - 0.5 * (_LOG_2PI + math.log(n))
+def coherent_amplitudes(r, dim: int) -> np.ndarray:
+    """Fock amplitudes e^(-r^2/2) r^n / sqrt(n!) of the coherent state at
+    real radius r, n < dim, by recurrence; one row per radius of an array r.
+    Filled in place, so the output is the only array of its size."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
+        raise ValueError(f"radius must be non-negative, got {r}")
+    c = np.empty(r.shape + (dim,))
+    c[..., 0] = np.exp(-0.5 * r**2)
+    np.divide(r[..., None], np.sqrt(np.arange(1, dim)), out=c[..., 1:])  # c_n = c_(n-1) r / sqrt(n)
+    return np.cumprod(c, axis=-1, out=c)
 
 
-def poisson_tail(n: int, lam: float) -> float:
-    """Upper Poisson tail P(X > n) = sum_{m>n} lam^m e^(-lam) / m!.
+def poisson_cut(lam: float) -> int:
+    """Chernoff cut lam + sqrt(2 lam L) + 2L, L = 745: P(X > cut) < e^(-L),
+    below the smallest double, for X ~ Poisson(lam)."""
+    return int(lam + math.sqrt(2.0 * 745.0 * lam) + 2.0 * 745.0)
 
-    P(X > 0) is -expm1(-lam).  Otherwise the term at m = n comes from its
-    logarithm, so no start value underflows (e^(-lam) does for lam > 745),
-    and the series recurs outward: for n < lam the tail is one minus the
-    fsum of the terms m <= n, walked down from n; for n >= lam the terms
-    m > n are summed directly, so neither flank cancels.  Each stops once
-    its terms fall below 1e-18 relative.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if lam < 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
-    if n == 0:
-        return -math.expm1(-lam)
-    if lam == 0.0:
-        return 0.0
-    term = math.exp(_poisson_log_pmf(n, lam))
-    if n < lam:  # terms fall as m walks down from n, below the mode
-        terms = [term]
-        m = n
-        while m > 0 and term > 1e-18 * terms[0]:
-            term *= m / lam
-            m -= 1
-            terms.append(term)
-        return max(1.0 - math.fsum(terms), 0.0)
-    # n >= lam: the ratio lam / m < 1 falls, so the terms beyond n die out
-    total, m = 0.0, n
-    while True:
-        m += 1
-        term *= lam / m
-        total += term
-        if term <= 1e-18 * total:
-            return total
+
+def poisson_tail(n, lam: float):
+    """Upper Poisson tail P(X > n) = sum_{m>n} lam^m e^(-lam) / m! for an
+    int or an array of n, 0 <= lam <= POISSON_LAM_MAX: the terms m <= the
+    Chernoff cut, summed from the top down, at most 1.0; 0.0 past the cut."""
+    n = np.asarray(n)
+    if (n < 0).any():
+        raise ValueError(f"n must be non-negative, got {np.min(n)}")
+    if not 0.0 <= lam <= POISSON_LAM_MAX:
+        raise ValueError(f"lambda must be in [0, {POISSON_LAM_MAX}], got {lam}")
+    cut = poisson_cut(lam)
+    terms = np.square(coherent_amplitudes(math.sqrt(lam), cut + 1))
+    tails = np.append(np.cumsum(terms[:0:-1])[::-1], 0.0)  # tails[k] = P(X > k), k <= cut
+    value = np.minimum(tails[np.minimum(n, cut)], 1.0)  # rounding in the amplitudes can pass 1
+    return value if value.ndim else float(value)

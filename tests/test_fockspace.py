@@ -7,18 +7,43 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from cvpqc import CutoffError, CutoffPolicy, circle_mixture, hs_distance_numeric, poisson_tail
-from cvpqc.fockspace import coherent_amplitudes
+from cvpqc import CutoffError, CutoffPolicy, circle_mixture, fockspace, hs_distance_numeric, poisson_tail
+from cvpqc.fockspace import coherent_amplitudes, disk_cutoff
 from cvpqc.holevo import entropy_bits
-from conftest import coherent_state, displacement_matrix
+from conftest import coherent_state, displacement_matrix, mp_poisson_tail
+
+
+CUTOFFS = [
+    CutoffPolicy(r, budget)
+    for r in (1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 13.0, 26.0, 28.0)
+    for budget in (1e-10, 1e-12, 1e-16)
+] + [disk_cutoff(b) for b in (1e-150, 2e-37, 1e-6, 0.5)]
 
 
 class TestCutoffPolicy:
     def test_dim_is_minimal_for_budget(self):
-        pol = CutoffPolicy(max_radius=2.0, tail_budget=1e-10)
-        d = pol.dim
-        assert poisson_tail(d - 1, 4.0) < 1e-10
-        assert poisson_tail(d - 2, 4.0) >= 1e-10
+        # against the incomplete gamma oracle, not the production tail
+        for pol in CUTOFFS:
+            lam, d = pol.max_radius**2, pol.dim
+            where = f"r={pol.max_radius}, budget={pol.tail_budget}, dim={d}"
+            assert mp_poisson_tail(d - 1, lam) < pol.tail_budget, where
+            assert d == 1 or mp_poisson_tail(d - 2, lam) >= pol.tail_budget, where
+
+    def test_dim_makes_one_tail_call(self, monkeypatch):
+        calls = []
+
+        def counted(n, lam):
+            calls.append(lam)
+            return poisson_tail(n, lam)
+
+        monkeypatch.setattr(fockspace, "poisson_tail", counted)
+        assert CutoffPolicy(13.0, 1e-12).dim == 269
+        assert len(calls) == 1
+
+    def test_mean_past_the_tail_window_raises(self):
+        # 38^2 = 1444 > POISSON_LAM_MAX: no cutoff is truncated silently
+        with pytest.raises(ValueError):
+            CutoffPolicy(max_radius=38.0).dim
 
     def test_require(self):
         pol = CutoffPolicy(max_radius=1.0)

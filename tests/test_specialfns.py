@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 
 from cvpqc import ArgumentRangeError, bessel_i, poisson_tail
 from cvpqc.distances import cross_bessel_sum
-from cvpqc.specialfns import SUPPORTED_X_MAX, bessel_sum, trapezoid_mean, trapezoid_rule
+from cvpqc.specialfns import (
+    POISSON_LAM_MAX,
+    SUPPORTED_X_MAX,
+    bessel_sum,
+    trapezoid_mean,
+    trapezoid_rule,
+)
 from conftest import mp_bessel_i, mp_poisson_tail, series_bessel_i
 
 
@@ -35,8 +42,16 @@ class TestBesselI:
     @pytest.mark.parametrize("order", [0, 1])
     @pytest.mark.parametrize("x", [1e-300, 1e-12, 1e-6, 1e-2, 199.0, 200.0])
     def test_edges_of_the_window_match_scipy(self, order, x):
-        # the n = 1 rule sums cos(theta_j) expm1(...), so small x keeps its digits
+        # the n = 1 rule sums x sin^2(theta_j) exp(...) >= 0, so small x keeps its digits
         assert bessel_i(order, x) == pytest.approx(scipy.special.iv(order, x), rel=1e-12)
+
+    def test_order_one_sweep_matches_mpmath(self):
+        # the rule for I_1 sums non-negative terms, so no weight of the other sign
+        # cancels near x = 190, where e^(-x) I_1(x) is about 0.03
+        xs = np.concatenate([np.geomspace(1e-6, SUPPORTED_X_MAX, 250), np.linspace(150.0, 200.0, 51)])
+        with mpmath.workdps(50):
+            ref = np.array([float(mpmath.besseli(1, float(x))) for x in xs])
+        np.testing.assert_allclose(bessel_i(1, xs), ref, rtol=1e-15, atol=0.0)
 
     def test_array_matches_scalar_calls(self):
         xs = np.append(np.geomspace(1e-8, SUPPORTED_X_MAX, 40), 0.0)
@@ -80,12 +95,12 @@ RULE_NODES = [1, 2, 3, 4, 5, 159, 160, 161, 501]
 
 
 def literal_mean(x: float, order: int, nodes: int) -> float:
-    """(1/K) sum over all K nodes j = 0..K-1, term by term; expm1 for order >= 1,
-    as in the production rule."""
-    step = np.exp if order == 0 else np.expm1
-    theta = [2.0 * math.pi * j / nodes for j in range(nodes)]
-    terms = [step(-2.0 * x * math.sin(0.5 * t) ** 2) * math.cos(order * t) for t in theta]
-    return math.fsum(terms) / nodes
+    """(x^order / K) sum over all K nodes j = 0..K-1 of
+    sin^(2 order)(theta_j) exp(-2x h_j), h_j = sin^2(theta_j/2), term by term;
+    sin^2(theta_j) = 4 h_j (1 - h_j), as in the production rule."""
+    half2 = [math.sin(math.pi * j / nodes) ** 2 for j in range(nodes)]
+    terms = [math.exp(-2.0 * x * h) * (4.0 * h * (1.0 - h)) ** order for h in half2]
+    return x**order * math.fsum(terms) / nodes
 
 
 class TestTrapezoidRule:
@@ -95,7 +110,11 @@ class TestTrapezoidRule:
         xs = np.geomspace(1e-12, SUPPORTED_X_MAX, 29)
         folded = trapezoid_mean(xs, order, nodes)
         for x, value in zip(xs, folded):
-            assert value == pytest.approx(literal_mean(x, order, nodes), rel=1e-14, abs=0.0)
+            # node j of the fold and node K - j of the literal round h_j apart, which moves
+            # exp(-2x h_j) by up to 2x ulp; at order 1 the node theta = 0 adds nothing, so
+            # with few nodes the far ones carry the whole mean and that shows
+            rel = 1e-14 + order * 4.0 * x * np.finfo(float).eps
+            assert value == pytest.approx(literal_mean(x, order, nodes), rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("nodes", RULE_NODES)
     def test_order_zero_weights_sum_to_one(self, nodes):
@@ -165,8 +184,40 @@ class TestPoissonTail:
         assert t == pytest.approx(mp_poisson_tail(n, lam), rel=1e-12, abs=0.0)
         assert t == pytest.approx(scipy.stats.poisson.sf(n, lam), rel=1e-10, abs=0.0)
 
+    def test_array_matches_scalar_calls(self):
+        n = np.arange(0, 140, 3)
+        for lam in (1e-12, 0.7, 36.0, 100.0):
+            tails = poisson_tail(n, lam)
+            assert tails.shape == n.shape
+            assert tails.tolist() == [poisson_tail(int(k), lam) for k in n]
+        assert isinstance(poisson_tail(3, 2.0), float)
+
+    @pytest.mark.parametrize("n,lam", [(60, 4.0), (120, 4.0), (180, 4.0), (300, 100.0), (400, 100.0)])
+    def test_deep_tail_matches_gamma_oracle(self, n, lam):
+        # tails down to 1e-225: the sum runs to the Chernoff cut, not to a relative stop
+        assert poisson_tail(n, lam) == pytest.approx(mp_poisson_tail(n, lam), rel=1e-12, abs=0.0)
+
+    def test_rounding_never_lifts_a_tail_past_one(self):
+        # the amplitudes' rounding sums P(X > 0) to 1 + 1.3e-15 at lam = 42
+        for lam in (42.0, *np.linspace(30.0, POISSON_LAM_MAX, 40)):
+            assert poisson_tail(np.arange(4), lam).max() <= 1.0, lam
+
+    def test_past_the_support_is_zero(self):
+        # past the Chernoff cut lam + sqrt(1490 lam) + 1490 nothing a double holds is left
+        assert poisson_tail(5000, 4.0) == 0.0
+        assert poisson_tail(np.array([2000, 10**6]), 100.0).tolist() == [0.0, 0.0]
+
+    def test_mean_window(self):
+        assert poisson_tail(1400, POISSON_LAM_MAX) == pytest.approx(
+            scipy.stats.poisson.sf(1400, POISSON_LAM_MAX), rel=1e-12
+        )
+        for lam in (1400.5, 1e4, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                poisson_tail(10, lam)
+
     def test_degenerate_cases(self):
         assert poisson_tail(5, 0.0) == 0.0
+        assert poisson_tail(0, 0.0) == 0.0
         with pytest.raises(ValueError):
             poisson_tail(-1, 1.0)
         with pytest.raises(ValueError):
