@@ -36,7 +36,7 @@ N_MAX = 100_000
 
 
 class ConsistencyError(RuntimeError):
-    """A root scan found no sign change."""
+    """The r_min search found no sign change, a value not finite, or no root."""
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ to zero) reads
 
     r I_0(2r^2) - r I_1(2r^2) - (e^(r^2) / (b e^(b^2))) I_1(2rb) = 0,
 
-positive near r = 0 and negative at r = b, so a bracketing scan plus
-repeated splits of the bracket find the root, for a whole grid of radii
-in the same array calls.  At finite p there is no
+positive near r = 0 and negative at r = b.  Regula falsi in the Illinois form
+(Dowell & Jarratt, BIT 11, 1971) finds the root of dD^2/dr, -4 e^(-2r^2) times
+it, for a whole grid of radii in the same array calls.  At finite p there is no
 such closed condition: the saturation sweep minimizes the distance itself
 over an r-grid, each p's row a sum over one p-independent stripe table.
 """
@@ -23,26 +23,22 @@ from typing import ClassVar
 import numpy as np
 
 from .distances import B_SIMPLIFIED_MIN, ConsistencyError, _stripe_table
-from .specialfns import TRAPEZOID_NODES_MAX, bessel_i
+from .specialfns import TRAPEZOID_NODES, TRAPEZOID_NODES_MAX, bessel_i, trapezoid_rule
 
-SCAN_POINTS = 200
-# Each refinement splits the root's bracket into this many parts in one array call.
-SPLIT_PARTS = 16
-# Radii per root search: its scan's (radii, SCAN_POINTS + 1, 81-node) Bessel terms
-# stay near 17 MB, however long the grid.
-RADII_PER_SEARCH = 128
+# r_min / b lies in [0.644, 0.848] over the window: [0.6b, 0.9b] brackets every root.
+BRACKET = np.array([0.01, 0.6, 0.9, 1.0])
+# Cap on Illinois steps; a steep root at 0.3b with b = 5 takes 121.
+MAX_STEPS = 200
+# Radii per root search: its first call's (radii, 4, 81-node) Bessel terms take 10.6 MB.
+RADII_PER_SEARCH = 4096
 GRID_POINTS = 2000
 
 
 @dataclass(frozen=True)
 class RminResult:
-    """Optimal displacement radius for one b.
-
-    ``residual`` is the derivative dD^2/dr at r_min (the stationarity
-    expression times -4 e^(-2 r^2); the raw expression grows like
-    e^(2r^2) and would make an absolute residual bound meaningless at
-    large b).
-    """
+    """Optimal displacement radius for one b.  ``residual`` is d2_derivative at
+    r_min: the raw stationarity expression grows like e^(2r^2) and would make
+    an absolute residual bound meaningless at large b."""
 
     b: float
     r_min: float
@@ -73,64 +69,68 @@ def stationarity(b, r):
         i = np.flatnonzero(outside)[0]
         raise ValueError(f"r must be in (0, b], got r={r.flat[i]}, b={b.flat[i]}")
     x = 2.0 * r * r
-    drive = bessel_i(1, 2.0 * r * b) * np.exp(r * r - b * b) / b
-    value = r * bessel_i(0, x) - r * bessel_i(1, x) - drive
+    drive = bessel_i(1, 2.0 * r * b) * np.exp(r * r - b * b) / b  # 2rb >= x: checks the window
+    (half2, weight0), (_, weight1) = (trapezoid_rule(k, TRAPEZOID_NODES) for k in (0, 1))
+    table = np.multiply.outer(-2.0 * x, half2)
+    np.exp(table, out=table)  # e^(-x) I_0(x) and e^(-x) I_1(x) share the table
+    value = r * np.exp(x) * (table @ weight0 - x * (table @ weight1)) - drive
     return value if value.ndim else float(value)
 
 
 def d2_derivative(b, r):
-    """dD^2/dr of the p -> infinity simplified distance:
-    -4 e^(-2r^2) times the stationarity expression."""
-    return -4.0 * np.exp(-2.0 * np.square(r)) * stationarity(b, r)
+    """dD^2/dr of the p -> infinity distance, -4 e^(-2r^2) times the stationarity
+    expression; ConsistencyError names the first radius where it is not finite."""
+    d = -4.0 * np.exp(-2.0 * np.square(r)) * stationarity(b, r)
+    if (bad := np.flatnonzero(~np.isfinite(d))).size:
+        b, r, i = *np.broadcast_arrays(b, r), bad[0]
+        raise ConsistencyError(f"dD^2/dr is {d.flat[i]} at r={r.flat[i]}, b={b.flat[i]}")
+    return d
 
 
 def find_rmin(b):
     """Root of the stationarity expression for a radius b, or a list of roots
-    for an array of radii: a bracketing scan, then SPLIT_PARTS-part splits of
-    the bracket down to a width of 1e-12.  All radii share each array call;
-    a bracket that has converged is frozen, so every radius gets the root it
-    gets alone.
-
-    Raises ConsistencyError if the scan finds no sign change.
+    for an array of radii: the first sign change among r = BRACKET * b, then
+    one Illinois step per array call down to a bracket width of 1e-12.  A
+    converged bracket is frozen, so every radius gets the root it gets alone.
+    ConsistencyError: no sign change, a value not finite, or no convergence.
     """
     bs = np.asarray(b, dtype=float)
     flat = bs.reshape(-1)
     outside = ~((B_SIMPLIFIED_MIN <= flat) & (flat <= 7))
     if outside.any():
         raise ValueError(f"b must be in [{B_SIMPLIFIED_MIN}, 7], got {flat[outside][0]}")
-    results = [
-        res
-        for start in range(0, flat.size, RADII_PER_SEARCH)
-        for res in _search(flat[start : start + RADII_PER_SEARCH])
-    ]
+    blocks = (flat[k : k + RADII_PER_SEARCH] for k in range(0, flat.size, RADII_PER_SEARCH))
+    results = [res for block in blocks for res in _search(block)]
     return results if bs.ndim else results[0]
 
 
 def _search(b: np.ndarray) -> list[RminResult]:
     """find_rmin for a 1-D array of radii in the window."""
-    lo = 0.01 * b
-    step = (b - lo) / SCAN_POINTS
-    rs = np.minimum(lo[:, None] + np.arange(SCAN_POINTS + 1) * step[:, None], b[:, None])
-    f = stationarity(b[:, None], rs)  # the whole scan in one array call
-    changes = f[:, :-1] * f[:, 1:] <= 0.0
-    missing = np.flatnonzero(~changes.any(axis=1))
-    if missing.size:
+    rs = np.multiply.outer(b, BRACKET)
+    g = d2_derivative(b[:, None], rs)  # every radius's 4 points in one array call
+    changes = g[:, :-1] * g[:, 1:] <= 0.0
+    if (missing := np.flatnonzero(~changes.any(axis=1))).size:
         i = missing[0]
-        raise ConsistencyError(f"stationarity has no sign change in r in [{lo[i]}, {b[i]}]")
+        raise ConsistencyError(f"stationarity has no sign change in r in [{rs[i, 0]}, {b[i]}]")
     i, rows = np.argmax(changes, axis=1), np.arange(len(b))  # each row's first change
-    a, c, fa = rs[rows, i], rs[rows, i + 1], f[rows, i]
-    while (open_ := np.flatnonzero(c - a > 1e-12)).size:
-        ao, co, fo = a[open_], c[open_], fa[open_]
-        # a, the SPLIT_PARTS - 1 split points, c
-        ms = np.column_stack(
-            [ao, ao[:, None] + (co - ao)[:, None] * np.arange(1, SPLIT_PARTS) / SPLIT_PARTS, co]
-        )
-        fm = stationarity(b[open_, None], ms[:, 1:-1])
-        past = fo[:, None] * fm <= 0.0  # split points on c's side of the root
-        k = np.where(past.any(axis=1), np.argmax(past, axis=1), SPLIT_PARTS - 1)
-        at = np.arange(len(open_))
-        a[open_], c[open_], fa[open_] = ms[at, k], ms[at, k + 1], np.column_stack([fo, fm])[at, k]
-    r_min = 0.5 * (a + c)
+    # (p, gp) the end kept from before the last step, (q, gq) the last point
+    p, q, gp, gq = rs[rows, i], rs[rows, i + 1], g[rows, i], g[rows, i + 1]
+    for _ in range(MAX_STEPS):
+        if not (open_ := np.flatnonzero(np.abs(q - p) > 1e-12)).size:
+            break
+        po, qo, gpo, gqo = p[open_], q[open_], gp[open_], gq[open_]
+        # the secant's zero, 4e-13 inside the bracket: rounding onto an end would stall
+        lo, hi = np.minimum(po, qo) + 4e-13, np.maximum(po, qo) - 4e-13
+        x = np.clip((po * gqo - qo * gpo) / (gqo - gpo), lo, hi)
+        gx = d2_derivative(b[open_], x)
+        # Illinois: the kept end's value is halved when the bracket keeps it again
+        flip = np.sign(gx) != np.sign(gqo)
+        p[open_], gp[open_] = np.where(flip, qo, po), np.where(flip, gqo, 0.5 * gpo)
+        q[open_], gq[open_] = x, gx
+    if (bad := np.flatnonzero((np.abs(q - p) > 1e-12) | (gp * gq > 0.0))).size:
+        i = bad[0]  # still open after MAX_STEPS, or its ends do not differ in sign
+        raise ConsistencyError(f"root search at b={b[i]} ended on [{p[i]}, {q[i]}]")
+    r_min = 0.5 * (p + q)
     residual = d2_derivative(b, r_min)
     return [RminResult(*row) for row in zip(b.tolist(), r_min.tolist(), residual.tolist())]
 

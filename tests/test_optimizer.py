@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -107,6 +109,39 @@ class TestFindRmin:
         assert 0.5 * b < root < b
         assert find_rmin(b).r_min == pytest.approx(root, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("b", [0.05, 0.5, 2.0, 5.0, 7.0])
+    def test_root_matches_high_precision_across_the_window(self, b):
+        # scaled by e^(-x), x = 2r^2: unscaled, findroot fails at b = 5
+        with mpmath.workdps(60):
+            mb = mpmath.mpf(b)
+
+            def g(r):
+                x = 2 * r * r
+                drive = mpmath.besseli(1, 2 * r * mb) * mpmath.exp(r * r - mb * mb) / mb
+                return mpmath.exp(-x) * (r * (mpmath.besseli(0, x) - mpmath.besseli(1, x)) - drive)
+
+            root = float(mpmath.findroot(g, (0.6 * mb, 0.9 * mb), solver="anderson"))
+        assert abs(find_rmin(b).r_min - root) <= 1e-12
+
+    def test_not_finite_is_inconsistent(self, monkeypatch):
+        # a root at 0.7b that the search must not step over: NaN on (0.65b, 0.75b)
+        def hole(b, r):
+            return np.where((0.65 * b < r) & (r < 0.75 * b), np.nan, 0.7 * b - r)
+
+        monkeypatch.setattr(optimizer, "stationarity", hole)
+        with pytest.raises(ConsistencyError, match=r"dD\^2/dr is nan at r=1\.[34]\d*, b=2\.0"):
+            find_rmin(2.0)
+
+    @pytest.mark.parametrize("b", [1.0, 2.0, 5.0])
+    def test_steep_convex_stationarity_converges(self, b, monkeypatch):
+        # the scaled form expm1(40 (0.3b - r)) keeps regula falsi's far end fixed
+        monkeypatch.setattr(
+            optimizer,
+            "stationarity",
+            lambda b, r: np.exp(2.0 * np.square(r)) * np.expm1(40.0 * (0.3 * b - r)),
+        )
+        assert abs(find_rmin(b).r_min - 0.3 * b) <= 1e-12
+
     def test_no_sign_change_is_inconsistent(self, monkeypatch):
         monkeypatch.setattr(optimizer, "stationarity", lambda b, r: np.ones_like(r))
         with pytest.raises(ConsistencyError, match="no sign change"):
@@ -194,6 +229,16 @@ class TestBatchedRoots:
             alone = find_rmin(float(grid[i]))
             assert abs(batch[i].r_min - alone.r_min) <= 1e-12
             assert abs(batch[i].residual - alone.residual) <= 1e-12
+
+    def test_fine_grid_makes_a_dozen_calls_per_search(self, monkeypatch):
+        # the first call, one per Illinois step and the residual, per RADII_PER_SEARCH radii
+        grid = np.arange(0.01, 7, 0.001)
+        calls, stationarity = [], optimizer.stationarity
+        monkeypatch.setattr(
+            optimizer, "stationarity", lambda b, r: calls.append(r) or stationarity(b, r)
+        )
+        assert len(find_rmin(grid)) == len(grid) == 6990
+        assert len(calls) <= math.ceil(len(grid) / optimizer.RADII_PER_SEARCH) * 12
 
     def test_one_row_without_sign_change_is_named(self, monkeypatch):
         # a root at r = b/2 in every row but b = 3, which stays positive
