@@ -118,8 +118,11 @@ def hs2_exact(b: float, n_circles: int) -> DistanceReport:
     """Exact squared HS distance between the disk-mixed state and the
     N-circle encryption mixture, from the Fock stripes of Phi_N.
 
-    Costs O(N dim + dim^3) at the disk state's Fock cutoff dim (see
-    fockspace.disk_cutoff); N must lie in [1, N_MAX].
+    Stripe k > 0 above the diagonal holds sum_(q | k) q c_n(r_q) c_(n+k)(r_q),
+    gathered over the divisor pairs (q, k) of the Fock block and summed in
+    one bincount, q ascending.  Costs O(N dim + dim^2 log dim) at the disk
+    state's Fock cutoff dim (see fockspace.disk_cutoff); N must lie in
+    [1, N_MAX].
     """
     if not 1 <= n_circles <= N_MAX:
         raise ValueError(f"N must be in [1, {N_MAX}], got {n_circles}")
@@ -131,12 +134,12 @@ def hs2_exact(b: float, n_circles: int) -> DistanceReport:
     r = p * (b / n_circles)
     amp = coherent_amplitudes(r, dim)
     norm = 2.0 / (n_circles * (n_circles + 1))  # 1/M
-    # entries above the diagonal, k = column - row > 0: circle q needs q | k
-    k = n[None, :] - n[:, None]
-    upper = np.zeros((dim, dim))
-    for q in range(1, min(n_circles, dim - 1) + 1):
-        on_stripe = (k > 0) & (k % q == 0)
-        upper += np.where(on_stripe, q * np.outer(amp[q - 1], amp[q - 1]), 0.0)
+    qs, ks = np.arange(1, min(n_circles, dim - 1) + 1), n[1:]
+    iq, ik = np.nonzero(ks % qs[:, None] == 0)  # circle qs[iq] reaches stripe ks[ik]
+    pair, row = np.nonzero(n + ks[ik, None] < dim)
+    q, col = qs[iq[pair]], row + ks[ik[pair]]
+    terms = q * (amp[q - 1, row] * amp[q - 1, col])
+    upper = np.bincount(row * dim + col, terms, minlength=dim * dim)
     off2 = 2.0 * float(np.sum(np.square(norm * upper)))  # sum_{m != n} Phi_mn^2
     diag = norm * (p @ np.square(amp, out=amp))
     return DistanceReport(

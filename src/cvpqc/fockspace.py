@@ -50,7 +50,8 @@ class CutoffPolicy:
     @property
     def dim(self) -> int:
         """Smallest dimension with discarded Poisson mass below budget, from
-        one tail array over n = int(lam) - 1 .. the Chernoff cut; cached."""
+        one tail array over n = int(lam) - 1 .. poisson_cut(lam), the first n
+        whose tail is below every double; cached."""
         if "_dim" not in self.__dict__:
             lam = self.max_radius**2
             n = np.arange(max(0, int(lam) - 1), poisson_cut(lam) + 1)

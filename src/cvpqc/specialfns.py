@@ -14,8 +14,9 @@ distinct nodes j = 0..K//2 only.
 
 The Poisson terms P(X = m) are the squared coherent amplitudes, and every
 upper tail is one reverse cumulative sum of them, so no term cancels.  The
-sum stops at the Chernoff cut lam + sqrt(2 lam L) + 2L, L = 745, past which
-the tail is below e^(-745), under the smallest double.  The window
+sum stops at the Chernoff cut, the first m past which the bound
+e^(-lam) (e lam / m)^m on the tail is below e^(-745), under the smallest
+double: m = 20 at lam = 1e-16, 692 at lam = 100.  The window
 lam <= POISSON_LAM_MAX keeps the first amplitude e^(-lam/2) a normal double.
 """
 
@@ -34,6 +35,9 @@ TRAPEZOID_NODES_MAX = 501
 
 # Largest Poisson mean: e^(-lam/2) stays a normal double.
 POISSON_LAM_MAX = 1400.0
+# -ln of the Poisson mass past the cut: e^(-745) is below the smallest double.
+POISSON_LOG_CUT = 745.0
+CUT_NEWTON_STEPS = 10  # on the cut; 5 suffice for every lam in (0, POISSON_LAM_MAX]
 
 
 class ArgumentRangeError(ValueError):
@@ -103,15 +107,29 @@ def coherent_amplitudes(r, dim: int) -> np.ndarray:
 
 
 def poisson_cut(lam: float) -> int:
-    """Chernoff cut lam + sqrt(2 lam L) + 2L, L = 745: P(X > cut) < e^(-L),
-    below the smallest double, for X ~ Poisson(lam)."""
-    return int(lam + math.sqrt(2.0 * 745.0 * lam) + 2.0 * 745.0)
+    """Smallest m > lam with lam - m + m ln(m / lam) >= L, L = 745, and 0 at
+    lam = 0: by the Chernoff bound P(X >= m) <= e^(-lam) (e lam / m)^m,
+    P(X > cut) < e^(-L), below the smallest double, for X ~ Poisson(lam).
+    The exponent is convex and increasing in m > lam, so Newton's method
+    from the looser cut lam + sqrt(2 lam L) + 2L never passes below its root."""
+    if lam == 0.0:
+        return 0
+    log_lam = math.log(lam)
+    m = lam + math.sqrt(2.0 * POISSON_LOG_CUT * lam) + 2.0 * POISSON_LOG_CUT
+    for _ in range(CUT_NEWTON_STEPS):
+        slope = math.log(m) - log_lam
+        step = (lam - m + m * slope - POISSON_LOG_CUT) / slope
+        m -= step
+        if step < 1e-6:
+            break
+    return math.ceil(m)
 
 
 def poisson_tail(n, lam: float):
     """Upper Poisson tail P(X > n) = sum_{m>n} lam^m e^(-lam) / m! for an
-    int or an array of n, 0 <= lam <= POISSON_LAM_MAX: the terms m <= the
-    Chernoff cut, summed from the top down, at most 1.0; 0.0 past the cut."""
+    int or an array of n, 0 <= lam <= POISSON_LAM_MAX: the terms
+    m <= poisson_cut(lam), the first m whose Chernoff bound is below e^(-745),
+    summed from the top down, at most 1.0; 0.0 past the cut."""
     n = np.asarray(n)
     if (n < 0).any():
         raise ValueError(f"n must be non-negative, got {np.min(n)}")

@@ -25,6 +25,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import entr, gammainc, gammaln, i0e, i1e, xlogy
 
 from cvpqc import CutoffPolicy, circle_mixture
+from cvpqc.ensembles import disk_state_weights
+from cvpqc.fockspace import coherent_amplitudes, disk_cutoff
 from cvpqc.specialfns import SUPPORTED_X_MAX, ArgumentRangeError
 
 TWO_PI = 2.0 * math.pi
@@ -281,6 +283,27 @@ def mp_simplified_d2(b: float, p: int, r: float, dim: int, dps: int = 80) -> flo
             total += (w[n] - unit) ** 2
             total += 2 * sum(w[n] * w[m] for m in range(n + p, dim, p))
         return float(total)
+
+
+def masked_stripe_hs2(b: float, n_circles: int):
+    """(d2_exact, tr_cross, tr_phi2) of Phi_N against the disk state on the
+    disk_cutoff Fock block, with the upper triangle of Phi_N built circle by
+    circle: one masked dim x dim outer product per circle q < dim, kept where
+    q divides the column minus the row."""
+    dim = disk_cutoff(b).dim
+    unit = disk_state_weights(b, dim)
+    n = np.arange(dim)
+    p = np.arange(1, n_circles + 1)
+    amp = coherent_amplitudes(p * (b / n_circles), dim)
+    norm = 2.0 / (n_circles * (n_circles + 1))
+    k = n[None, :] - n[:, None]
+    upper = np.zeros((dim, dim))
+    for q in range(1, min(n_circles, dim - 1) + 1):
+        on_stripe = (k > 0) & (k % q == 0)
+        upper += np.where(on_stripe, q * np.outer(amp[q - 1], amp[q - 1]), 0.0)
+    off2 = 2.0 * float(np.sum(np.square(norm * upper)))
+    diag = norm * (p @ np.square(amp))
+    return float(np.sum(np.square(diag - unit))) + off2, float(unit @ diag), float(diag @ diag) + off2
 
 
 def literal_phi_n(spec, cutoff: CutoffPolicy) -> np.ndarray:

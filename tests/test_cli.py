@@ -288,7 +288,9 @@ class TestOtherCommands:
         "argv", [["rmin", "--b", "0.5:7:0.5"], ["figures", "fig1b"]], ids=["rmin", "fig1b"]
     )
     def test_radius_grid_is_one_root_search(self, argv, capsys, monkeypatch):
-        # one scan, the splits of every open bracket together, and one residual call
+        # one find_rmin for the whole grid: one stationarity call at the four bracket
+        # points of every radius, one per Illinois secant step for the radii still
+        # open, and one for the residuals
         searches, scans = [], []
         find, stationarity = cli.find_rmin, optimizer.stationarity
         monkeypatch.setattr(cli, "find_rmin", lambda b: searches.append(b) or find(b))

@@ -30,6 +30,7 @@ from conftest import (
     bessel_trace_cross,
     bessel_trace_phi_sq,
     circle_disk_constant,
+    masked_stripe_hs2,
     mp_cross_bessel_sum,
     mp_hs2_dense,
     mp_simplified_d2,
@@ -192,6 +193,22 @@ class TestHs2Exact:
         # the reference keeps the same disk_cutoff block, so only arithmetic differs
         ref = mp_hs2_dense(b, n, dim=disk_cutoff(b).dim)
         assert hs2_exact(b, n).d2_exact == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "per_dim,n",
+        [(0, 1), (1, -2), (1, -1), (1, 0), (1, 1), (0, 320), (0, 1000)],
+        ids=["1", "dim-2", "dim-1", "dim", "dim+1", "320", "1000"],
+    )
+    @pytest.mark.parametrize("b", [0.5, 2.0, 4.0, 10.0])
+    def test_matches_masked_outer_product_stripes(self, b, per_dim, n):
+        # the divisor-pair gather against one masked outer product per circle,
+        # on both sides of N = dim - 1, past which more circles add no stripe
+        n_circles = per_dim * disk_cutoff(b).dim + n
+        rep = hs2_exact(b, n_circles)
+        d2, tc, tp = masked_stripe_hs2(b, n_circles)
+        assert rep.d2_exact == pytest.approx(d2, rel=1e-14, abs=0.0)
+        assert rep.tr_cross == pytest.approx(tc, rel=1e-14, abs=0.0)
+        assert rep.tr_phi2 == pytest.approx(tp, rel=1e-14, abs=0.0)
 
     def test_large_n_closes_on_circle_disk_constant(self):
         b, n = 2.0, 10_000

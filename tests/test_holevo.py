@@ -212,6 +212,25 @@ class TestOffDiagonalCheck:
         else:  # one sample has no spread: both read sqrt(rounding of E|x|^2 - |Ex|^2)
             assert max(est.stderr, stderr) <= math.sqrt(8 * np.finfo(float).eps) * max_abs
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("b", [2.0, 4.0, HOLEVO_B_MAX])
+    def test_matches_column_reference_across_the_window(self, b, seed):
+        # w = e^(-|gamma|^2) reaches e^(-676) at b = 13 and stays a normal double
+        est = off_diagonal_check(b, 100_000, seed=seed)
+        max_abs, stderr = column_off_diagonal_check(b, 100_000, seed=seed)
+        assert est.max_abs == pytest.approx(max_abs, rel=1e-12, abs=0.0)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("b", [-1.0, -math.inf, math.nextafter(HOLEVO_B_MAX, math.inf),
+                                   20.0, math.inf, math.nan])
+    def test_radius_window(self, b):
+        with pytest.raises(ValueError, match="b must be in"):
+            off_diagonal_check(b, 100)
+
+    def test_sample_count_window(self):
+        with pytest.raises(ValueError, match="samples must be"):
+            off_diagonal_check(0.5, 0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             off_diagonal_check(0.0, 100)

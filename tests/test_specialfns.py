@@ -14,6 +14,7 @@ from cvpqc.specialfns import (
     POISSON_LAM_MAX,
     SUPPORTED_X_MAX,
     bessel_sum,
+    poisson_cut,
     trapezoid_mean,
     trapezoid_rule,
 )
@@ -203,9 +204,28 @@ class TestPoissonTail:
             assert poisson_tail(np.arange(4), lam).max() <= 1.0, lam
 
     def test_past_the_support_is_zero(self):
-        # past the Chernoff cut lam + sqrt(1490 lam) + 1490 nothing a double holds is left
+        # past the Chernoff cut, the first m with lam - m + m ln(m/lam) >= 745 (240 at
+        # lam = 4, 692 at lam = 100), nothing a double holds is left
         assert poisson_tail(5000, 4.0) == 0.0
         assert poisson_tail(np.array([2000, 10**6]), 100.0).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "lam", [5e-324, 1e-300, 1e-16, 1e-4, 0.5, 4.0, 100.0, 709.5, POISSON_LAM_MAX]
+    )
+    def test_cut_is_the_first_chernoff_point(self, lam):
+        # the smallest m > lam whose bound e^(-lam) (e lam/m)^m on P(X >= m) is
+        # below e^(-745), so the mass it drops is below e^(-745) too
+        def exponent(m):
+            return lam - m + m * (math.log(m) - math.log(lam))
+
+        cut = poisson_cut(lam)
+        assert exponent(cut) >= 745.0
+        assert cut - 1 <= lam or exponent(cut - 1) < 745.0
+        assert cut <= lam + math.sqrt(1490.0 * lam) + 1490.0
+        with mpmath.workdps(30):
+            dropped = mpmath.gammainc(cut + 1, 0, lam, regularized=True)
+            assert dropped < mpmath.exp(-745)
+        assert poisson_cut(0.0) == 0
 
     def test_mean_window(self):
         assert poisson_tail(1400, POISSON_LAM_MAX) == pytest.approx(
