@@ -3,6 +3,8 @@
 Outputs are plot-ready CSV (or JSON validating against the shipped
 schema); no plotting dependency.  Exit codes: 0 success, 1 verification
 failure, 2 input validation, 3 internal consistency / oracle mismatch.
+A command writes its rows and raises on failure; main turns the exception
+into the exit code and one stderr line, which --json-log also records.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .specialfns import bessel_i
 
 ORACLE_TOL = 1e-8
 
-# Largest N for distance --with-oracle: the dense oracle costs O(dim^3 + N dim),
-# 0.08 s at b = 10, N = 2000 (2-CPU Xeon).
+# Largest N for distance --with-oracle: the dense oracle costs O(dim^4 + N dim),
+# dim^2 / 2 residue rows times dim^2, about 27 ms at b = 10, N = 2000 (2-CPU Xeon).
 ORACLE_N_MAX = 2000
 # Fewest `verify all` Monte Carlo samples: with one the stderr is rounding noise, and
 # at b = 0.5 some of seeds 0-399 fail up to 3 samples; at 100 none does.
@@ -48,6 +50,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_INCONSISTENT = 3
+
+
+class VerificationError(RuntimeError):
+    """A verify suite wrote at least one FAIL line."""
 
 
 def _finite(parts) -> list[float]:
@@ -123,11 +129,13 @@ def write_rows(columns, rows, out, fmt, command):
         out.write("\n")
 
 
-def write_json_log(fh, args):
+def write_json_log(fh, args, code, reason):
     log = {
         "package_version": __version__,
         "numpy_version": np.__version__,
         "argv": {k: v for k, v in vars(args).items() if k != "func"},
+        "exit_code": code,
+        "exit_reason": reason,
     }
     json.dump(log, fh, indent=2, default=str)
     fh.write("\n")
@@ -160,7 +168,7 @@ def numeric_simplified_d2(b: float, p: int, r: float) -> float:
 # commands
 
 
-def cmd_distance(args, out) -> int:
+def cmd_distance(args, out):
     if args.with_oracle and max(args.N) > ORACLE_N_MAX:
         raise ValueError(f"--with-oracle needs N <= {ORACLE_N_MAX}, got {max(args.N)}")
     rows = []
@@ -168,11 +176,8 @@ def cmd_distance(args, out) -> int:
     for b in args.b:
         for n in args.N:
             rep = hs2_exact(b, n)
-            d2_num = None
-            if args.with_oracle:
-                d2_num = numeric_d2(b, n)
-                if abs(rep.d2_exact - d2_num) > ORACLE_TOL:
-                    mismatch = True
+            d2_num = numeric_d2(b, n) if args.with_oracle else None
+            mismatch |= d2_num is not None and abs(rep.d2_exact - d2_num) > ORACLE_TOL
             rows.append(
                 (b, n, rep.d2_exact, rep.d2_guess, d2_num,
                  rep.tr_unit2, rep.tr_cross, rep.tr_phi2)
@@ -183,54 +188,43 @@ def cmd_distance(args, out) -> int:
         rows, out, args.format, "distance",
     )
     if mismatch:
-        print("oracle mismatch beyond tolerance", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    return EXIT_OK
+        raise ConsistencyError("oracle mismatch beyond tolerance")
 
 
-def cmd_keybits(args, out) -> int:
+def cmd_keybits(args, out):
     exact = None if args.N is None else exact_key_bits(args.N)
     rows = [(args.d_hs, key_bits(args.d_hs), args.N, exact)]
     write_rows(
         ["d_hs", "approx_bits", "N", "exact_bits"], rows, out, args.format, "keybits"
     )
-    return EXIT_OK
 
 
-def cmd_simplified(args, out) -> int:
+def cmd_simplified(args, out):
     d2 = hs2_simplified(args.b, args.p, args.r)
-    d2_num = None
-    mismatch = False
-    if args.with_oracle:
-        d2_num = numeric_simplified_d2(args.b, args.p, args.r)
-        mismatch = abs(d2 - d2_num) > ORACLE_TOL
+    d2_num = numeric_simplified_d2(args.b, args.p, args.r) if args.with_oracle else None
     write_rows(
         ["b", "p", "r", "d2_simplified", "d2_numeric"],
         [(args.b, args.p, args.r, d2, d2_num)],
         out, args.format, "simplified",
     )
-    if mismatch:
-        print("oracle mismatch beyond tolerance", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    return EXIT_OK
+    if d2_num is not None and abs(d2 - d2_num) > ORACLE_TOL:
+        raise ConsistencyError("oracle mismatch beyond tolerance")
 
 
-def cmd_rmin(args, out) -> int:
+def cmd_rmin(args, out):
     rows = [(res.b, res.r_min, res.residual, res.method) for res in find_rmin(args.b)]
     write_rows(["b", "r_min", "residual", "method"], rows, out, args.format, "rmin")
-    return EXIT_OK
 
 
-def cmd_saturation(args, out) -> int:
+def cmd_saturation(args, out):
     res = saturation_sweep(args.b, args.p_max, args.saturation_tol)
     rows = [(args.b, p, r, d2, res.p_sat) for p, r, d2 in res.curve]
     write_rows(
         ["b", "p", "r_at_min", "d2_min", "p_sat"], rows, out, args.format, "saturation"
     )
-    return EXIT_OK
 
 
-def cmd_holevo(args, out) -> int:
+def cmd_holevo(args, out):
     """`holevo --b-grid G` and `figures fig2 [--b-grid G]`."""
     grid = args.b_grid if args.b_grid is not None else parse_grid("0.5:4:0.5")
     curve = holevo_curve(grid)
@@ -240,12 +234,11 @@ def cmd_holevo(args, out) -> int:
     ]
     command = "holevo" if args.command == "holevo" else "fig2"
     write_rows(["b", "chi_bits", "quad_error", "dim"], rows, out, args.format, command)
-    for b, msg in curve.failures:
-        print(f"b={b}: {msg}", file=sys.stderr)
-    return EXIT_INCONSISTENT if curve.failures else EXIT_OK
+    if curve.failures:
+        raise QuadratureConvergenceError("; ".join(f"b={b}: {msg}" for b, msg in curve.failures))
 
 
-def cmd_figures(args, out) -> int:
+def cmd_figures(args, out):
     if args.which == "fig1a":
         res = saturation_sweep(args.b, args.p_max)
         write_rows(["p", "r_min", "d2_min"], res.curve, out, args.format, "fig1a")
@@ -254,8 +247,7 @@ def cmd_figures(args, out) -> int:
         rows = [(res.b, res.r_min) for res in find_rmin(grid)]
         write_rows(["b", "r_min"], rows, out, args.format, "fig1b")
     else:  # fig2
-        return cmd_holevo(args, out)
-    return EXIT_OK
+        cmd_holevo(args, out)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +337,7 @@ def verify_diagonality(out, results, samples, seed):
            f"max off-diagonal {est.max_abs:.3e}, stderr {est.stderr:.3e}")
 
 
-def cmd_verify(args, out) -> int:
+def cmd_verify(args, out):
     if args.mc_samples < MC_SAMPLES_MIN or args.seed < 0:  # before any check line
         raise ValueError(f"need --mc-samples >= {MC_SAMPLES_MIN} and --seed >= 0, "
                          f"got {args.mc_samples} and {args.seed}")
@@ -361,7 +353,8 @@ def cmd_verify(args, out) -> int:
         verify_diagonality(out, results, samples, args.seed)
     passed = sum(results)
     out.write(f"# {passed}/{len(results)} checks passed\n")
-    return EXIT_OK if all(results) else EXIT_VERIFY_FAIL
+    if passed < len(results):
+        raise VerificationError(f"{len(results) - passed} of {len(results)} checks failed")
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +442,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
-    log = None
+    log, code, reason = None, EXIT_OK, "ok"
     with contextlib.ExitStack() as files:
         try:  # both outputs are opened before any work, so neither fails late
             out = sys.stdout if args.out == "-" else _open(files, "--out", args.out)
             log = args.json_log and _open(files, "--json-log", args.json_log)
-            code = args.func(args, out)
+            args.func(args, out)
+        except VerificationError as exc:
+            code, reason = EXIT_VERIFY_FAIL, f"verification failed: {exc}"
         except ValueError as exc:  # ArgumentRangeError and CutoffError included
-            print(f"invalid input: {exc}", file=sys.stderr)
-            code = EXIT_BAD_INPUT
+            code, reason = EXIT_BAD_INPUT, f"invalid input: {exc}"
         except (ConsistencyError, QuadratureConvergenceError) as exc:
-            print(f"internal consistency failure: {exc}", file=sys.stderr)
-            code = EXIT_INCONSISTENT
+            code, reason = EXIT_INCONSISTENT, f"internal consistency failure: {exc}"
+        if code:
+            print(reason, file=sys.stderr)
         if log:
-            write_json_log(log, args)
+            write_json_log(log, args, code, reason)
     return code
 
 

@@ -5,14 +5,14 @@ the phase-space disk of radius b), the mixture of p coherent states on
 one circle, which is also the phase-shift ensemble of the simplified
 protocol, and the N-circle encryption mixture Phi_N.
 
-Circle mixtures are constructed analytically from their stripe entries
-(nonzero only where the index difference is a multiple of p); the
-projector-average route exists only as a test oracle.  Canonical circle
-angles are 2*pi*q/p, which makes every stripe entry exactly
-e^(-r^2) r^(m+n) / sqrt(m! n!) with a positive sign.  A mixture at any
-other common phase offset is unitarily equivalent to it through a
-number-diagonal rotation, which leaves every distance to the (diagonal)
-disk-mixed state unchanged.
+Circle mixtures are built analytically: a circle's stripe matrix (nonzero
+only where the index difference is a multiple of p) is the Gram matrix of
+its residue rows, and Phi_N sums those of all its circles in one product
+per block.  The projector average is a test oracle only.  Canonical angles
+2*pi*q/p make every stripe entry exactly e^(-r^2) r^(m+n) / sqrt(m! n!),
+positive.  A mixture at any other common phase offset is unitarily
+equivalent to it through a number-diagonal rotation, which leaves every
+distance to the (diagonal) disk-mixed state unchanged.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .specialfns import poisson_tail
 
 # Smallest supported disk radius: b^2, the disk state's Poisson mean, stays a normal double.
 B_MIN = 1e-150
+GRAM_BLOCK_BYTES = 4 << 20  # bytes of residue rows per V^T V product of _stripe_gram
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,23 @@ def maximally_mixed(b: float, cutoff: CutoffPolicy) -> np.ndarray:
     return np.diag(disk_state_weights(b, cutoff.dim))
 
 
+def _stripe_gram(circles: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Sum over circles q <= dim of c c^T on the stripes q | m - n, c the circle's
+    row of amp, as V^T V: residue row a < q of circle q holds c on the levels
+    n = a mod q and 0 elsewhere.  V is built in blocks of about GRAM_BLOCK_BYTES."""
+    dim = amp.shape[1]
+    ends, block = np.cumsum(circles), GRAM_BLOCK_BYTES // (8 * dim)
+    row = (ends - circles)[:, None] + np.arange(dim) % circles[:, None]  # of each level
+    starts = [*np.flatnonzero(np.diff(row[:, 0] // block, prepend=-1)), len(circles)]
+    gram, buf = np.zeros((dim, dim)), np.empty(min(block + dim, circles.sum()) * dim)
+    for lo, hi in zip(starts, starts[1:]):  # the circles whose first row is in one window
+        v = buf[: (ends[hi - 1] - row[lo, 0]) * dim].reshape(-1, dim)
+        v.fill(0.0)
+        v[row[lo:hi] - row[lo, 0], np.arange(dim)] = amp[lo:hi]
+        gram += v.T @ v
+    return gram
+
+
 def circle_mixture(p: int, radius: float, cutoff: CutoffPolicy) -> np.ndarray:
     """Uniform mixture of p coherent states on one circle (canonical form).
 
@@ -78,21 +96,18 @@ def circle_mixture(p: int, radius: float, cutoff: CutoffPolicy) -> np.ndarray:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     cutoff.require(radius)
-    dim = cutoff.dim
-    c = coherent_amplitudes(radius, dim)
-    idx = np.arange(dim)
-    stripe = (idx[:, None] - idx[None, :]) % p == 0
-    return np.where(stripe, np.outer(c, c), 0.0)
+    dim = cutoff.dim  # a circle p >= dim has no stripe but the diagonal, as p = dim
+    return _stripe_gram(np.array([min(p, dim)]), coherent_amplitudes([radius], dim))
 
 
 def phi_n(spec: ChannelSpec, cutoff: CutoffPolicy) -> np.ndarray:
-    """Encryption mixture (1/M) sum_p p * rho_p at radii p*b/N; a circle p >= dim
-    meets the block on its diagonal alone, so those circles add as one term."""
+    """Encryption mixture (1/M) sum_p p * rho_p at radii p*b/N: the circles p < dim
+    as one stripe Gram sum of sqrt(p) c(r_p); a circle p >= dim meets the block on
+    its diagonal alone, so those circles add as one term."""
     cutoff.require(spec.b)
-    dim, n = cutoff.dim, spec.n_circles
-    acc = np.zeros((dim, dim))
-    for p in range(1, min(n, dim - 1) + 1):
-        acc += p * circle_mixture(p, spec.radius(p), cutoff)
-    far = np.arange(dim, n + 1)
-    acc[np.diag_indices(dim)] += far @ np.square(coherent_amplitudes(far * spec.b / n, dim))
+    dim = cutoff.dim
+    p = np.arange(1, spec.n_circles + 1)
+    amp = coherent_amplitudes(spec.radius(p), dim)
+    acc = _stripe_gram(p[: dim - 1], np.sqrt(p[: dim - 1, None]) * amp[: dim - 1])
+    acc[np.diag_indices(dim)] += p[dim - 1 :] @ np.square(amp[dim - 1 :], out=amp[dim - 1 :])
     return acc / spec.operations

@@ -24,7 +24,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import entr, gammainc, gammaln, i0e, i1e, xlogy
 
-from cvpqc import CutoffPolicy, circle_mixture
+from cvpqc import CutoffPolicy
 from cvpqc.ensembles import disk_state_weights
 from cvpqc.fockspace import coherent_amplitudes, disk_cutoff
 from cvpqc.specialfns import SUPPORTED_X_MAX, ArgumentRangeError
@@ -306,12 +306,20 @@ def masked_stripe_hs2(b: float, n_circles: int):
     return float(np.sum(np.square(diag - unit))) + off2, float(unit @ diag), float(diag @ diag) + off2
 
 
+def masked_circle_mixture(p: int, radius: float, dim: int) -> np.ndarray:
+    """One circle's stripe matrix as np.where(stripe, c c^T, 0), stripe the
+    dim x dim mask (m - n) % p == 0."""
+    c = coherent_amplitudes(radius, dim)
+    idx = np.arange(dim)
+    return np.where((idx[:, None] - idx[None, :]) % p == 0, np.outer(c, c), 0.0)
+
+
 def literal_phi_n(spec, cutoff: CutoffPolicy) -> np.ndarray:
-    """Phi_N as the literal sum (1/M) sum_p p * circle_mixture(p, r_p) over
-    every circle p = 1..N, each a dense dim x dim stripe matrix."""
+    """Phi_N as the literal sum (1/M) sum_p p * masked_circle_mixture(p, r_p)
+    over every circle p = 1..N, each a dense dim x dim stripe matrix."""
     acc = np.zeros((cutoff.dim, cutoff.dim))
     for p in range(1, spec.n_circles + 1):
-        acc += p * circle_mixture(p, spec.radius(p), cutoff)
+        acc += p * masked_circle_mixture(p, spec.radius(p), cutoff.dim)
     return acc / spec.operations
 
 

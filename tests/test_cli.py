@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -211,6 +212,27 @@ class TestDistanceCommand:
         code, _, err = run(["distance", "--b", "1.5,2.5", "--N", "1,2,3", "--with-oracle"], capsys)
         assert code == cli.EXIT_OK, err
         assert built == [1.5, 2.5]
+
+    def test_oracle_across_gram_blocks(self, capsys):
+        # at b = 10 the oracle's residue rows span several blocks
+        code, out, err = run(["distance", "--b", "10", "--N", "1999,2000", "--with-oracle"], capsys)
+        assert code == cli.EXIT_OK and err == ""
+        lines = out.splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert [row["N"] for row in rows] == ["1999", "2000"]
+        for row in rows:
+            assert abs(float(row["d2_numeric"]) - float(row["d2_exact"])) <= cli.ORACLE_TOL
+
+    def test_oracle_memory_is_bounded(self):
+        # one GRAM_BLOCK_BYTES block of residue rows and the N x dim amplitudes
+        cli._oracle_disk(10.0)
+        tracemalloc.start()
+        try:
+            cli.numeric_d2(10.0, cli.ORACLE_N_MAX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     def test_oracle_disk_state_is_read_only(self):
         cutoff, unit = cli._oracle_disk(2.0)
@@ -456,6 +478,32 @@ class TestJsonLog:
         )
         assert code == cli.EXIT_OK
         doc = json.loads(log.read_text())
-        assert set(doc) == {"package_version", "numpy_version", "argv"}
+        assert set(doc) == {"package_version", "numpy_version", "argv",
+                            "exit_code", "exit_reason"}
         assert "func" not in doc["argv"]
         assert doc["argv"]["d_hs"] == 0.25
+        assert doc["exit_code"] == cli.EXIT_OK and doc["exit_reason"] == "ok"
+
+    @pytest.mark.parametrize(
+        "argv,patch,code,reason",
+        [
+            (["distance", "--b", "-1", "--N", "2"], None, cli.EXIT_BAD_INPUT,
+             "invalid input: "),
+            (["rmin", "--b", "2"], (optimizer, "stationarity", lambda b, r: np.ones_like(r)),
+             cli.EXIT_INCONSISTENT, "internal consistency failure: "),
+            (["verify", "oracles", "--quick"], (cli, "trace_unit_sq", lambda b: 0.0),
+             cli.EXIT_VERIFY_FAIL, "verification failed: 2 of "),
+        ],
+        ids=["exit-2", "exit-3", "exit-1"],
+    )
+    def test_log_records_the_exit(self, argv, patch, code, reason, tmp_path, capsys,
+                                  monkeypatch):
+        # a failure after the log is open: the log holds the one stderr line
+        if patch:
+            monkeypatch.setattr(*patch)
+        log = tmp_path / "run.json"
+        got, _, err = run(["--json-log", str(log), *argv], capsys)
+        doc = json.loads(log.read_text())
+        assert got == code and doc["exit_code"] == code
+        assert len(err.splitlines()) == 1 and doc["exit_reason"] == err.rstrip("\n")
+        assert doc["exit_reason"].startswith(reason)

@@ -14,7 +14,13 @@ from cvpqc import (
 )
 from cvpqc import ensembles
 from cvpqc.fockspace import disk_cutoff
-from conftest import TWO_PI, displacement_conjugate, literal_phi_n, projector_average
+from conftest import (
+    TWO_PI,
+    displacement_conjugate,
+    literal_phi_n,
+    masked_circle_mixture,
+    projector_average,
+)
 
 
 def circle_points(r, p, theta=0.0):
@@ -46,6 +52,25 @@ class TestCircleMixture:
         cutoff = CutoffPolicy(max_radius=2.0, tail_budget=1e-12)
         oracle = projector_average(circle_points(r, p), cutoff.dim)
         np.testing.assert_allclose(circle_mixture(p, r, cutoff), oracle, atol=1e-9)
+
+    @pytest.mark.parametrize("r", [2.5, 10.0])
+    @pytest.mark.parametrize("p_of_dim", [lambda d: 1, lambda d: 3, lambda d: d - 1,
+                                          lambda d: d, lambda d: 501],
+                             ids=["1", "3", "dim-1", "dim", "501"])
+    def test_equals_masked_outer_product(self, p_of_dim, r):
+        # one circle's residue rows: each entry is one product c_m c_n plus exact
+        # zeros, so the Gram route is bit-identical to the masked outer product
+        cutoff = disk_cutoff(10.0)
+        p = p_of_dim(cutoff.dim)
+        got = circle_mixture(p, r, cutoff)
+        expected = masked_circle_mixture(p, r, cutoff.dim)
+        assert np.array_equal(got, expected)  # off-stripe entries too: exact zeros
+
+    def test_huge_phase_count_is_the_diagonal(self):
+        # no stripe of p >= dim but the diagonal fits in the block
+        cutoff = disk_cutoff(2.0)
+        assert np.array_equal(circle_mixture(10**20, 1.0, cutoff),
+                              masked_circle_mixture(cutoff.dim, 1.0, cutoff.dim))
 
     def test_off_stripe_entries_are_exact_zeros(self):
         p = 4
@@ -118,12 +143,13 @@ class TestPhiN:
     @pytest.mark.parametrize(
         "n_of_dim",
         [lambda d: 1, lambda d: d - 2, lambda d: d - 1, lambda d: d, lambda d: d + 1,
-         lambda d: 320],
-        ids=["1", "dim-2", "dim-1", "dim", "dim+1", "320"],
+         lambda d: 320, lambda d: 2000],
+        ids=["1", "dim-2", "dim-1", "dim", "dim+1", "320", "2000"],
     )
-    @pytest.mark.parametrize("b", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("b", [0.5, 2.0, 4.0, 7.0, 10.0])
     def test_matches_literal_per_circle_sum(self, b, n_of_dim):
-        # circles p >= dim meet the block on its diagonal only
+        # circles p >= dim meet the block on its diagonal only; at b = 7 and 10
+        # (dim 107 and 179) the residue rows fill 2 and 6 blocks of GRAM_BLOCK_BYTES
         cutoff = CutoffPolicy(max_radius=b, tail_budget=1e-12)
         spec = ChannelSpec(b=b, n_circles=n_of_dim(cutoff.dim))
         np.testing.assert_allclose(
@@ -131,16 +157,17 @@ class TestPhiN:
         )
 
     def test_builds_only_circles_that_reach_the_block(self, monkeypatch):
-        calls = []
+        # the circles handed to the residue-row Gram product, each as dense rows
+        built, gram = [], ensembles._stripe_gram
 
-        def counting(p, radius, cutoff):
-            calls.append(p)
-            return circle_mixture(p, radius, cutoff)
+        def counting(circles, amp):
+            built.extend(circles)
+            return gram(circles, amp)
 
-        monkeypatch.setattr(ensembles, "circle_mixture", counting)
+        monkeypatch.setattr(ensembles, "_stripe_gram", counting)
         cutoff = CutoffPolicy(max_radius=2.0, tail_budget=1e-12)
         phi_n(ChannelSpec(b=2.0, n_circles=320), cutoff)
-        assert 0 < len(calls) <= cutoff.dim - 1
+        assert 0 < len(built) <= cutoff.dim - 1
 
 
 class TestEncrypt:
