@@ -368,6 +368,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
+class _Subcommand:
+    """A subcommand's arguments, built into a _Parser only when a run names it:
+    each run builds the top level and one subcommand, not all eight."""
+
+    def __init__(self, **kwargs):
+        self.kwargs, self.arguments, self.defaults = kwargs, [], {}
+
+    def add_argument(self, *args, **kwargs):
+        self.arguments.append((args, kwargs))
+
+    def set_defaults(self, **kwargs):
+        self.defaults.update(kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _Parser(**self.kwargs)
+        for a, k in self.arguments:
+            parser.add_argument(*a, **k)
+        parser.set_defaults(**self.defaults)
+        return parser.parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cvpqc",
@@ -378,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--json-log", default=None, metavar="PATH",
                         help="write per-run provenance JSON to PATH")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     p = sub.add_parser("distance", help="exact/approximate squared HS distance")
     p.add_argument("--b", type=_arg(parse_grid), required=True)

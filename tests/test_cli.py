@@ -507,3 +507,48 @@ class TestJsonLog:
         assert got == code and doc["exit_code"] == code
         assert len(err.splitlines()) == 1 and doc["exit_reason"] == err.rstrip("\n")
         assert doc["exit_reason"].startswith(reason)
+
+
+class TestLazySubcommands:
+    # one cheap run of each of the 8 subcommands
+    RUNS = [
+        ["distance", "--b", "1", "--N", "4"],
+        ["keybits", "--d-hs", "0.5", "--N", "5"],
+        ["simplified", "--b", "2", "--p", "4", "--r", "1"],
+        ["rmin", "--b", "1,2"],
+        ["saturation", "--b", "2", "--p-max", "4"],
+        ["holevo", "--b-grid", "1"],
+        ["figures", "fig1a", "--b", "1.5"],
+        ["verify", "identities"],
+    ]
+    # help and argument errors at the top level and in every subcommand
+    MESSAGES = [[], ["--help"], ["bogus"], ["--format", "xml", "keybits", "--d-hs", "1"],
+                ["figures", "fig9"], ["figures", "fig1a", "--zzz"], ["distance", "--b"],
+                ["keybits", "--d-hs", "x"], ["keybits", "--d-hs", "0.5", "extra"]] + [
+        [argv[0], "--help"] for argv in RUNS] + [[argv[0]] for argv in RUNS]
+
+    @pytest.mark.parametrize("argv", RUNS, ids=lambda argv: argv[0])
+    def test_a_run_builds_two_parsers(self, argv, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+        monkeypatch.setattr(cli._Parser, "__init__",
+                            lambda self, *a, **k: built.append(k["prog"]) or init(self, *a, **k))
+        assert run(argv, capsys)[0] == cli.EXIT_OK
+        assert built == ["cvpqc", f"cvpqc {argv[0]}"]  # not all eight subcommands
+
+    def test_lazy_tree_matches_eager_tree(self, capsys, monkeypatch):
+        argvs = self.RUNS + self.MESSAGES
+        lazy = [run(argv, capsys) for argv in argvs]
+        namespaces = [vars(cli.build_parser().parse_args(argv)) for argv in self.RUNS]
+        monkeypatch.setattr(cli, "_Subcommand", cli._Parser)  # every subcommand built up front
+        assert [run(argv, capsys) for argv in argvs] == lazy
+        assert [vars(cli.build_parser().parse_args(argv)) for argv in self.RUNS] == namespaces
+        for argv, (code, out, err) in zip(argvs, lazy):
+            if argv in self.RUNS:
+                assert code == cli.EXIT_OK and err == ""
+            elif "--help" in argv:
+                prog = " ".join(["cvpqc"] + argv[:-1])
+                assert code == cli.EXIT_OK and out.startswith(f"usage: {prog}")
+            else:  # one line naming the parser at fault
+                assert code == cli.EXIT_BAD_INPUT and out == "" and len(err.splitlines()) == 1
+                assert err.startswith("cvpqc") and ": error: " in err
