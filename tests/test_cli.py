@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import cvpqc
-from cvpqc import cli, optimizer
+from cvpqc import DistanceReport, cli, optimizer
 from conftest import mp_hs2_dense
 
 
@@ -459,6 +460,58 @@ class TestVerify:
         code, out, _ = run(["verify", "identities"], capsys)
         assert code == cli.EXIT_OK and out.splitlines()[-1] == "# 30/30 checks passed"
         assert len(calls) == 10
+
+    @staticmethod
+    def quick_all_names():
+        """The 50 check names of `verify all --quick`, in order, from the suites' grids."""
+        xs, grid = (0.5, 1.0, 2.0, 4.0, 8.0), (0.6, 1.2, 1.8, 2.4, 3.0)
+        names = [f"bessel-identity x={x}" for x in xs]
+        names += [f"bessel-identity-2 y={y} z={z}" for y in grid for z in grid]
+        for b in (1.0, 2.0):
+            names.append(f"trace-unit-sq b={b}")
+            for n in (1, 3):
+                names += [f"{check} b={b} N={n}"
+                          for check in ("trace-cross", "trace-phi-sq", "hs2-exact")]
+        names.append("hs2-simplified b=2.0 p=4 r=1.0")
+        names += ["diagonal-limit monotone", "diagonal-limit N=80 below 5e-3",
+                  "disk-state first diagonal closed form", "purity b->0 limit"]
+        names.append("lambda-diagonality b=0.5 samples=20000")
+        return names
+
+    def test_quick_all_runs_every_named_check(self, capsys):
+        code, out, _ = run(["verify", "all", "--quick", "--seed", "0"], capsys)
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        names = self.quick_all_names()
+        assert (code, len(names)) == (cli.EXIT_OK, 50)
+        assert lines == [f"PASS {name}" for name in names]
+        assert out.splitlines()[-1] == "# 50/50 checks passed"
+
+    @pytest.mark.parametrize(
+        "patched,failing",
+        [("trace_unit_sq", ("trace-unit-sq",)),
+         ("hs2_exact", ("trace-cross", "trace-phi-sq", "hs2-exact")),
+         ("hs2_simplified", ("hs2-simplified",))],
+    )
+    def test_failing_oracle_check_names_both_sides(self, patched, failing, capsys,
+                                                   monkeypatch):
+        # an analytic value of 0: every check it feeds fails as "analytic 0.0 vs
+        # matrix <the dense value>", and every other check still passes
+        zero = DistanceReport(b=0.0, n_circles=1, d2_exact=0.0, d2_guess=0.0)
+        value = zero if patched == "hs2_exact" else 0.0
+        monkeypatch.setattr(cli, patched, lambda *args: value)
+        code, out, _ = run(["verify", "all", "--quick", "--seed", "0"], capsys)
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        assert code == cli.EXIT_VERIFY_FAIL and len(lines) == 50
+        for name, line in zip(self.quick_all_names(), lines):
+            if name.startswith(failing):
+                match = re.fullmatch(
+                    rf"FAIL {re.escape(name)}: analytic 0\.0 vs matrix (\S+)", line
+                )
+                assert match and float(match[1]) > 0.0, line
+            elif patched == "trace_unit_sq" and name == "purity b->0 limit":
+                assert line == f"FAIL {name}"
+            else:
+                assert line == f"PASS {name}"
 
     def test_quick_all_is_deterministic(self, tmp_path, capsys):
         paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
