@@ -28,7 +28,7 @@ from .distances import (
     key_bits,
     trace_unit_sq,
 )
-from .ensembles import ChannelSpec, maximally_mixed, phi_n, circle_mixture
+from .ensembles import maximally_mixed, phi_n, circle_mixture
 from .fockspace import CutoffPolicy, disk_cutoff, hs_distance_numeric
 from .holevo import QuadratureConvergenceError, holevo_curve, off_diagonal_check
 from .optimizer import find_rmin, saturation_sweep
@@ -153,7 +153,7 @@ def _oracle_disk(b: float) -> tuple[CutoffPolicy, np.ndarray]:
 def numeric_d2(b: float, n_circles: int) -> float:
     """Matrix-oracle squared distance on the disk cutoff of hs2_exact."""
     cutoff, unit = _oracle_disk(b)
-    mix = phi_n(ChannelSpec(b=b, n_circles=n_circles), cutoff)
+    mix = phi_n(b, n_circles, cutoff)
     return hs_distance_numeric(unit, mix) ** 2
 
 
@@ -278,34 +278,30 @@ def verify_identities(out, results):
         _check(out, results, name, dev < 1e-12, f"deviation {dev:.3e}")
 
 
+def _agree(out, results, name, analytic, matrix, tol):
+    _check(out, results, name, abs(analytic - matrix) < tol,
+           f"analytic {analytic} vs matrix {matrix}")
+
+
 def verify_oracles(out, results, quick=False):
     bs = (1.0, 2.0) if quick else (0.5, 1.0, 2.0)
     ns = (1, 3) if quick else (1, 2, 3, 4, 5, 6)
     for b in bs:
         cutoff, unit = _oracle_disk(b)
-        tu_num = float(np.vdot(unit, unit))
-        tu = trace_unit_sq(b)
-        _check(out, results, f"trace-unit-sq b={b}", abs(tu - tu_num) < 1e-9,
-               f"analytic {tu} vs matrix {tu_num}")
+        _agree(out, results, f"trace-unit-sq b={b}", trace_unit_sq(b),
+               float(np.vdot(unit, unit)), 1e-9)
         for n in ns:
-            mix = phi_n(ChannelSpec(b=b, n_circles=n), cutoff)
-            tc_num = float(np.vdot(unit, mix))  # Tr(AB) of real symmetric A, B
-            tp_num = float(np.vdot(mix, mix))
-            rep = hs2_exact(b, n)
-            tc, tp, d2 = rep.tr_cross, rep.tr_phi2, rep.d2_exact
-            _check(out, results, f"trace-cross b={b} N={n}",
-                   abs(tc - tc_num) < 1e-9, f"analytic {tc} vs matrix {tc_num}")
-            _check(out, results, f"trace-phi-sq b={b} N={n}",
-                   abs(tp - tp_num) < 1e-9, f"analytic {tp} vs matrix {tp_num}")
-            d2_num = hs_distance_numeric(unit, mix) ** 2
-            _check(out, results, f"hs2-exact b={b} N={n}",
-                   abs(d2 - d2_num) < ORACLE_TOL,
-                   f"analytic {d2} vs matrix {d2_num}")
+            mix = phi_n(b, n, cutoff)
+            rep = hs2_exact(b, n)  # Tr(AB) = vdot(A, B) for real symmetric A, B
+            _agree(out, results, f"trace-cross b={b} N={n}", rep.tr_cross,
+                   float(np.vdot(unit, mix)), 1e-9)
+            _agree(out, results, f"trace-phi-sq b={b} N={n}", rep.tr_phi2,
+                   float(np.vdot(mix, mix)), 1e-9)
+            _agree(out, results, f"hs2-exact b={b} N={n}", rep.d2_exact,
+                   hs_distance_numeric(unit, mix) ** 2, ORACLE_TOL)
     b, p, r = 2.0, 4, 1.0
-    d2 = hs2_simplified(b, p, r)
-    d2_num = numeric_simplified_d2(b, p, r)
-    _check(out, results, f"hs2-simplified b={b} p={p} r={r}",
-           abs(d2 - d2_num) < ORACLE_TOL, f"analytic {d2} vs matrix {d2_num}")
+    _agree(out, results, f"hs2-simplified b={b} p={p} r={r}", hs2_simplified(b, p, r),
+           numeric_simplified_d2(b, p, r), ORACLE_TOL)
 
 
 def verify_limits(out, results):
@@ -317,7 +313,7 @@ def verify_limits(out, results):
     out.write("# N, max |Phi_N(n,n) - unit(n,n)| over n <= 20\n")
     devs = []
     for n_circ in (5, 10, 20, 40, 80):
-        mix_diag = np.diag(phi_n(ChannelSpec(b=b, n_circles=n_circ), cutoff))
+        mix_diag = np.diag(phi_n(b, n_circ, cutoff))
         devs.append(float(np.abs(mix_diag[:n_keep] - unit_diag[:n_keep]).max()))
         out.write(f"# {n_circ}, {devs[-1]!r}\n")
     _check(out, results, "diagonal-limit monotone", all(a >= c for a, c in zip(devs, devs[1:])))
@@ -368,24 +364,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
+# Each subcommand's help, command function, and arguments as (name, add_argument keywords).
+COMMANDS = {
+    "distance": ("exact/approximate squared HS distance", cmd_distance, [
+        ("--b", dict(type=_arg(parse_grid), required=True)),
+        ("--N", dict(type=_arg(parse_counts), required=True)),
+        ("--with-oracle", dict(action="store_true"))]),
+    "keybits": ("key-length estimate from a distance", cmd_keybits, [
+        ("--d-hs", dict(type=float, required=True)),
+        ("--N", dict(type=int, default=None))]),
+    "simplified": ("simplified-protocol distance", cmd_simplified, [
+        ("--b", dict(type=float, required=True)),
+        ("--p", dict(type=int, required=True)),
+        ("--r", dict(type=float, required=True)),
+        ("--with-oracle", dict(action="store_true"))]),
+    "rmin": ("optimal displacement radius", cmd_rmin, [
+        ("--b", dict(type=_arg(parse_grid), required=True))]),
+    "saturation": ("phase-shift saturation sweep", cmd_saturation, [
+        ("--b", dict(type=float, required=True)),
+        ("--p-max", dict(type=int, default=20)),
+        ("--saturation-tol", dict(type=float, default=1e-4))]),
+    "holevo": ("Holevo bound over a b grid", cmd_holevo, [
+        ("--b-grid", dict(type=_arg(parse_grid), required=True))]),
+    "figures": ("figure-data reproduction", cmd_figures, [
+        ("which", dict(choices=("fig1a", "fig1b", "fig2"))),
+        ("--b", dict(type=float, default=2.0)),
+        ("--p-max", dict(type=int, default=20)),
+        ("--b-grid", dict(type=_arg(parse_grid), default=None))]),
+    "verify": ("invariant and oracle suites", cmd_verify, [
+        ("suite", dict(choices=("identities", "oracles", "limits", "all"))),
+        ("--quick", dict(action="store_true")),
+        ("--seed", dict(type=int, default=0)),
+        ("--mc-samples", dict(type=int, default=100_000))]),
+}
+
+
 class _Subcommand:
-    """A subcommand's arguments, built into a _Parser only when a run names it:
+    """One subcommand of COMMANDS, built into a _Parser only when a run names it:
     each run builds the top level and one subcommand, not all eight."""
 
-    def __init__(self, **kwargs):
-        self.kwargs, self.arguments, self.defaults = kwargs, [], {}
-
-    def add_argument(self, *args, **kwargs):
-        self.arguments.append((args, kwargs))
-
-    def set_defaults(self, **kwargs):
-        self.defaults.update(kwargs)
+    def __init__(self, prog, command):
+        self.prog, self.command = prog, command
 
     def parse_known_args(self, args=None, namespace=None):
-        parser = _Parser(**self.kwargs)
-        for a, k in self.arguments:
-            parser.add_argument(*a, **k)
-        parser.set_defaults(**self.defaults)
+        _, func, arguments = COMMANDS[self.command]
+        parser = _Parser(prog=self.prog)
+        for name, kwargs in arguments:
+            parser.add_argument(name, **kwargs)
+        parser.set_defaults(func=func)
         return parser.parse_known_args(args, namespace)
 
 
@@ -400,53 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json-log", default=None, metavar="PATH",
                         help="write per-run provenance JSON to PATH")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-
-    p = sub.add_parser("distance", help="exact/approximate squared HS distance")
-    p.add_argument("--b", type=_arg(parse_grid), required=True)
-    p.add_argument("--N", type=_arg(parse_counts), required=True)
-    p.add_argument("--with-oracle", action="store_true")
-    p.set_defaults(func=cmd_distance)
-
-    p = sub.add_parser("keybits", help="key-length estimate from a distance")
-    p.add_argument("--d-hs", type=float, required=True)
-    p.add_argument("--N", type=int, default=None)
-    p.set_defaults(func=cmd_keybits)
-
-    p = sub.add_parser("simplified", help="simplified-protocol distance")
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--with-oracle", action="store_true")
-    p.set_defaults(func=cmd_simplified)
-
-    p = sub.add_parser("rmin", help="optimal displacement radius")
-    p.add_argument("--b", type=_arg(parse_grid), required=True)
-    p.set_defaults(func=cmd_rmin)
-
-    p = sub.add_parser("saturation", help="phase-shift saturation sweep")
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--p-max", type=int, default=20)
-    p.add_argument("--saturation-tol", type=float, default=1e-4)
-    p.set_defaults(func=cmd_saturation)
-
-    p = sub.add_parser("holevo", help="Holevo bound over a b grid")
-    p.add_argument("--b-grid", type=_arg(parse_grid), required=True)
-    p.set_defaults(func=cmd_holevo)
-
-    p = sub.add_parser("figures", help="figure-data reproduction")
-    p.add_argument("which", choices=("fig1a", "fig1b", "fig2"))
-    p.add_argument("--b", type=float, default=2.0)
-    p.add_argument("--p-max", type=int, default=20)
-    p.add_argument("--b-grid", type=_arg(parse_grid), default=None)
-    p.set_defaults(func=cmd_figures)
-
-    p = sub.add_parser("verify", help="invariant and oracle suites")
-    p.add_argument("suite", choices=("identities", "oracles", "limits", "all"))
-    p.add_argument("--quick", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mc-samples", type=int, default=100_000)
-    p.set_defaults(func=cmd_verify)
-
+    for command, (help_text, _, _) in COMMANDS.items():
+        sub.add_parser(command, help=help_text, command=command)
     return parser
 
 

@@ -30,9 +30,13 @@ from .specialfns import SUPPORTED_X_MAX, TRAPEZOID_NODES, ArgumentRangeError, tr
 # (1.5e-3 at b = 1e-3) against an 80-digit mpmath sum.
 B_SIMPLIFIED_MIN = 1e-2
 
-# Largest supported circle count: the N x dim amplitudes, the largest array,
-# stay below about 150 MB at b = 10, and the relative error eps*N of D^2 below 1e-10.
+# Largest supported circle count.  Phi_nn cancels against u_n, so the relative error
+# of D^2 grows as b shrinks: at N_MAX, against an extended-precision sum, it is
+# 2.0e-8 at b = 0.05, 1.1e-10 at b = 0.5, 7.1e-11 at b = 2 and 8.9e-12 at b = 10.
 N_MAX = 100_000
+# Circles per block of hs2_exact's diagonal: blocks of 4096 x dim amplitudes (5.9 MB at
+# b = 10) bound memory, and a sum of block sums rounds less than one N-term product.
+HS2_BLOCK = 4096
 
 
 class ConsistencyError(RuntimeError):
@@ -132,16 +136,17 @@ def hs2_exact(b: float, n_circles: int) -> DistanceReport:
     n = np.arange(dim)
     p = np.arange(1, n_circles + 1)
     r = p * (b / n_circles)
-    amp = coherent_amplitudes(r, dim)
     norm = 2.0 / (n_circles * (n_circles + 1))  # 1/M
     qs, ks = np.arange(1, min(n_circles, dim - 1) + 1), n[1:]
+    amp = coherent_amplitudes(r[: len(qs)], dim)  # the circles q < dim reach a stripe
     iq, ik = np.nonzero(ks % qs[:, None] == 0)  # circle qs[iq] reaches stripe ks[ik]
     pair, row = np.nonzero(n + ks[ik, None] < dim)
     q, col = qs[iq[pair]], row + ks[ik[pair]]
     terms = q * (amp[q - 1, row] * amp[q - 1, col])
     upper = np.bincount(row * dim + col, terms, minlength=dim * dim)
     off2 = 2.0 * float(np.sum(np.square(norm * upper)))  # sum_{m != n} Phi_mn^2
-    diag = norm * (p @ np.square(amp, out=amp))
+    blocks = [slice(lo, lo + HS2_BLOCK) for lo in range(0, n_circles, HS2_BLOCK)]
+    diag = norm * sum(p[s] @ np.square(coherent_amplitudes(r[s], dim)) for s in blocks)
     return DistanceReport(
         b=b,
         n_circles=n_circles,

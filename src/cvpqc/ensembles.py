@@ -17,8 +17,6 @@ distance to the (diagonal) disk-mixed state unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fockspace import CutoffPolicy, coherent_amplitudes
@@ -29,43 +27,18 @@ B_MIN = 1e-150
 GRAM_BLOCK_BYTES = 4 << 20  # bytes of residue rows per V^T V product of _stripe_gram
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Full-protocol parameters: disk radius b and circle count N.
-
-    Circle p holds p states at radius p*b/N; the key indexes the
-    M = N(N+1)/2 displacement operators.
-    """
-
-    b: float
-    n_circles: int
-
-    def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError(f"b must be positive, got {self.b}")
-        if self.n_circles < 1:
-            raise ValueError(f"N must be >= 1, got {self.n_circles}")
-
-    @property
-    def operations(self) -> int:
-        return self.n_circles * (self.n_circles + 1) // 2
-
-    def radius(self, p: int) -> float:
-        return p * self.b / self.n_circles
-
-
 def disk_state_weights(b: float, dim: int) -> np.ndarray:
     """Diagonal P(X > n) / b^2, n < dim, X ~ Poisson(b^2), of the disk-mixed
     state: every tail from the one reverse cumulative sum of poisson_tail,
-    so nothing cancels."""
+    so nothing cancels.  b below B_MIN, or not a number, raises: b^2 would underflow."""
+    if not b >= B_MIN:
+        raise ValueError(f"b must be positive and at least {B_MIN}, got {b}")
     return poisson_tail(np.arange(dim), b * b) / (b * b)
 
 
 def maximally_mixed(b: float, cutoff: CutoffPolicy) -> np.ndarray:
     """Uniform mixture of coherent projectors over the disk of radius b,
     diagonal in the Fock basis."""
-    if not b > 0:
-        raise ValueError(f"b must be positive, got {b}")
     cutoff.require(b)
     return np.diag(disk_state_weights(b, cutoff.dim))
 
@@ -100,14 +73,19 @@ def circle_mixture(p: int, radius: float, cutoff: CutoffPolicy) -> np.ndarray:
     return _stripe_gram(np.array([min(p, dim)]), coherent_amplitudes([radius], dim))
 
 
-def phi_n(spec: ChannelSpec, cutoff: CutoffPolicy) -> np.ndarray:
-    """Encryption mixture (1/M) sum_p p * rho_p at radii p*b/N: the circles p < dim
-    as one stripe Gram sum of sqrt(p) c(r_p); a circle p >= dim meets the block on
-    its diagonal alone, so those circles add as one term."""
-    cutoff.require(spec.b)
+def phi_n(b: float, n_circles: int, cutoff: CutoffPolicy) -> np.ndarray:
+    """Encryption mixture (1/M) sum_p p * rho_p of the disk of radius b: circle p of
+    N holds p states at radius p*b/N, and M = N(N+1)/2 keys index the displacements.
+    The circles p < dim are one stripe Gram sum of sqrt(p) c(r_p); a circle p >= dim
+    meets the block on its diagonal alone, so those circles add as one term."""
+    if not b > 0:
+        raise ValueError(f"b must be positive, got {b}")
+    if n_circles < 1:
+        raise ValueError(f"N must be >= 1, got {n_circles}")
+    cutoff.require(b)
     dim = cutoff.dim
-    p = np.arange(1, spec.n_circles + 1)
-    amp = coherent_amplitudes(spec.radius(p), dim)
+    p = np.arange(1, n_circles + 1)
+    amp = coherent_amplitudes(p * b / n_circles, dim)
     acc = _stripe_gram(p[: dim - 1], np.sqrt(p[: dim - 1, None]) * amp[: dim - 1])
     acc[np.diag_indices(dim)] += p[dim - 1 :] @ np.square(amp[dim - 1 :], out=amp[dim - 1 :])
-    return acc / spec.operations
+    return acc / (n_circles * (n_circles + 1) // 2)

@@ -269,6 +269,33 @@ def mp_hs2_dense(b: float, n_circles: int, dim: int, dps: int = 40) -> float:
         return float(total)
 
 
+def longdouble_hs2(b: float, n_circles: int) -> float:
+    """D^2 of Phi_N against the disk state on the disk_cutoff Fock block in
+    np.longdouble: u_n from mpmath's regularized incomplete gamma at 40 digits,
+    and each entry of Phi_N at the radii p b / N as a pairwise np.sum over the
+    circles of p c_n(r_p)^2 on the diagonal, or a masked stripe sum off it."""
+    dim = disk_cutoff(b).dim
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(b) ** 2
+        unit = np.array([np.longdouble(mpmath.nstr(
+            mpmath.gammainc(n + 1, 0, lam, regularized=True) / lam, 30)) for n in range(dim)])
+    p = np.arange(1, n_circles + 1).astype(np.longdouble)
+    r = p * np.longdouble(b) / n_circles
+    m = np.longdouble(n_circles) * (n_circles + 1) / 2
+    phi = np.zeros((dim, dim), dtype=np.longdouble)
+    c, rows = np.exp(-r * r / 2), []  # c_n(r_p) of every circle, one level n at a time
+    for n in range(dim):
+        phi[n, n] = np.sum(p * c * c) / m
+        rows.append(c[: dim - 1])
+        c = c * r / np.sqrt(np.longdouble(n + 1))
+    amp = np.array(rows).T  # the circles q < dim, the only ones off the diagonal
+    k = np.arange(dim)[None, :] - np.arange(dim)[:, None]
+    for q in range(1, len(amp) + 1):
+        on_stripe = (k > 0) & (k % q == 0)
+        phi += np.where(on_stripe, q * np.outer(amp[q - 1], amp[q - 1]) / m, 0)
+    return float(np.sum(np.square(np.diag(phi) - unit)) + 2 * np.sum(np.square(np.triu(phi, 1))))
+
+
 def mp_simplified_d2(b: float, p: int, r: float, dim: int, dps: int = 80) -> float:
     """D^2 of one circle of p states at radius r against the disk state, in
     mpmath at dps digits: the stripe sums of c_n^2 = e^(-r^2) r^(2n) / n! and
@@ -314,13 +341,14 @@ def masked_circle_mixture(p: int, radius: float, dim: int) -> np.ndarray:
     return np.where((idx[:, None] - idx[None, :]) % p == 0, np.outer(c, c), 0.0)
 
 
-def literal_phi_n(spec, cutoff: CutoffPolicy) -> np.ndarray:
-    """Phi_N as the literal sum (1/M) sum_p p * masked_circle_mixture(p, r_p)
-    over every circle p = 1..N, each a dense dim x dim stripe matrix."""
+def literal_phi_n(b: float, n_circles: int, cutoff: CutoffPolicy) -> np.ndarray:
+    """Phi_N as the literal sum (1/M) sum_p p * masked_circle_mixture(p, p b / N)
+    over every circle p = 1..N, each a dense dim x dim stripe matrix, with
+    M = N(N+1)/2 operations."""
     acc = np.zeros((cutoff.dim, cutoff.dim))
-    for p in range(1, spec.n_circles + 1):
-        acc += p * masked_circle_mixture(p, spec.radius(p), cutoff.dim)
-    return acc / spec.operations
+    for p in range(1, n_circles + 1):
+        acc += p * masked_circle_mixture(p, p * b / n_circles, cutoff.dim)
+    return acc / (n_circles * (n_circles + 1) // 2)
 
 
 def column_off_diagonal_check(b: float, samples: int, seed: int = 0):

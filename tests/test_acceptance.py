@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from cvpqc import (
-    ChannelSpec,
     CutoffPolicy,
     bessel_i,
     find_rmin,
@@ -60,7 +59,7 @@ def report(number, name, ok, detail=""):
 
 def oracle_states(b, n):
     cutoff = CutoffPolicy(max_radius=b, tail_budget=TAIL)
-    return maximally_mixed(b, cutoff), phi_n(ChannelSpec(b=b, n_circles=n), cutoff)
+    return maximally_mixed(b, cutoff), phi_n(b, n, cutoff)
 
 
 def test_criterion_01_analytic_distance_matches_matrix_oracle():
@@ -95,7 +94,7 @@ def test_criterion_03_unitary_invariance_of_distance():
         cutoff = CutoffPolicy(max_radius=b + abs(beta), tail_budget=TAIL)
         displaced_unit = displacement_conjugate(maximally_mixed(b, cutoff), beta)
         # the encryption channel's output D(beta) Phi_N D^dag(beta)
-        output = displacement_conjugate(phi_n(ChannelSpec(b=b, n_circles=n), cutoff), beta)
+        output = displacement_conjugate(phi_n(b, n, cutoff), beta)
         d2 = hs_distance_numeric(displaced_unit, output) ** 2
         worst = max(worst, abs(d2 - d2_exact))
     report(3, "unitary invariance", worst < 1e-6, f"worst {worst:.3e}")
@@ -140,7 +139,7 @@ def test_criterion_06_diagonal_limit():
     unit_diag = np.diag(maximally_mixed(b, cutoff))[:21]
     devs = []
     for n in (5, 10, 20, 40, 80):
-        mix_diag = np.diag(phi_n(ChannelSpec(b=b, n_circles=n), cutoff))[:21]
+        mix_diag = np.diag(phi_n(b, n, cutoff))[:21]
         devs.append(float(np.abs(mix_diag - unit_diag).max()))
     monotone = all(d2 <= d1 for d1, d2 in zip(devs, devs[1:]))
     report(

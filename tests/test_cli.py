@@ -341,6 +341,13 @@ ROW_COMMANDS = {
 TEXT_COLUMNS = {"method"}
 
 
+def test_output_contract_covers_every_command():
+    # a subcommand added to cli.COMMANDS fails here until the contract covers it
+    enum = load_schema()["properties"]["command"]["enum"]
+    expected = set(cli.COMMANDS) - {"figures", "verify"} | {"fig1a", "fig1b", "fig2"}
+    assert set(ROW_COMMANDS) == set(enum) == expected and len(enum) == len(expected)
+
+
 @pytest.mark.parametrize("command", sorted(ROW_COMMANDS))
 def test_output_contract(command, capsys):
     argv = ROW_COMMANDS[command]
@@ -562,6 +569,16 @@ class TestJsonLog:
         assert doc["exit_reason"].startswith(reason)
 
 
+def eager_subcommand(prog, command):
+    """The full _Parser of one subcommand of cli.COMMANDS, built at once."""
+    _, func, arguments = cli.COMMANDS[command]
+    parser = cli._Parser(prog=prog)
+    for name, kwargs in arguments:
+        parser.add_argument(name, **kwargs)
+    parser.set_defaults(func=func)
+    return parser
+
+
 class TestLazySubcommands:
     # one cheap run of each of the 8 subcommands
     RUNS = [
@@ -580,6 +597,9 @@ class TestLazySubcommands:
                 ["keybits", "--d-hs", "x"], ["keybits", "--d-hs", "0.5", "extra"]] + [
         [argv[0], "--help"] for argv in RUNS] + [[argv[0]] for argv in RUNS]
 
+    def test_runs_cover_every_command(self):
+        assert [argv[0] for argv in self.RUNS] == list(cli.COMMANDS)
+
     @pytest.mark.parametrize("argv", RUNS, ids=lambda argv: argv[0])
     def test_a_run_builds_two_parsers(self, argv, capsys, monkeypatch):
         built = []
@@ -593,7 +613,7 @@ class TestLazySubcommands:
         argvs = self.RUNS + self.MESSAGES
         lazy = [run(argv, capsys) for argv in argvs]
         namespaces = [vars(cli.build_parser().parse_args(argv)) for argv in self.RUNS]
-        monkeypatch.setattr(cli, "_Subcommand", cli._Parser)  # every subcommand built up front
+        monkeypatch.setattr(cli, "_Subcommand", eager_subcommand)  # every one built up front
         assert [run(argv, capsys) for argv in argvs] == lazy
         assert [vars(cli.build_parser().parse_args(argv)) for argv in self.RUNS] == namespaces
         for argv, (code, out, err) in zip(argvs, lazy):

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 import scipy.special
 
 from cvpqc import (
-    ChannelSpec,
     CutoffPolicy,
     circle_mixture,
     exact_key_bits,
@@ -30,6 +30,7 @@ from conftest import (
     bessel_trace_cross,
     bessel_trace_phi_sq,
     circle_disk_constant,
+    longdouble_hs2,
     masked_stripe_hs2,
     mp_cross_bessel_sum,
     mp_hs2_dense,
@@ -47,7 +48,7 @@ IDENTITY_GRID = (0.6, 1.2, 1.8, 2.4, 3.0)
 def matrix_traces(b, n):
     cutoff = CutoffPolicy(max_radius=b, tail_budget=TAIL)
     unit = maximally_mixed(b, cutoff)
-    mix = phi_n(ChannelSpec(b=b, n_circles=n), cutoff)
+    mix = phi_n(b, n, cutoff)
     return (
         float(np.trace(unit @ unit)),
         float(np.trace(unit @ mix)),
@@ -156,7 +157,7 @@ class TestHs2Exact:
         rep = hs2_exact(b, n)
         cutoff = CutoffPolicy(max_radius=b, tail_budget=TAIL)
         d2_num = hs_distance_numeric(
-            maximally_mixed(b, cutoff), phi_n(ChannelSpec(b=b, n_circles=n), cutoff)
+            maximally_mixed(b, cutoff), phi_n(b, n, cutoff)
         ) ** 2
         assert rep.d2_exact == pytest.approx(d2_num, abs=1e-8)
 
@@ -214,6 +215,24 @@ class TestHs2Exact:
         b, n = 2.0, 10_000
         ratio = n * n * hs2_exact(b, n).d2_exact / circle_disk_constant(b)
         assert abs(ratio - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("b", [0.5, 2.0])
+    def test_largest_circle_count_matches_extended_precision(self, b):
+        # Phi_nn cancels against u_n, so N_MAX circles need a diagonal summed in
+        # blocks: one N_MAX-term product erred by 1.5e-9 at b = 0.5, 7.1e-10 at b = 2
+        ref = longdouble_hs2(b, N_MAX)
+        assert hs2_exact(b, N_MAX).d2_exact == pytest.approx(ref, rel=2e-10, abs=0.0)
+
+    def test_largest_circle_count_memory_is_bounded(self):
+        # the amplitudes of one block of HS2_BLOCK circles at a time, not all N_MAX
+        hs2_exact(10.0, 1)  # the cached disk purity is not counted
+        tracemalloc.start()
+        try:
+            hs2_exact(10.0, N_MAX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     @pytest.mark.parametrize("n", [0, -3, N_MAX + 1])
     def test_circle_count_window(self, n):

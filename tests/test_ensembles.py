@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cvpqc import (
-    ChannelSpec,
     CutoffPolicy,
     circle_mixture,
     maximally_mixed,
@@ -13,6 +12,7 @@ from cvpqc import (
     poisson_tail,
 )
 from cvpqc import ensembles
+from cvpqc.distances import cross_bessel_sum
 from cvpqc.fockspace import disk_cutoff
 from conftest import (
     TWO_PI,
@@ -26,22 +26,6 @@ from conftest import (
 def circle_points(r, p, theta=0.0):
     """Amplitudes r e^(i (theta + 2 pi q / p)), q = 1..p."""
     return r * np.exp(1j * (theta + TWO_PI * np.arange(1, p + 1) / p))
-
-
-class TestSpecs:
-    def test_operation_count(self):
-        assert ChannelSpec(b=2.0, n_circles=4).operations == 10
-        assert ChannelSpec(b=2.0, n_circles=1).operations == 1
-
-    def test_circle_radii_are_equally_spaced(self):
-        spec = ChannelSpec(b=3.0, n_circles=6)
-        assert [spec.radius(p) for p in (1, 6)] == [0.5, 3.0]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ChannelSpec(b=0.0, n_circles=2)
-        with pytest.raises(ValueError):
-            ChannelSpec(b=1.0, n_circles=0)
 
 
 class TestCircleMixture:
@@ -117,6 +101,17 @@ class TestMaximallyMixed:
         first = maximally_mixed(b, cutoff)[0, 0]
         assert first == pytest.approx((1.0 - math.exp(-b * b)) / (b * b), abs=1e-13)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("b", [0.0, 1e-170, math.nan])
+    def test_radius_below_b_min_raises(self, b):
+        # below B_MIN b^2 underflows: the disk weights raise rather than return NaN
+        with pytest.raises(ValueError, match="b must be positive and at least 1e-150"):
+            ensembles.disk_state_weights(b, 4)
+        with pytest.raises(ValueError):
+            maximally_mixed(b, disk_cutoff(b))
+        with pytest.raises(ValueError):
+            cross_bessel_sum(b, 1.0)
+
     def test_trace_deficit_within_budget(self):
         cutoff = CutoffPolicy(max_radius=2.0, tail_budget=1e-10)
         # diagonal truncates tails of every Poisson weight up to b^2
@@ -126,18 +121,17 @@ class TestMaximallyMixed:
 class TestPhiN:
     def test_matches_projector_average_over_all_operations(self):
         b, n = 1.5, 3
-        spec = ChannelSpec(b=b, n_circles=n)
         cutoff = CutoffPolicy(max_radius=b, tail_budget=1e-12)
-        alphas = np.concatenate([circle_points(spec.radius(p), p) for p in range(1, n + 1)])
-        assert len(alphas) == spec.operations
-        mix = phi_n(spec, cutoff)
+        alphas = np.concatenate([circle_points(p * b / n, p) for p in range(1, n + 1)])
+        assert len(alphas) == n * (n + 1) // 2
+        mix = phi_n(b, n, cutoff)
         assert mix.dtype == np.float64
         np.testing.assert_allclose(mix, projector_average(alphas, cutoff.dim), atol=1e-12)
 
     def test_single_circle_reduces_to_one_state(self):
         b = 1.0
         cutoff = CutoffPolicy(max_radius=b, tail_budget=1e-12)
-        one = phi_n(ChannelSpec(b=b, n_circles=1), cutoff)
+        one = phi_n(b, 1, cutoff)
         np.testing.assert_allclose(one, projector_average([b], cutoff.dim), atol=1e-13)
 
     @pytest.mark.parametrize(
@@ -151,9 +145,9 @@ class TestPhiN:
         # circles p >= dim meet the block on its diagonal only; at b = 7 and 10
         # (dim 107 and 179) the residue rows fill 2 and 6 blocks of GRAM_BLOCK_BYTES
         cutoff = CutoffPolicy(max_radius=b, tail_budget=1e-12)
-        spec = ChannelSpec(b=b, n_circles=n_of_dim(cutoff.dim))
+        n = n_of_dim(cutoff.dim)
         np.testing.assert_allclose(
-            phi_n(spec, cutoff), literal_phi_n(spec, cutoff), rtol=0.0, atol=1e-15
+            phi_n(b, n, cutoff), literal_phi_n(b, n, cutoff), rtol=0.0, atol=1e-15
         )
 
     def test_builds_only_circles_that_reach_the_block(self, monkeypatch):
@@ -166,8 +160,15 @@ class TestPhiN:
 
         monkeypatch.setattr(ensembles, "_stripe_gram", counting)
         cutoff = CutoffPolicy(max_radius=2.0, tail_budget=1e-12)
-        phi_n(ChannelSpec(b=2.0, n_circles=320), cutoff)
+        phi_n(2.0, 320, cutoff)
         assert 0 < len(built) <= cutoff.dim - 1
+
+    def test_validation(self):
+        cutoff = CutoffPolicy(max_radius=1.0)
+        with pytest.raises(ValueError, match="b must be positive, got 0.0"):
+            phi_n(0.0, 2, cutoff)
+        with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+            phi_n(1.0, 0, cutoff)
 
 
 class TestEncrypt:
@@ -176,13 +177,10 @@ class TestEncrypt:
         # the displaced states alpha + beta
         b, n = 1.5, 4
         beta = 0.5 * np.exp(1j * math.pi / 3)
-        spec = ChannelSpec(b=b, n_circles=n)
         cutoff = CutoffPolicy(max_radius=b + abs(beta), tail_budget=1e-12)
-        alphas = np.concatenate(
-            [circle_points(spec.radius(p), p) for p in range(1, n + 1)]
-        )
+        alphas = np.concatenate([circle_points(p * b / n, p) for p in range(1, n + 1)])
         np.testing.assert_allclose(
-            displacement_conjugate(phi_n(spec, cutoff), beta),
+            displacement_conjugate(phi_n(b, n, cutoff), beta),
             projector_average(alphas + beta, cutoff.dim),
             atol=1e-7,
         )

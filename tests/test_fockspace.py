@@ -99,7 +99,7 @@ class TestCoherentStates:
         np.testing.assert_allclose(coherent_amplitudes(r, dim)[normal], ref[normal], rtol=1e-14, atol=0.0)
 
     def test_amplitude_array_is_the_only_allocation(self):
-        # at N_MAX circles the N x dim amplitudes of hs2_exact dominate memory
+        # the amplitude blocks of hs2_exact and phi_n dominate their memory
         r = np.linspace(0.1, 10.0, 10_000)
         tracemalloc.start()
         try:
