@@ -291,8 +291,8 @@ def verify_oracles(out, results, quick=False):
         _agree(out, results, f"trace-unit-sq b={b}", trace_unit_sq(b),
                float(np.vdot(unit, unit)), 1e-9)
         for n in ns:
-            mix = phi_n(b, n, cutoff)
-            rep = hs2_exact(b, n)  # Tr(AB) = vdot(A, B) for real symmetric A, B
+            mix = phi_n(b, n, cutoff)  # real symmetric, as unit: Tr(AB) = vdot(A, B)
+            rep = hs2_exact(b, n)
             _agree(out, results, f"trace-cross b={b} N={n}", rep.tr_cross,
                    float(np.vdot(unit, mix)), 1e-9)
             _agree(out, results, f"trace-phi-sq b={b} N={n}", rep.tr_phi2,

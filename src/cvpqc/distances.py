@@ -32,7 +32,7 @@ B_SIMPLIFIED_MIN = 1e-2
 
 # Largest supported circle count.  Phi_nn cancels against u_n, so the relative error
 # of D^2 grows as b shrinks: at N_MAX, against an extended-precision sum, it is
-# 2.0e-8 at b = 0.05, 1.1e-10 at b = 0.5, 7.1e-11 at b = 2 and 8.9e-12 at b = 10.
+# 1.8e-8 at b = 0.05, 1.6e-10 at b = 0.5, 7.0e-11 at b = 2 and 9.2e-12 at b = 10.
 N_MAX = 100_000
 # Circles per block of hs2_exact's diagonal: blocks of 4096 x dim amplitudes (5.9 MB at
 # b = 10) bound memory, and a sum of block sums rounds less than one N-term product.
