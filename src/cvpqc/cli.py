@@ -1,8 +1,8 @@
 """Command-line front end: sweeps, figure-data reproduction, verification.
 
-Outputs are plot-ready CSV (or JSON validating against the shipped
-schema); no plotting dependency.  Exit codes: 0 success, 1 verification
-failure, 2 input validation, 3 internal consistency / oracle mismatch.
+Outputs are plot-ready CSV (or JSON validating against the shipped schema);
+no plotting dependency.  Exit codes: 0 success, 1 verification failure, 2 bad
+input or an unwritable output, 3 internal consistency / oracle mismatch.
 A command writes its rows and raises on failure; main turns the exception
 into the exit code and one stderr line, which --json-log also records.
 """
@@ -431,9 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open(files, flag, path):
+@contextlib.contextmanager
+def _output(flag, path):
+    """path opened for writing, or a stream; an OSError on it becomes a ValueError."""
     try:
-        return files.enter_context(open(path, "w"))
+        with open(path, "w") if isinstance(path, str) else contextlib.nullcontext(path) as fh:
+            yield fh
     except OSError as exc:
         raise ValueError(f"cannot write {flag}: {exc}") from None
 
@@ -444,22 +447,26 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
-    log, code, reason = None, EXIT_OK, "ok"
-    with contextlib.ExitStack() as files:
-        try:  # both outputs are opened before any work, so neither fails late
-            out = sys.stdout if args.out == "-" else _open(files, "--out", args.out)
-            log = args.json_log and _open(files, "--json-log", args.json_log)
-            args.func(args, out)
-        except VerificationError as exc:
-            code, reason = EXIT_VERIFY_FAIL, f"verification failed: {exc}"
-        except ValueError as exc:  # ArgumentRangeError and CutoffError included
-            code, reason = EXIT_BAD_INPUT, f"invalid input: {exc}"
-        except (ConsistencyError, QuadratureConvergenceError) as exc:
-            code, reason = EXIT_INCONSISTENT, f"internal consistency failure: {exc}"
-        if code:
-            print(reason, file=sys.stderr)
-        if log:
-            write_json_log(log, args, code, reason)
+    code, reason = EXIT_OK, "ok"
+    try:
+        with contextlib.ExitStack() as files:  # both outputs open before any work
+            log = args.json_log and files.enter_context(_output("--json-log", args.json_log))
+            try:
+                with _output("--out", sys.stdout if args.out == "-" else args.out) as out:
+                    args.func(args, out)
+            except VerificationError as exc:
+                code, reason = EXIT_VERIFY_FAIL, f"verification failed: {exc}"
+            except ValueError as exc:  # ArgumentRangeError and CutoffError included
+                code, reason = EXIT_BAD_INPUT, f"invalid input: {exc}"
+            except (ConsistencyError, QuadratureConvergenceError) as exc:
+                code, reason = EXIT_INCONSISTENT, f"internal consistency failure: {exc}"
+            if code:
+                print(reason, file=sys.stderr)
+            if log:
+                write_json_log(log, args, code, reason)
+    except ValueError as exc:  # --json-log could not be opened, written or closed
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return code or EXIT_BAD_INPUT
     return code
 
 

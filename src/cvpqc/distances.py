@@ -87,7 +87,7 @@ def trace_unit_sq(b: float) -> float:
     (1 + cos theta_j)(1 - exp(-2x sin^2(theta_j/2))), 1 + cos = 2 - 2 sin^2."""
     _check_disk(b, B_MIN)
     x = 2.0 * b * b
-    half2, weight = trapezoid_rule(0, TRAPEZOID_NODES)
+    half2, weight, _ = trapezoid_rule(TRAPEZOID_NODES)
     return float((2.0 * (1.0 - half2) * -np.expm1(-2.0 * x * half2)) @ weight) / (b * b)
 
 
@@ -102,20 +102,6 @@ def hs2_guess(n_circles: int) -> float:
     if n_circles < 1:
         raise ValueError(f"N must be >= 1, got {n_circles}")
     return 1.0 / (n_circles + 1) ** 2
-
-
-def _stripe_table(b: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal part sum_n (c_n(r)^2 - u_n)^2 and stripe sums S[:, k] = S_k(r),
-    k < dim, of one circle at each radius r of an array."""
-    _check_disk(b, B_SIMPLIFIED_MIN)
-    dim = disk_cutoff(b).dim
-    w = coherent_amplitudes(r, dim)
-    np.square(w, out=w)
-    diag = np.sum(np.square(w - disk_state_weights(b, dim)), axis=1)
-    table = np.empty((len(r), dim))
-    for k in range(dim):
-        table[:, k] = np.einsum("ij,ij->i", w[:, : dim - k], w[:, k:])
-    return diag, table
 
 
 def hs2_exact(b: float, n_circles: int) -> DistanceReport:
@@ -168,18 +154,28 @@ def trace_phi_sq(b: float, n_circles: int) -> float:
     return hs2_exact(b, n_circles).tr_phi2
 
 
-def hs2_simplified(b: float, p: int, r):
-    """Squared HS distance for the simplified protocol: one circle of p
-    phase-shifted states at radius r (an array, or a scalar for a float)
-    against the disk-mixed state, sum_n (c_n^2 - u_n)^2 + 2 sum_j S_jp."""
-    rs = np.asarray(r, dtype=float)
+def hs2_simplified(b: float, p, r):
+    """Squared HS distance for the simplified protocol, one circle of p
+    phase-shifted states at radius r against the disk-mixed state:
+    sum_n (c_n^2 - u_n)^2 + 2 sum_j S_jp.  p (integral, >= 1) and r (in (0, b])
+    are scalars or arrays: arrays give the table D^2[p_i, r_j], a scalar
+    drops its axis, and two scalars give a float."""
+    ps, rs = np.asarray(p), np.asarray(r, dtype=float)
     if not np.all((0 < rs) & (rs <= b)):
         raise ValueError(f"r must be in (0, b], got r={r}, b={b}")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    diag, table = _stripe_table(b, rs.reshape(-1))
-    d2 = diag + 2.0 * table[:, p::p].sum(axis=1)
-    return d2.reshape(rs.shape) if rs.ndim else float(d2[0])
+    if not np.all((ps >= 1) & (ps % 1 == 0)):
+        raise ValueError(f"p must be an integer >= 1, got {p}")
+    _check_disk(b, B_SIMPLIFIED_MIN)
+    dim = disk_cutoff(b).dim
+    w = coherent_amplitudes(rs.reshape(-1), dim)
+    np.square(w, out=w)
+    diag = np.sum(np.square(w - disk_state_weights(b, dim)), axis=1)
+    # S[k - 1] = S_k(r), k = 1..dim-1 (dim >= 7 in the window); p reaches k = p, 2p, ...
+    stripes = np.array([np.einsum("ij,ij->i", w[:, : dim - k], w[:, k:]) for k in range(1, dim)])
+    step = np.where(ps < dim, ps, dim).astype(int)  # p >= dim reaches no stripe k < dim
+    d2 = diag + 2.0 * (np.arange(1, dim) % step[..., None] == 0) @ stripes
+    d2 = d2.reshape(ps.shape + rs.shape)
+    return d2 if d2.ndim else float(d2)
 
 
 def key_bits(d_hs: float) -> float:

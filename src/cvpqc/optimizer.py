@@ -10,8 +10,8 @@ to zero) reads
 positive near r = 0 and negative at r = b.  Regula falsi in the Illinois form
 (Dowell & Jarratt, BIT 11, 1971) finds the root of dD^2/dr, -4 e^(-2r^2) times
 it, for a whole grid of radii in the same array calls.  At finite p there is no
-such closed condition: the saturation sweep minimizes the distance itself
-over an r-grid, each p's row a sum over one p-independent stripe table.
+such closed condition: the saturation sweep minimizes the distance itself,
+hs2_simplified's table D^2[p, r] over an r-grid, then refines each p's minimum.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .distances import B_SIMPLIFIED_MIN, ConsistencyError, _stripe_table
-from .specialfns import TRAPEZOID_NODES, TRAPEZOID_NODES_MAX, bessel_i, trapezoid_rule
+from .distances import B_SIMPLIFIED_MIN, ConsistencyError, hs2_simplified
+from .specialfns import TRAPEZOID_NODES, TRAPEZOID_NODES_MAX, bessel_i, trapezoid_mean
 
 # r_min / b lies in [0.644, 0.848] over the window: [0.6b, 0.9b] brackets every root.
 BRACKET = np.array([0.01, 0.6, 0.9, 1.0])
@@ -70,10 +70,8 @@ def stationarity(b, r):
         raise ValueError(f"r must be in (0, b], got r={r.flat[i]}, b={b.flat[i]}")
     x = 2.0 * r * r
     drive = bessel_i(1, 2.0 * r * b) * np.exp(r * r - b * b) / b  # 2rb >= x: checks the window
-    (half2, weight0), (_, weight1) = (trapezoid_rule(k, TRAPEZOID_NODES) for k in (0, 1))
-    table = np.multiply.outer(-2.0 * x, half2)
-    np.exp(table, out=table)  # e^(-x) I_0(x) and e^(-x) I_1(x) share the table
-    value = r * np.exp(x) * (table @ weight0 - x * (table @ weight1)) - drive
+    i0, i1 = trapezoid_mean(x, TRAPEZOID_NODES)  # e^(-x) I_0(x) and e^(-x) I_1(x)
+    value = r * np.exp(x) * (i0 - i1) - drive
     return value if value.ndim else float(value)
 
 
@@ -137,8 +135,8 @@ def _search(b: np.ndarray) -> list[RminResult]:
 
 def saturation_sweep(b: float, p_max: int, saturation_tol: float = 1e-4) -> SaturationResult:
     """Minimize the simplified distance over r for each p = 1..p_max: the
-    argmin over GRID_POINTS radii in (0, b], then a 3-point parabola step,
-    each one stripe table for every p.
+    argmin over GRID_POINTS radii in (0, b], then a 3-point parabola step;
+    every D^2 is read from hs2_simplified's (p, r) table.
 
     p_sat is the smallest p whose minimum is within ``saturation_tol``
     (absolute, in D^2) of the p_max minimum.
@@ -150,10 +148,8 @@ def saturation_sweep(b: float, p_max: int, saturation_tol: float = 1e-4) -> Satu
         raise ValueError(f"saturation_tol must be positive and finite, got {saturation_tol}")
     # the last point is b itself: b * GRID_POINTS / GRID_POINTS can round above b
     grid = np.append(b * np.arange(1, GRID_POINTS) / GRID_POINTS, b)
-    diag, table = _stripe_table(b, grid)
-    ps, k = np.arange(1, p_max + 1), np.arange(table.shape[1])
-    stripes = np.where((k > 0) & (k % ps[:, None] == 0), 2.0, 0.0)  # p_max x dim
-    d2 = diag + stripes @ table.T  # row p - 1 holds D^2(p, grid)
+    ps = np.arange(1, p_max + 1)
+    d2 = hs2_simplified(b, ps, grid)  # row p - 1 holds D^2(p, grid)
     rows, i = ps - 1, np.argmin(d2, axis=1)
     # parabola through the three samples around each interior minimum
     j = np.clip(i, 1, GRID_POINTS - 2)
@@ -161,8 +157,7 @@ def saturation_sweep(b: float, p_max: int, saturation_tol: float = 1e-4) -> Satu
     fit = (i == j) & (lo - 2.0 * mid + hi > 0)
     shift = np.divide(lo - hi, lo - 2.0 * mid + hi, out=np.zeros(p_max), where=fit)
     r_ref = grid[j] + 0.5 * (grid[1] - grid[0]) * shift
-    diag_ref, table_ref = _stripe_table(b, r_ref)
-    v_ref = diag_ref + np.sum(stripes * table_ref, axis=1)
+    v_ref = np.diagonal(hs2_simplified(b, ps, r_ref))  # D^2(p, r_ref[p - 1])
     take = fit & (v_ref < d2[rows, i])
     r_best, v_best = np.where(take, r_ref, grid[i]), np.where(take, v_ref, d2[rows, i])
     curve = list(zip(ps.tolist(), r_best.tolist(), v_best.tolist()))

@@ -9,8 +9,8 @@ theta_j = 2 pi j / K errs only by aliasing terms from the Fourier orders
 K - 2 and up (Trefethen & Weideman, SIAM Review 56, 2014), far below eps
 at the fixed K = 160 for x <= 200: no series is left to truncate.
 sin^2(theta/2) keeps the digits that cos(theta) - 1 loses near theta = 0.
-Nodes j and K - j carry the same sin^2, so the rule is summed over the
-distinct nodes j = 0..K//2 only.
+Nodes j and K - j carry the same sin^2, so the rule sums over the distinct
+nodes j = 0..K//2 only, and both orders read one table of exponentials.
 
 The Poisson terms P(X = m) are the squared coherent amplitudes, and every
 upper tail is one reverse cumulative sum of them, so no term cancels.  The
@@ -45,28 +45,29 @@ class ArgumentRangeError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def trapezoid_rule(order: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """sin^2(theta_j / 2) and the weights sin^(2 order)(theta_j) / nodes,
-    order 0 or 1, at the distinct nodes theta_j = 2 pi j / nodes,
+def trapezoid_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sin^2(theta_j / 2) and the weights 1 / nodes and sin^2(theta_j) / nodes
+    of orders 0 and 1 at the distinct nodes theta_j = 2 pi j / nodes,
     j = 0..nodes//2; a weight counts twice where node j also stands for
     node nodes - j (0 < j < nodes/2).  Built on first use, read-only."""
     j = np.arange(nodes // 2 + 1)
     half2 = np.sin(math.pi * j / nodes) ** 2
     folds = np.where((j > 0) & (2 * j < nodes), 2.0, 1.0)
-    rule = half2, folds * (4.0 * half2 * (1.0 - half2)) ** order / nodes  # sin^2 = 4h(1 - h)
+    rule = half2, folds / nodes, folds * (4.0 * half2 * (1.0 - half2)) / nodes  # sin^2 = 4h(1 - h)
     for array in rule:
         array.setflags(write=False)
     return rule
 
 
-def trapezoid_mean(x, order: int, nodes: int):
+def trapezoid_mean(x, nodes: int):
     """(x^order / nodes) sum_j sin^(2 order)(theta_j) exp(-2x sin^2(theta_j/2))
-    for array x and order 0 or 1: e^(-x) I_order(x) plus the aliasing
-    terms, from non-negative terms only."""
+    for array x, orders 0 and 1 from one table of exponentials: e^(-x) I_0(x)
+    and e^(-x) I_1(x) plus the aliasing terms, from non-negative terms only."""
     x = np.asarray(x, dtype=float)
-    half2, weight = trapezoid_rule(order, nodes)
+    half2, weight0, weight1 = trapezoid_rule(nodes)
     terms = np.multiply.outer(-2.0 * x, half2)
-    return x**order * (np.exp(terms, out=terms) @ weight)  # in place: no second array
+    np.exp(terms, out=terms)  # in place: no second array
+    return terms @ weight0, x * (terms @ weight1)
 
 
 def bessel_i(order: int, x):
@@ -79,7 +80,7 @@ def bessel_i(order: int, x):
         raise ArgumentRangeError(
             f"need order 0 or 1 and x <= {SUPPORTED_X_MAX}, got order {order}, x={np.max(x)}"
         )
-    value = np.exp(x) * trapezoid_mean(x, order, TRAPEZOID_NODES)
+    value = np.exp(x) * trapezoid_mean(x, TRAPEZOID_NODES)[order]
     return value if value.ndim else float(value)
 
 
@@ -89,7 +90,7 @@ def bessel_sum(order_step: int, x):
     Nothing in the package calls it; perfbench/child.py traces it."""
     if order_step < 1:
         raise ValueError(f"order_step must be >= 1, got {order_step}")
-    mean = trapezoid_mean(x, 0, min(order_step, TRAPEZOID_NODES_MAX))
+    mean = trapezoid_mean(x, min(order_step, TRAPEZOID_NODES_MAX))[0]
     return 0.5 * (np.exp(x) * mean - bessel_i(0, x))  # bessel_i checks the window
 
 

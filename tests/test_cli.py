@@ -77,6 +77,30 @@ class TestExitCodes:
         assert code == cli.EXIT_BAD_INPUT
         assert out == "" and len(err.splitlines()) == 1 and "--json-log" in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--out", "/dev/full", "keybits", "--d-hs", "0.1"], "--out"),
+            (["--json-log", "/dev/full", "keybits", "--d-hs", "0.1"], "--json-log"),
+            (["--out", "/dev/full", "rmin", "--b", "0.01:7:0.001"], "--out"),
+        ],
+        ids=["out-at-close", "json-log-at-close", "out-mid-write"],
+    )
+    def test_full_device_is_bad_input(self, argv, flag, tmp_path, capsys):
+        # every write to /dev/full fails with ENOSPC: a short row fails when the file
+        # closes, and the 6990 rmin rows overflow the write buffer first
+        log = tmp_path / "run.json"
+        extra = ["--json-log", str(log)] if flag == "--out" else []
+        code, out, err = run([*extra, *argv], capsys)
+        assert code == cli.EXIT_BAD_INPUT and len(err.splitlines()) == 1
+        assert err.startswith(f"invalid input: cannot write {flag}: [Errno 28]")
+        if flag == "--out":  # the log, open before the work, records the failure
+            doc = json.loads(log.read_text())
+            assert doc["exit_code"] == code and doc["exit_reason"] == err.rstrip("\n")
+        else:
+            assert out.startswith("d_hs,approx_bits,N,exact_bits\n")
+
     def test_nonpositive_holevo_radius_is_bad_input(self, capsys):
         code, out, err = run(["holevo", "--b-grid", "0,1"], capsys)
         assert code == cli.EXIT_BAD_INPUT
@@ -398,6 +422,19 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_no_module_imports_another_modules_private_name():
+    # an underscore name is its module's own: a second caller makes it public API
+    package = Path(cvpqc.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "cvpqc"
+            ):
+                for alias in node.names:
+                    private = alias.name.startswith("_") and not alias.name.endswith("__")
+                    assert not private, f"{path.name} imports {alias.name} from {node.module}"
 
 
 def test_only_verify_identities_calls_the_cross_series():

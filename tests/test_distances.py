@@ -22,7 +22,8 @@ from cvpqc import (
     trace_phi_sq,
     trace_unit_sq,
 )
-from cvpqc.distances import B_SIMPLIFIED_MIN, N_MAX, _stripe_table, cross_bessel_sum
+from cvpqc import cli
+from cvpqc.distances import B_SIMPLIFIED_MIN, N_MAX, cross_bessel_sum
 from cvpqc.ensembles import B_MIN
 from cvpqc.fockspace import disk_cutoff
 from cvpqc.specialfns import ArgumentRangeError
@@ -267,15 +268,22 @@ class TestHs2Simplified:
         with pytest.raises(ValueError, match="at least 0.01"):
             hs2_simplified(0.99 * B_SIMPLIFIED_MIN, 3, 5e-3)
 
+    @pytest.mark.parametrize("p", [2.5, 1e-3, np.array([1.0, 2.5]), [3, 4.5, 6], math.nan])
+    def test_non_integral_phase_count_raises(self, p):
+        # the stripe mask takes p as an int: unchecked, p = 2.5 would pass as p = 2
+        with pytest.raises(ValueError, match="p must be an integer >= 1"):
+            hs2_simplified(2.0, p, 1.0)
+
     @pytest.mark.parametrize("p", [1, 2, 3, 7, 20, 400, 501, 10**9])
     @pytest.mark.parametrize("x", [1e-3, 0.5, 2.0, 8.0, 50.0, 200.0])
     def test_overlap_mean_matches_bessel_stripes(self, p, x):
         # S_k(r) = e^-x I_k(x) at x = 2 r^2, for a circle at the disk's edge b = r;
         # the cutoff drops Poisson mass below the 1e-12 tail budget
         r = math.sqrt(0.5 * x)
-        table = _stripe_table(r, np.array([r]))[1][0]
+        # p = 10^30 reaches no stripe: the difference is 2 sum_j S_jp alone
+        stripe_sum = hs2_simplified(r, p, r) - hs2_simplified(r, 10**30, r)
         stripes = 2.0 * math.exp(-x) * series_bessel_sum(p, x)
-        assert 2.0 * table[p::p].sum() == pytest.approx(stripes, rel=0.0, abs=1e-11)
+        assert stripe_sum == pytest.approx(stripes, rel=0.0, abs=1e-11)
 
     @pytest.mark.parametrize("b", [1e-2, 2e-2, 0.1])
     def test_small_disk_matches_high_precision(self, b):
@@ -297,12 +305,27 @@ class TestHs2Simplified:
         for r, v in zip(rs, vals):
             assert v == pytest.approx(hs2_simplified(b, p, float(r)), rel=0, abs=1e-15)
         assert isinstance(hs2_simplified(b, p, 1.0), float)
+        # an array of p gives the table D^2[p_i, r_j]; a scalar r drops its axis
+        ps = np.array([1, 2, p, 7 * p])
+        table = hs2_simplified(b, ps, rs)
+        assert table.shape == (len(ps), len(rs))
+        assert hs2_simplified(b, ps, rs[-1]) == pytest.approx(table[:, -1], rel=0, abs=1e-15)
+        for q, row in zip(ps.tolist(), table):
+            for r, v in zip(rs, row):
+                assert v == pytest.approx(hs2_simplified(b, q, float(r)), rel=0, abs=1e-15)
 
-    def test_huge_phase_count_is_cheap(self):
+    def test_huge_phase_count_is_cheap(self, capsys):
         t0 = time.perf_counter()
         v = hs2_simplified(2.0, 10**9, 1.3)
+        huge = hs2_simplified(2.0, 10**20, 1.3)  # beyond int64
         assert time.perf_counter() - t0 < 1.0
-        assert v == hs2_simplified(2.0, 501, 1.3)
+        assert v == huge == hs2_simplified(2.0, 501, 1.3)
+        assert np.array_equal(hs2_simplified(2.0, [501, 10**20], 1.3), [v, v])
+        rows = []
+        for p in ("501", "100000000000000000000"):
+            assert cli.main(["simplified", "--b", "2", "--p", p, "--r", "1.3"]) == cli.EXIT_OK
+            rows.append(capsys.readouterr().out.splitlines()[1].split(","))
+        assert rows[1][1] == "100000000000000000000" and rows[1][3] == rows[0][3]
 
 
 class TestKeyBits:

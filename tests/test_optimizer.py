@@ -12,8 +12,9 @@ from cvpqc import (
     saturation_sweep,
     stationarity,
 )
-from cvpqc import distances, optimizer
+from cvpqc import optimizer
 from cvpqc.distances import B_SIMPLIFIED_MIN
+from cvpqc.fockspace import disk_cutoff
 from cvpqc.optimizer import d2_derivative
 from cvpqc.specialfns import TRAPEZOID_NODES_MAX
 from conftest import P_LIMIT
@@ -189,9 +190,17 @@ class TestSaturationSweep:
         res = saturation_sweep(b, TRAPEZOID_NODES_MAX)
         assert [p for p, _, _ in res.curve] == list(range(1, TRAPEZOID_NODES_MAX + 1))
         # no stripe k >= 1 of the table is a multiple of p >= dim
-        dim = distances._stripe_table(b, np.array([b]))[1].shape[1]
+        dim = disk_cutoff(b).dim
         assert len({d2 for p, _, d2 in res.curve if p >= dim}) == 1
         assert res.curve[:20] == saturation_sweep(b, 20).curve
+
+    @pytest.mark.parametrize("p_max", [30, 501])
+    @pytest.mark.parametrize("b", [0.01, 0.5, 2.0, 10.0])
+    def test_every_minimum_is_the_simplified_distance(self, b, p_max):
+        # one route: each row's d2_min is hs2_simplified at its own radius
+        for p, r, d2 in saturation_sweep(b, p_max).curve:
+            ref = hs2_simplified(b, p, r)
+            assert abs(d2 - ref) <= 8 * np.spacing(ref), (p, r)
 
 
 class TestBatchedRoots:
