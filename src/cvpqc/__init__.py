@@ -22,12 +22,9 @@ from .distances import (
 from .ensembles import circle_mixture, maximally_mixed, phi_n
 from .fockspace import CutoffError, CutoffPolicy, hs_distance_numeric
 from .holevo import (
-    HolevoCurve,
     LambdaSpectrum,
     OffDiagonalEstimate,
     QuadratureConvergenceError,
-    holevo_bound,
-    holevo_curve,
     lambda_spectrum,
     off_diagonal_check,
 )

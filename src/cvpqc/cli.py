@@ -30,7 +30,7 @@ from .distances import (
 )
 from .ensembles import maximally_mixed, phi_n, circle_mixture
 from .fockspace import CutoffPolicy, disk_cutoff, hs_distance_numeric
-from .holevo import QuadratureConvergenceError, holevo_curve, off_diagonal_check
+from .holevo import QuadratureConvergenceError, lambda_spectrum, off_diagonal_check
 from .optimizer import find_rmin, saturation_sweep
 from .specialfns import bessel_i
 
@@ -225,17 +225,21 @@ def cmd_saturation(args, out):
 
 
 def cmd_holevo(args, out):
-    """`holevo --b-grid G` and `figures fig2 [--b-grid G]`."""
+    """`holevo --b-grid G` and `figures fig2 [--b-grid G]`; a radius whose
+    quadrature fails is skipped and reported after the rows of the others."""
     grid = args.b_grid if args.b_grid is not None else parse_grid("0.5:4:0.5")
-    curve = holevo_curve(grid)
-    rows = [
-        (b, chi, spec.quad_error, spec.dim)
-        for (b, chi), spec in zip(curve.samples, curve.spectra)
-    ]
+    rows, failures = [], []
+    for b in grid:
+        try:
+            spec = lambda_spectrum(b)
+        except QuadratureConvergenceError as exc:
+            failures.append(f"b={b}: {exc}")
+            continue
+        rows.append((b, spec.chi_bits, spec.quad_error, spec.dim))
     command = "holevo" if args.command == "holevo" else "fig2"
     write_rows(["b", "chi_bits", "quad_error", "dim"], rows, out, args.format, command)
-    if curve.failures:
-        raise QuadratureConvergenceError("; ".join(f"b={b}: {msg}" for b, msg in curve.failures))
+    if failures:
+        raise QuadratureConvergenceError("; ".join(failures))
 
 
 def cmd_figures(args, out):

@@ -160,12 +160,12 @@ def hs2_simplified(b: float, p, r):
     sum_n (c_n^2 - u_n)^2 + 2 sum_j S_jp.  p (integral, >= 1) and r (in (0, b])
     are scalars or arrays: arrays give the table D^2[p_i, r_j], a scalar
     drops its axis, and two scalars give a float."""
+    _check_disk(b, B_SIMPLIFIED_MIN)
     ps, rs = np.asarray(p), np.asarray(r, dtype=float)
     if not np.all((0 < rs) & (rs <= b)):
         raise ValueError(f"r must be in (0, b], got r={r}, b={b}")
     if not np.all((ps >= 1) & (ps % 1 == 0)):
         raise ValueError(f"p must be an integer >= 1, got {p}")
-    _check_disk(b, B_SIMPLIFIED_MIN)
     dim = disk_cutoff(b).dim
     w = coherent_amplitudes(rs.reshape(-1), dim)
     np.square(w, out=w)

@@ -36,8 +36,8 @@ class CutoffPolicy:
     tail_budget: float = 1e-10
 
     def __post_init__(self):
-        if self.max_radius < 0:
-            raise ValueError(f"max_radius must be non-negative, got {self.max_radius}")
+        if not 0 <= self.max_radius < np.inf:
+            raise ValueError(f"max_radius must be non-negative and finite, got {self.max_radius}")
         if not 0 < self.tail_budget < 1:
             raise ValueError(f"tail_budget must be in (0, 1), got {self.tail_budget}")
 
@@ -50,12 +50,12 @@ class CutoffPolicy:
     @property
     def dim(self) -> int:
         """Smallest dimension with discarded Poisson mass below budget, from
-        one tail array over n = int(lam) - 1 .. poisson_cut(lam), the first n
-        whose tail is below every double; cached."""
+        one tail array over n = 0 .. poisson_cut(lam), the first n whose tail
+        is below every double; cached."""
         if "_dim" not in self.__dict__:
             lam = self.max_radius**2
-            n = np.arange(max(0, int(lam) - 1), poisson_cut(lam) + 1)
-            d = int(n[np.argmax(poisson_tail(n, lam) < self.tail_budget)]) + 1
+            n = np.arange(poisson_cut(lam) + 1)
+            d = int(np.argmax(poisson_tail(n, lam) < self.tail_budget)) + 1
             object.__setattr__(self, "_dim", d)
         return self._dim
 

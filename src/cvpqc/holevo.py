@@ -9,8 +9,8 @@ at combined radius s = |alpha + beta|, averaged over the density of s:
     A(s) = 2 b^2 arccos(s / 2b) - (s / 2) sqrt(4 b^2 - s^2),
 
 A(s) being the area where the two disks of radius b overlap.  The Holevo
-quantity is then the entropy gap S(lambda) - S(disk-mixed state), both
-states being diagonal.
+quantity chi(b) is the entropy gap S(lambda) - S(disk-mixed state), both
+states being diagonal; lambda_spectrum(b) returns it with the spectrum.
 
 The substitution s = 2b cos(t) gives A = b^2 (2t - sin 2t) and a smooth
 integrand on t in [0, pi/2], integrated by Gauss-Legendre at GL_ORDER
@@ -61,22 +61,16 @@ class QuadratureConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LambdaSpectrum:
-    """Normalized diagonal weights of the total channel state."""
+    """Normalized diagonal weights of the total channel state, and chi(b)."""
 
     b: float
     weights: np.ndarray = field(repr=False)
     quad_error: float
+    chi_bits: float
 
     @property
     def dim(self) -> int:
         return len(self.weights)
-
-
-@dataclass(frozen=True)
-class HolevoCurve:
-    samples: list  # (b, chi_bits) pairs, in grid order
-    spectra: list  # LambdaSpectrum per successful sample
-    failures: list  # (b, message) for grid points whose quadrature failed
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,9 @@ def _raw_weights(b: float, order: int, dim: int) -> np.ndarray:
 
 
 def lambda_spectrum(b: float) -> LambdaSpectrum:
-    """Diagonal spectrum of the total channel state, radius-2b support."""
+    """Diagonal spectrum of the total channel state, radius-2b support, and
+    chi(b) = S(total state) - S(disk-mixed state) in bits, clamped at 0; a
+    chi below -1e-6 raises QuadratureConvergenceError, as a bad quadrature does."""
     if not b >= B_MIN:
         raise ValueError(f"b must be positive and at least {B_MIN}, got {b}")
     if b > HOLEVO_B_MAX:
@@ -151,7 +147,10 @@ def lambda_spectrum(b: float) -> LambdaSpectrum:
         raise QuadratureConvergenceError(
             f"mass deficit {deficit:.3e} beyond the Fock cutoff at b={b} (dim={dim})"
         )
-    return LambdaSpectrum(b=b, weights=norm, quad_error=max(refine_diff, deficit))
+    chi = entropy_bits(norm) - entropy_bits(disk_state_weights(b, dim))
+    if chi < -1e-6:
+        raise QuadratureConvergenceError(f"chi={chi} negative beyond tolerance at b={b}")
+    return LambdaSpectrum(b, norm, max(refine_diff, deficit), max(chi, 0.0))
 
 
 def entropy_bits(weights: np.ndarray) -> float:
@@ -159,35 +158,6 @@ def entropy_bits(weights: np.ndarray) -> float:
     w = np.asarray(weights, dtype=float)
     w = w[w > 0.0]
     return float(-np.sum(w * np.log2(w)))
-
-
-def _chi(spec: LambdaSpectrum) -> float:
-    chi = entropy_bits(spec.weights) - entropy_bits(disk_state_weights(spec.b, spec.dim))
-    if chi < -1e-6:
-        raise QuadratureConvergenceError(f"chi={chi} negative beyond tolerance at b={spec.b}")
-    return max(chi, 0.0)
-
-
-def holevo_bound(b: float) -> float:
-    """Holevo quantity chi(b) = S(total state) - S(disk-mixed state), bits."""
-    return _chi(lambda_spectrum(b))
-
-
-def holevo_curve(b_grid: list[float]) -> HolevoCurve:
-    """chi(b) over a grid; per-point failures (quadrature, negative chi) are
-    recorded and the rest is still returned.  A b outside [B_MIN, HOLEVO_B_MAX]
-    raises (bad input)."""
-    samples, spectra, failures = [], [], []
-    for b in b_grid:
-        try:
-            spec = lambda_spectrum(b)
-            chi = _chi(spec)
-        except QuadratureConvergenceError as exc:
-            failures.append((b, str(exc)))
-            continue
-        samples.append((b, chi))
-        spectra.append(spec)
-    return HolevoCurve(samples=samples, spectra=spectra, failures=failures)
 
 
 def off_diagonal_check(b: float, samples: int, seed: int = 0) -> OffDiagonalEstimate:

@@ -20,7 +20,6 @@ from cvpqc import (
     CutoffPolicy,
     bessel_i,
     find_rmin,
-    holevo_bound,
     hs2_exact,
     hs2_guess,
     hs2_simplified,
@@ -208,9 +207,9 @@ def test_criterion_10_lambda_diagonality():
 
 
 def test_criterion_11_holevo_curve():
-    chis = [holevo_bound(b) for b in (0.5, 1.0, 2.0, 4.0)]
+    chis = [lambda_spectrum(b).chi_bits for b in (0.5, 1.0, 2.0, 4.0)]
     increasing = all(c2 > c1 for c1, c2 in zip(chis, chis[1:]))
-    small_b = holevo_bound(1e-3)
+    small_b = lambda_spectrum(1e-3).chi_bits
     oracle = tensor_holevo_chi(2.0, lambda_spectrum(2.0).dim)
     stable = abs(oracle - chis[2]) < 1e-9
     report(

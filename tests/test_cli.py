@@ -16,6 +16,7 @@ import pytest
 import cvpqc
 from cvpqc import DistanceReport, cli, optimizer
 from conftest import mp_hs2_dense
+from test_tracing import traced_names
 
 
 def run(argv, capsys):
@@ -129,7 +130,10 @@ class TestExitCodes:
             (["distance", "--b", "1e-300", "--N", "3"], "at least 1e-150"),
             (["distance", "--b", "1e-150,9.9e-151", "--N", "3"], "at least 1e-150"),
             (["simplified", "--b", "9e-3", "--p", "3", "--r", "5e-3"], "at least 0.01"),
+            (["simplified", "--b", "nan", "--p", "3", "--r", "1"],
+             "b must be positive and at least 0.01, got nan"),
             (["saturation", "--b", "9e-3"], "at least 0.01"),
+            (["saturation", "--b", "nan"], "b must be positive and at least 0.01, got nan"),
             (["figures", "fig1a", "--b", "9.9e-3"], "at least 0.01"),
             (["rmin", "--b", "1e-3"], "[0.01, 7]"),
             (["figures", "fig1b", "--b-grid", "9.9e-3,1"], "[0.01, 7]"),
@@ -144,7 +148,8 @@ class TestExitCodes:
              "sat-tol-nan", "sat-tol-neg", "holevo-b-window", "distance-N-window", "grid-inf-stop",
              "counts-inf-stop", "holevo-empty-grid", "fig1b-empty-grid", "grid-descending",
              "grid-too-long", "oracle-N-window", "distance-b-min", "distance-below-b-min",
-             "simplified-b-min", "saturation-b-min", "fig1a-below-b-min", "rmin-b-min",
+             "simplified-b-min", "simplified-b-nan", "saturation-b-min", "saturation-b-nan",
+             "fig1a-below-b-min", "rmin-b-min",
              "fig1b-below-b-min", "rmin-mixed-window", "fig1b-mixed-window", "holevo-b-min",
              "saturation-p-max", "saturation-huge-p-max", "fig1a-p-max"],
     )
@@ -435,6 +440,27 @@ def test_no_module_imports_another_modules_private_name():
                 for alias in node.names:
                     private = alias.name.startswith("_") and not alias.name.endswith("__")
                     assert not private, f"{path.name} imports {alias.name} from {node.module}"
+
+
+def test_package_has_no_api_only_tests_use():
+    # a name the cvpqc namespace exports is read by another package module, or
+    # traced by the benchmark; any other serves the tests alone
+    package = Path(cvpqc.__file__).resolve().parent
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in init.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = {name.split(".")[0] for _, name in traced_names()}
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert sorted(exported - used) == []
 
 
 def test_only_verify_identities_calls_the_cross_series():

@@ -16,7 +16,7 @@ from conftest import coherent_state, displacement_matrix, mp_poisson_tail
 CUTOFFS = [
     CutoffPolicy(r, budget)
     for r in (1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 13.0, 26.0, 28.0)
-    for budget in (1e-10, 1e-12, 1e-16)
+    for budget in (1e-10, 1e-12, 1e-16, 0.6, 0.9, 0.99)
 ] + [disk_cutoff(b) for b in (1e-150, 2e-37, 1e-6, 0.5)]
 
 
@@ -52,8 +52,9 @@ class TestCutoffPolicy:
             pol.require(1.5)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CutoffPolicy(max_radius=-1.0)
+        for radius in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                CutoffPolicy(max_radius=radius)
         with pytest.raises(ValueError):
             CutoffPolicy(max_radius=1.0, tail_budget=0.0)
 

@@ -4,14 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cvpqc import (
-    QuadratureConvergenceError,
-    holevo_bound,
-    holevo_curve,
-    lambda_spectrum,
-    off_diagonal_check,
-)
-from cvpqc import holevo
+from cvpqc import QuadratureConvergenceError, lambda_spectrum, off_diagonal_check
+from cvpqc import cli, holevo
 from cvpqc.fockspace import coherent_amplitudes
 from cvpqc.holevo import HOLEVO_B_MAX, disk_state_weights, entropy_bits
 from conftest import (
@@ -51,6 +45,19 @@ def mc_weight_ratios(b, n_keep, samples, seed):
     return means / means[0], np.array(errs) / means[0]
 
 
+def assert_curve_fails_at(grid, failed, reason, capsys):
+    """`holevo --b-grid` writes the rows of the other radii, then exits 3 with
+    one stderr line naming the failed radius."""
+    code = cli.main(["holevo", "--b-grid", ",".join(map(str, grid))])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INCONSISTENT
+    lines = out.splitlines()
+    assert lines[0] == "b,chi_bits,quad_error,dim"
+    rows = [tuple(float(v) for v in line.split(",")[:2]) for line in lines[1:]]
+    assert rows == [(b, lambda_spectrum(b).chi_bits) for b in grid if b != failed]
+    assert len(err.splitlines()) == 1 and f"b={failed}: " in err and reason in err
+
+
 class TestLambdaSpectrum:
     def test_is_a_distribution(self):
         spec = lambda_spectrum(1.5)
@@ -70,7 +77,7 @@ class TestLambdaSpectrum:
         spec = lambda_spectrum(b)
         oracle = tensor_lambda_weights(b, spec.dim)
         assert np.abs(spec.weights - oracle).max() < 1e-12
-        assert abs(holevo_bound(b) - tensor_holevo_chi(b, spec.dim)) < 1e-9
+        assert abs(spec.chi_bits - tensor_holevo_chi(b, spec.dim)) < 1e-9
 
     def test_small_disk_concentrates_on_vacuum(self):
         spec = lambda_spectrum(1e-3)
@@ -134,9 +141,11 @@ class TestCachedRules:
         grid = [0.5, 2.0, 6.5, 11.0]
         if reverse:
             grid = grid[::-1]
-        holevo._rule.cache_clear()  # the curve's first radius builds both rules
-        curve = holevo_curve(grid)
-        assert curve.samples == [(b, holevo_bound(b)) for b in grid]
+        holevo._rule.cache_clear()  # the first radius builds both rules
+        first = [lambda_spectrum(b).chi_bits for b in grid]
+        for b, chi in zip(grid, first):
+            holevo._rule.cache_clear()
+            assert lambda_spectrum(b).chi_bits == chi
 
 
 class TestEntropyAndBound:
@@ -149,9 +158,14 @@ class TestEntropyAndBound:
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_bound_is_positive_and_grows(self):
-        chi1 = holevo_bound(1.0)
-        chi2 = holevo_bound(2.0)
+        chi1 = lambda_spectrum(1.0).chi_bits
+        chi2 = lambda_spectrum(2.0).chi_bits
         assert 0.0 < chi1 < chi2
+
+    @pytest.mark.parametrize("b", [1e-150, 1e-8, 1e-4])
+    def test_bound_is_never_negative(self, b):
+        # at b = 1e-8 the entropy gap rounds to -4.8e-16, which reads 0
+        assert lambda_spectrum(b).chi_bits >= 0.0
 
     def test_oracle_is_the_classical_entropy_gap(self):
         assert holevo_classical_limit() == pytest.approx(1.39257, abs=5e-6)
@@ -159,7 +173,7 @@ class TestEntropyAndBound:
     def test_bound_increases_toward_classical_limit(self):
         # chi < chi_inf is a numerical observation, not a theorem
         limit = holevo_classical_limit()
-        chis = [holevo_bound(b) for b in (1.0, 2.0, 4.0, 8.0, HOLEVO_B_MAX)]
+        chis = [lambda_spectrum(b).chi_bits for b in (1.0, 2.0, 4.0, 8.0, HOLEVO_B_MAX)]
         assert all(c2 > c1 for c1, c2 in zip(chis, chis[1:]))
         assert chis[-1] < limit
 
@@ -167,23 +181,25 @@ class TestEntropyAndBound:
     def test_gap_to_classical_limit_shrinks_like_inverse_radius(self, b):
         # measured ratios 0.527..0.552: a constant gap gives 1, a 1/b^2 gap 0.25
         limit = holevo_classical_limit()
-        ratio = (limit - holevo_bound(2.0 * b)) / (limit - holevo_bound(b))
+        chi_b, chi_2b = (lambda_spectrum(x).chi_bits for x in (b, 2.0 * b))
+        ratio = (limit - chi_2b) / (limit - chi_b)
         assert 0.5 <= ratio <= 0.6
 
-    def test_curve_collects_failures_without_aborting(self, monkeypatch):
+    def test_curve_collects_failures_without_aborting(self, monkeypatch, capsys):
         monkeypatch.setattr(holevo, "GL_ORDER", COARSE_ORDER)
-        curve = holevo_curve([0.2, 4.0])
-        assert [b for b, _ in curve.samples] == [0.2]
-        assert len(curve.failures) == 1 and curve.failures[0][0] == 4.0
+        assert_curve_fails_at([0.2, 4.0, 0.3], 4.0, "refinement disagreement", capsys)
 
-    def test_negative_chi_is_a_failure_in_bound_and_curve(self, monkeypatch):
+    def test_negative_chi_is_a_failure_in_bound_and_curve(self, monkeypatch, capsys):
         # a maximally mixed reference has more entropy than any spectrum
-        monkeypatch.setattr(holevo, "disk_state_weights", lambda b, dim: np.full(dim, 1.0 / dim))
+        disk = holevo.disk_state_weights
+
+        def weights(b, dim):
+            return np.full(dim, 1.0 / dim) if b == 1.0 else disk(b, dim)
+
+        monkeypatch.setattr(holevo, "disk_state_weights", weights)
         with pytest.raises(QuadratureConvergenceError, match="negative"):
-            holevo_bound(1.0)
-        curve = holevo_curve([1.0])
-        assert curve.samples == [] and curve.spectra == []
-        assert curve.failures[0][0] == 1.0 and "negative" in curve.failures[0][1]
+            lambda_spectrum(1.0)
+        assert_curve_fails_at([0.5, 1.0, 2.0], 1.0, "negative beyond tolerance", capsys)
 
 
 class TestOffDiagonalCheck:
