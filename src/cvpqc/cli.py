@@ -341,6 +341,8 @@ def cmd_verify(args, out):
     if args.mc_samples < MC_SAMPLES_MIN or args.seed < 0:  # before any check line
         raise ValueError(f"need --mc-samples >= {MC_SAMPLES_MIN} and --seed >= 0, "
                          f"got {args.mc_samples} and {args.seed}")
+    if args.format != "csv":  # check lines are neither CSV rows nor report JSON
+        raise ValueError(f"verify writes check lines, not --format {args.format}")
     results = []
     if args.suite in ("identities", "all"):
         verify_identities(out, results)

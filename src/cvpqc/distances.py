@@ -72,7 +72,7 @@ def cross_bessel_sum(b: float, r):
     return total if total.ndim else float(total)
 
 
-def _check_disk(b: float, b_min: float):
+def check_disk(b: float, b_min: float):
     """The disk-radius window b_min <= b, 2b^2 <= SUPPORTED_X_MAX (b <= 10)."""
     if not b >= b_min:
         raise ValueError(f"b must be positive and at least {b_min}, got {b}")
@@ -85,7 +85,7 @@ def trace_unit_sq(b: float) -> float:
     """Purity (1 - e^(-x) [I_0(x) + I_1(x)]) / b^2, x = 2b^2, of the disk-mixed
     state for B_MIN <= b <= 10: the trapezoid mean of the non-negative terms
     (1 + cos theta_j)(1 - exp(-2x sin^2(theta_j/2))), 1 + cos = 2 - 2 sin^2."""
-    _check_disk(b, B_MIN)
+    check_disk(b, B_MIN)
     x = 2.0 * b * b
     half2, weight, _ = trapezoid_rule(TRAPEZOID_NODES)
     return float((2.0 * (1.0 - half2) * -np.expm1(-2.0 * x * half2)) @ weight) / (b * b)
@@ -160,7 +160,7 @@ def hs2_simplified(b: float, p, r):
     sum_n (c_n^2 - u_n)^2 + 2 sum_j S_jp.  p (integral, >= 1) and r (in (0, b])
     are scalars or arrays: arrays give the table D^2[p_i, r_j], a scalar
     drops its axis, and two scalars give a float."""
-    _check_disk(b, B_SIMPLIFIED_MIN)
+    check_disk(b, B_SIMPLIFIED_MIN)
     ps, rs = np.asarray(p), np.asarray(r, dtype=float)
     if not np.all((0 < rs) & (rs <= b)):
         raise ValueError(f"r must be in (0, b], got r={r}, b={b}")

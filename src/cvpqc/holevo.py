@@ -13,16 +13,14 @@ quantity chi(b) is the entropy gap S(lambda) - S(disk-mixed state), both
 states being diagonal; lambda_spectrum(b) returns it with the spectrum.
 
 The substitution s = 2b cos(t) gives A = b^2 (2t - sin 2t) and a smooth
-integrand on t in [0, pi/2], integrated by Gauss-Legendre at GL_ORDER
-nodes; a second pass at twice the order supplies the error estimate.  Both
-orders are even: Newton's method on the three-term recurrence of P_n finds
-the positive nodes from Tricomi's guesses in O(n^2), and mirrors them.
-Neither rule depends on b, so each (nodes and density weight) is built
-once per process, on first use: the first radius pays for both, later
-radii reuse them.  Every lambda_n comes from the same nodes, its Poisson
-factor the squared coherent amplitude c_n(s)^2 = e^(-s^2) s^(2n) / n!.  A
-spectrum whose passes disagree, or whose mass beyond the Fock cutoff
-exceeds the same threshold, raises instead of returning.
+integrand on t in [0, pi/2], integrated by a nested Clenshaw-Curtis rule:
+of its 2 CC_ORDER + 1 nodes, every other one carries the (CC_ORDER + 1)-node
+rule, whose sum gives the error estimate from the same amplitudes.  The
+rule does not depend on b, so it is built once per process, on first use.
+Every lambda_n comes from the same nodes, its Poisson factor the squared
+coherent amplitude c_n(s)^2 = e^(-s^2) s^(2n) / n!.  A spectrum whose
+levels disagree, or whose mass beyond the Fock cutoff exceeds the same
+threshold, raises instead of returning.
 """
 
 from __future__ import annotations
@@ -38,9 +36,8 @@ from .fockspace import CutoffPolicy, coherent_amplitudes
 
 TWO_PI = 2.0 * math.pi
 
-GL_ORDER = 200
+CC_ORDER = 200
 REFINE_THRESHOLD = 1e-6
-NEWTON_MAX_STEPS = 10  # on the Gauss-Legendre nodes (3 suffice) before the rule raises
 # Supported disk radii: e^(-s^2) at s = 2b, the start of each Poisson row,
 # stays a normal double (4 b^2 <= 676 < 708).  Beyond that the rows lose
 # mass (quad_error 8.8e-3 at b = 15) and chi(15) falls below chi(13).
@@ -55,8 +52,8 @@ OFF_DIAGONAL_BLOCK = 2_000
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Refinement levels disagree, or mass is lost beyond the Fock cutoff,
-    beyond the acceptance threshold; or the quadrature nodes do not converge."""
+    """The two levels of the nested rule disagree, or mass is lost beyond
+    the Fock cutoff, beyond the acceptance threshold."""
 
 
 @dataclass(frozen=True)
@@ -84,44 +81,29 @@ class OffDiagonalEstimate:
     dim: int
 
 
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule, n even."""
-    i = np.arange(n // 2, 0, -1)
-    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(math.pi * (i - 0.25) / (n + 0.5))
-    for _ in range(NEWTON_MAX_STEPS):
-        p_prev, p = np.ones_like(x), x
-        for k in range(2, n + 1):
-            xp = x * p
-            p_prev, p = p, xp + (k - 1) / k * (xp - p_prev)
-        q = (1.0 - x) * (1.0 + x)
-        dp = n * (p_prev - x * p) / q  # P_n'
-        step = p / dp
-        x = x - step
-        if np.abs(step).max() < 1e-15:
-            w = 2.0 / ((q - 2.0 * x * step) * dp * dp)  # 2 / ((1 - x^2) P_n'^2), moved by the step
-            return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
-    raise QuadratureConvergenceError(f"Gauss-Legendre nodes unconverged at order {n}")
+def _clenshaw_curtis(n: int) -> np.ndarray:
+    """Clenshaw-Curtis weights on [-1, 1] at the n + 1 nodes cos(k pi / n), n even."""
+    j = np.arange(1, n // 2 + 1)
+    beta = np.where(j == n // 2, 1.0, 2.0) / (4.0 * j * j - 1.0)
+    k = np.arange(n + 1)
+    w = (2.0 / n) * (1.0 - np.cos(np.outer(k, j) * (2.0 * math.pi / n)) @ beta)
+    w[[0, -1]] *= 0.5
+    return w
 
 
 @functools.lru_cache(maxsize=None)
-def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos t and the b-free weight of the order-point Gauss-Legendre rule
-    on t in [0, pi/2]; built on first use, read-only."""
-    t, w = _gauss_legendre(order)
-    t = 0.25 * math.pi * (t + 1.0)  # [-1, 1] -> [0, pi/2], dt = (pi/4) dx
-    # density(s) ds = (4/pi) sin(2t) (2t - sin 2t) dt, free of b
-    weight = w * np.sin(2.0 * t) * (2.0 * t - np.sin(2.0 * t))
-    cos_t = np.cos(t)
-    cos_t.setflags(write=False)
-    weight.setflags(write=False)
-    return cos_t, weight
-
-
-def _raw_weights(b: float, order: int, dim: int) -> np.ndarray:
-    """lambda_n for n < dim by order-point Gauss-Legendre in t; the full
-    sum over n is 1, so the deficit is the mass beyond the cutoff."""
-    cos_t, weight = _rule(order)
-    return weight @ np.square(coherent_amplitudes(2.0 * b * cos_t, dim))
+def _rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos t at the nodes t_k = (pi/4)(cos(k pi / (2 order)) + 1), k = 0..2 order,
+    and the b-free weights of the Clenshaw-Curtis rules on all of them and on
+    every other one; built on first use, read-only."""
+    t = 0.25 * math.pi * (np.cos(np.arange(2 * order + 1) * (math.pi / (2 * order))) + 1.0)
+    # density(s) ds = (4/pi) sin(2t) (2t - sin 2t) dt, free of b, and dt = (pi/4) dx
+    density = np.sin(2.0 * t) * (2.0 * t - np.sin(2.0 * t))
+    arrays = (np.cos(t), _clenshaw_curtis(2 * order) * density,
+              _clenshaw_curtis(order) * density[::2])
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def lambda_spectrum(b: float) -> LambdaSpectrum:
@@ -133,14 +115,16 @@ def lambda_spectrum(b: float) -> LambdaSpectrum:
     if b > HOLEVO_B_MAX:
         raise ValueError(f"b must be <= {HOLEVO_B_MAX} (supported window), got {b}")
     dim = CutoffPolicy(max_radius=2.0 * b).dim
-    coarse = _raw_weights(b, GL_ORDER, dim)
-    fine = _raw_weights(b, 2 * GL_ORDER, dim)
+    cos_t, w_fine, w_coarse = _rule(CC_ORDER)
+    sq = np.square(coherent_amplitudes(2.0 * b * cos_t, dim))
+    fine = w_fine @ sq
+    coarse = w_coarse @ sq[::2]
     total = fine.sum()
     norm = fine / total
     refine_diff = float(np.abs(coarse / coarse.sum() - norm).max())
     if refine_diff > REFINE_THRESHOLD:
         raise QuadratureConvergenceError(
-            f"refinement disagreement {refine_diff:.3e} at b={b} (order={GL_ORDER})"
+            f"refinement disagreement {refine_diff:.3e} at b={b} (order={CC_ORDER})"
         )
     deficit = abs(1.0 - total)
     if deficit > REFINE_THRESHOLD:

@@ -22,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .distances import B_SIMPLIFIED_MIN, ConsistencyError, hs2_simplified
+from .distances import B_SIMPLIFIED_MIN, ConsistencyError, check_disk, hs2_simplified
 from .specialfns import TRAPEZOID_NODES, TRAPEZOID_NODES_MAX, bessel_i, trapezoid_mean
 
 # r_min / b lies in [0.644, 0.848] over the window: [0.6b, 0.9b] brackets every root.
@@ -146,6 +146,7 @@ def saturation_sweep(b: float, p_max: int, saturation_tol: float = 1e-4) -> Satu
         raise ValueError(f"p_max must be in [2, {TRAPEZOID_NODES_MAX}], got {p_max}")
     if not 0 < saturation_tol < math.inf:
         raise ValueError(f"saturation_tol must be positive and finite, got {saturation_tol}")
+    check_disk(b, B_SIMPLIFIED_MIN)  # before b scales the grid
     # the last point is b itself: b * GRID_POINTS / GRID_POINTS can round above b
     grid = np.append(b * np.arange(1, GRID_POINTS) / GRID_POINTS, b)
     ps = np.arange(1, p_max + 1)

@@ -410,23 +410,22 @@ def dense_saturation_curve(b: float, p_max: int, r_lo: float):
     return curve
 
 
-def mp_gauss_legendre(n: int, x0: float, dps: int = 50):
-    """Node and weight of the n-point Gauss-Legendre rule nearest x0, in
-    mpmath at dps digits: Newton on P_n, with P_n and P_(n-1) from their
-    three-term recurrence, then w = 2 / ((1 - x^2) P_n'(x)^2).  Newton
-    squares the error, so once a step falls below 10^(-dps/2) the node
-    holds about dps digits and P_n' about dps/2."""
-    with mpmath.workdps(dps):
-        x = mpmath.mpf(x0)
-        while True:
-            p_prev, p = mpmath.mpf(1), x
-            for k in range(2, n + 1):
-                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-            dp = n * (p_prev - x * p) / (1 - x * x)
-            step = p / dp
-            x -= step
-            if abs(step) < mpmath.mpf(10) ** (-dps // 2):
-                return x, 2 / ((1 - x * x) * dp * dp)
+def quad_lambda_weights(b: float, dim: int) -> np.ndarray:
+    """Normalized lambda_n, n < dim, each by its own adaptive scipy quad in t:
+    the lens density (4/pi) sin 2t (2t - sin 2t) of s = 2b cos t, up to the
+    constant that the normalization drops, times the Poisson(n; s^2) pmf
+    taken in logs."""
+
+    def integrand(t, n):
+        s2 = (2.0 * b * math.cos(t)) ** 2
+        lens = math.sin(2.0 * t) * (2.0 * t - math.sin(2.0 * t))
+        return lens * math.exp(xlogy(n, s2) - s2 - math.lgamma(n + 1.0))
+
+    lam = np.array([
+        quad(integrand, 0.0, 0.5 * math.pi, args=(n,), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for n in range(dim)
+    ])
+    return lam / lam.sum()
 
 
 def tensor_lambda_weights(b: float, dim: int, order_xy: int = 32, phi_points: int = 64):

@@ -143,6 +143,9 @@ class TestExitCodes:
             (["saturation", "--b", "2", "--p-max", "502"], "p_max must be in [2, 501]"),
             (["saturation", "--b", "2", "--p-max", "100000000"], "p_max must be in [2, 501]"),
             (["figures", "fig1a", "--p-max", "502"], "p_max must be in [2, 501]"),
+            (["saturation", "--b", "1e308"], "outside the window 2b^2 <= 200.0"),
+            (["figures", "fig1a", "--b", "1e308"], "outside the window 2b^2 <= 200.0"),
+            (["--format", "json", "verify", "identities"], "not --format json"),
         ],
         ids=["keybits-N0", "mc-samples-0", "mc-samples-neg", "mc-samples-99", "seed-neg",
              "sat-tol-nan", "sat-tol-neg", "holevo-b-window", "distance-N-window", "grid-inf-stop",
@@ -151,8 +154,10 @@ class TestExitCodes:
              "simplified-b-min", "simplified-b-nan", "saturation-b-min", "saturation-b-nan",
              "fig1a-below-b-min", "rmin-b-min",
              "fig1b-below-b-min", "rmin-mixed-window", "fig1b-mixed-window", "holevo-b-min",
-             "saturation-p-max", "saturation-huge-p-max", "fig1a-p-max"],
+             "saturation-p-max", "saturation-huge-p-max", "fig1a-p-max",
+             "saturation-huge-b", "fig1a-huge-b", "verify-json"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_out_of_window_input_is_bad_input(self, argv, reason, capsys):
         code, out, err = run(argv, capsys)
         assert code == cli.EXIT_BAD_INPUT
@@ -174,6 +179,7 @@ class TestExitCodes:
         ids=["distance", "simplified", "saturation", "fig1a", "rmin", "fig1b", "holevo",
              "verify-mc-samples"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_edge_of_the_window_runs(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == cli.EXIT_OK, err
@@ -484,7 +490,7 @@ def test_only_verify_identities_calls_the_cross_series():
 
 
 def test_package_builds_no_dense_eigenproblem():
-    # the Holevo rules come from Newton's method in O(n^2); leggauss and the
+    # the Holevo rule's weights come from one cosine table; leggauss and the
     # O(n^3) eigen-solvers stay in the tests, as oracles
     package = Path(cvpqc.__file__).resolve().parent
     for path in package.glob("*.py"):

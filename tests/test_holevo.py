@@ -3,22 +3,22 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from cvpqc import QuadratureConvergenceError, lambda_spectrum, off_diagonal_check
 from cvpqc import cli, holevo
-from cvpqc.fockspace import coherent_amplitudes
 from cvpqc.holevo import HOLEVO_B_MAX, disk_state_weights, entropy_bits
 from conftest import (
     column_off_diagonal_check,
     holevo_classical_limit,
-    mp_gauss_legendre,
+    quad_lambda_weights,
     tensor_holevo_chi,
     tensor_lambda_weights,
 )
 
-# Gauss-Legendre order at which the refinement gap is 5.5e-9 at b = 0.2
-# and 1.7e-2 at b = 4: the first passes the 1e-6 threshold, the second fails.
-COARSE_ORDER = 8
+# Clenshaw-Curtis order at which the refinement gap is 1.6e-8 at b = 0.2
+# and 9.5e-3 at b = 4: the first passes the 1e-6 threshold, the second fails.
+COARSE_ORDER = 10
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,12 +79,22 @@ class TestLambdaSpectrum:
         assert np.abs(spec.weights - oracle).max() < 1e-12
         assert abs(spec.chi_bits - tensor_holevo_chi(b, spec.dim)) < 1e-9
 
+    @pytest.mark.parametrize("b", [6.5, HOLEVO_B_MAX])
+    def test_matches_quad_reference(self, b):
+        # adaptive quadrature of each lambda_n alone, up to the top of the window
+        spec = lambda_spectrum(b)
+        ref = quad_lambda_weights(b, spec.dim)
+        n = np.arange(spec.dim)
+        chi = entropy_bits(ref) - entropy_bits(gammainc(n + 1, b * b) / (b * b))
+        assert np.abs(spec.weights - ref).max() < 1e-14
+        assert abs(spec.chi_bits - chi) < 1e-12
+
     def test_small_disk_concentrates_on_vacuum(self):
         spec = lambda_spectrum(1e-3)
         assert spec.weights[0] > 1.0 - 1e-5
 
     def test_coarse_quadrature_raises(self, monkeypatch):
-        monkeypatch.setattr(holevo, "GL_ORDER", COARSE_ORDER)
+        monkeypatch.setattr(holevo, "CC_ORDER", COARSE_ORDER)
         with pytest.raises(QuadratureConvergenceError):
             lambda_spectrum(4.0)
 
@@ -105,33 +115,40 @@ class TestLambdaSpectrum:
 
 
 class TestCachedRules:
-    @pytest.mark.parametrize("order", [holevo.GL_ORDER, 2 * holevo.GL_ORDER])
+    @pytest.mark.parametrize("n", [holevo.CC_ORDER, 2 * holevo.CC_ORDER])
     @pytest.mark.parametrize("b", [0.7, 9.0])
-    def test_weights_match_a_fresh_rule(self, b, order):
-        dim = 60
-        t, w = holevo._gauss_legendre(order)
-        t = 0.25 * math.pi * (t + 1.0)
-        weight = w * np.sin(2.0 * t) * (2.0 * t - np.sin(2.0 * t))
-        expected = weight @ np.square(coherent_amplitudes(2.0 * b * np.cos(t), dim))
-        assert np.array_equal(holevo._raw_weights(b, order, dim), expected)
+    def test_weights_match_a_fresh_rule(self, b, n):
+        # the (n + 1)-node level (every other node, or all of them) against the law
+        # of s = |alpha + beta| itself: E 1 = 1, E s^2 = b^2, E s^4 = 5 b^4 / 3
+        cos_t, fine, coarse = holevo._rule(holevo.CC_ORDER)
+        weight, cos_t = (coarse, cos_t[::2]) if n == holevo.CC_ORDER else (fine, cos_t)
+        s = 2.0 * b * cos_t
+        assert abs(weight.sum() - 1.0) < 1e-14
+        assert abs(weight @ s**2 / b**2 - 1.0) < 1e-14
+        assert abs(weight @ s**4 / b**4 - 5.0 / 3.0) < 1e-14
 
-    @pytest.mark.parametrize("order", [COARSE_ORDER, holevo.GL_ORDER, 2 * holevo.GL_ORDER])
-    def test_rule_matches_high_precision(self, order):
-        # leggauss itself misses these weights by 2.2e-11 (order 200) and 5.7e-10 (400)
-        x, w = holevo._gauss_legendre(order)
-        assert np.all(np.diff(x) > 0) and abs(w.sum() - 2.0) < 4e-15
-        for i in sorted({0, 1, order - 2, order - 1, *range(0, order, 7)}):
-            node, weight = mp_gauss_legendre(order, x[i])
-            assert abs(float(x[i] - node)) < 2e-16
-            assert abs(float(w[i] / weight - 1)) < 1e-11
+    @pytest.mark.parametrize("n", [8, holevo.CC_ORDER, 2 * holevo.CC_ORDER])
+    def test_rule_matches_high_precision(self, n):
+        # the exact moments of the Chebyshev polynomials, int T_k = 2 / (1 - k^2)
+        # for even k and 0 for odd k, as the raw weights must give them for k <= n
+        w = holevo._clenshaw_curtis(n)
+        assert w.shape == (n + 1,) and w.min() > 0.0 and abs(w.sum() - 2.0) < 1e-14
+        k, i = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+        chebyshev = np.cos(np.pi * (k * i % (2 * n)) / n)  # T_k(cos(i pi / n)), exact angles
+        exact = np.zeros(n + 1)
+        exact[::2] = 2.0 / (1.0 - np.arange(0, n + 1, 2) ** 2.0)
+        assert np.abs(chebyshev @ w - exact).max() < 1e-14
 
-    def test_unconverged_rule_raises(self, monkeypatch):
-        monkeypatch.setattr(holevo, "NEWTON_MAX_STEPS", 2)
-        with pytest.raises(QuadratureConvergenceError, match="unconverged"):
-            holevo._gauss_legendre(holevo.GL_ORDER)
+    def test_coarse_level_is_every_other_node(self):
+        order = holevo.CC_ORDER
+        cos_t, fine, coarse = holevo._rule(order)
+        assert fine.shape == cos_t.shape == (2 * order + 1,) and coarse.shape == (order + 1,)
+        # the nodes of the (order + 1)-node rule, t_j = (pi/4)(cos(j pi / order) + 1)
+        t = 0.25 * np.pi * (np.cos(np.arange(order + 1) * (np.pi / order)) + 1.0)
+        assert np.array_equal(cos_t[::2], np.cos(t))
 
     def test_rule_is_read_only(self):
-        for arr in holevo._rule(holevo.GL_ORDER):
+        for arr in holevo._rule(holevo.CC_ORDER):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -141,7 +158,7 @@ class TestCachedRules:
         grid = [0.5, 2.0, 6.5, 11.0]
         if reverse:
             grid = grid[::-1]
-        holevo._rule.cache_clear()  # the first radius builds both rules
+        holevo._rule.cache_clear()  # the first radius builds the rule
         first = [lambda_spectrum(b).chi_bits for b in grid]
         for b, chi in zip(grid, first):
             holevo._rule.cache_clear()
@@ -186,7 +203,7 @@ class TestEntropyAndBound:
         assert 0.5 <= ratio <= 0.6
 
     def test_curve_collects_failures_without_aborting(self, monkeypatch, capsys):
-        monkeypatch.setattr(holevo, "GL_ORDER", COARSE_ORDER)
+        monkeypatch.setattr(holevo, "CC_ORDER", COARSE_ORDER)
         assert_curve_fails_at([0.2, 4.0, 0.3], 4.0, "refinement disagreement", capsys)
 
     def test_negative_chi_is_a_failure_in_bound_and_curve(self, monkeypatch, capsys):
