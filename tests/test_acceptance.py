@@ -35,7 +35,7 @@ from cvpqc import (
 )
 from cvpqc import cli
 from cvpqc.distances import cross_bessel_sum
-from cvpqc.optimizer import GRID_POINTS, d2_derivative
+from cvpqc.optimizer import BRACKET, d2_derivative
 from conftest import (
     P_LIMIT,
     circle_disk_constant,
@@ -154,9 +154,9 @@ def test_criterion_07_phase_shift_saturation():
     res = saturation_sweep(b, p_max, saturation_tol=sat_tol)
     d2s = [d2 for _, _, d2 in res.curve]
     monotone = all(d2_next <= d2 for d2, d2_next in zip(d2s, d2s[1:]))
-    # the sweep's r-grid starts at b / GRID_POINTS; the oracle searches the
+    # the sweep's search starts at BRACKET[0] * b; the oracle searches the
     # same interval so that the p = 1 edge minimum is comparable
-    oracle = [d2 for _, _, d2 in dense_saturation_curve(b, p_max, b / GRID_POINTS)]
+    oracle = [d2 for _, _, d2 in dense_saturation_curve(b, p_max, BRACKET[0] * b)]
     worst = max(abs(d2 - ref) for d2, ref in zip(d2s, oracle))
     gaps = [ref - oracle[-1] for ref in oracle]
     p_sat = next(p for p, gap in enumerate(gaps, start=1) if gap < sat_tol)
@@ -175,14 +175,14 @@ def test_criterion_08_rmin_consistency():
     ok_interior = True
     for b in (0.5, 1.0, 2.0, 4.0, 6.0):
         res = find_rmin(b)
-        r_grid = saturation_sweep(b, P_LIMIT).curve[-1][1]
-        worst_gap = max(worst_gap, abs(res.r_min - r_grid))
+        r_sweep = saturation_sweep(b, P_LIMIT).curve[-1][1]
+        worst_gap = max(worst_gap, abs(res.r_min - r_sweep))
         worst_res = max(worst_res, abs(res.residual))
         ok_interior = ok_interior and 0.0 < res.r_min < b
     report(
         8,
         "optimal radius consistency",
-        worst_gap < 1e-3 and worst_res < 1e-10 and ok_interior,
+        worst_gap < 1e-12 and worst_res < 1e-10 and ok_interior,
         f"gap {worst_gap:.3e}, residual {worst_res:.3e}",
     )
 

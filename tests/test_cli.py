@@ -135,10 +135,10 @@ class TestExitCodes:
             (["saturation", "--b", "9e-3"], "at least 0.01"),
             (["saturation", "--b", "nan"], "b must be positive and at least 0.01, got nan"),
             (["figures", "fig1a", "--b", "9.9e-3"], "at least 0.01"),
-            (["rmin", "--b", "1e-3"], "[0.01, 7]"),
-            (["figures", "fig1b", "--b-grid", "9.9e-3,1"], "[0.01, 7]"),
-            (["rmin", "--b", "0.5,8"], "[0.01, 7], got 8.0"),
-            (["figures", "fig1b", "--b-grid", "0.5,7.5"], "[0.01, 7], got 7.5"),
+            (["rmin", "--b", "1e-3"], "[0.01, 10.0]"),
+            (["figures", "fig1b", "--b-grid", "9.9e-3,1"], "[0.01, 10.0]"),
+            (["rmin", "--b", "0.5,10.01"], "[0.01, 10.0], got 10.01"),
+            (["figures", "fig1b", "--b-grid", "0.5,10.5"], "[0.01, 10.0], got 10.5"),
             (["holevo", "--b-grid", "1e-300"], "at least 1e-150"),
             (["saturation", "--b", "2", "--p-max", "502"], "p_max must be in [2, 501]"),
             (["saturation", "--b", "2", "--p-max", "100000000"], "p_max must be in [2, 501]"),
@@ -173,11 +173,13 @@ class TestExitCodes:
             ["figures", "fig1a", "--b", "1e-2", "--p-max", "3"],
             ["rmin", "--b", "1e-2"],
             ["figures", "fig1b", "--b-grid", "1e-2"],
+            ["rmin", "--b", "10"],
+            ["figures", "fig1b", "--b-grid", "10"],
             ["holevo", "--b-grid", "1e-150"],
             ["verify", "all", "--mc-samples", "100"],
         ],
-        ids=["distance", "simplified", "saturation", "fig1a", "rmin", "fig1b", "holevo",
-             "verify-mc-samples"],
+        ids=["distance", "simplified", "saturation", "fig1a", "rmin", "fig1b", "rmin-b-max",
+             "fig1b-b-max", "holevo", "verify-mc-samples"],
     )
     @pytest.mark.filterwarnings("error")
     def test_edge_of_the_window_runs(self, argv, capsys):
@@ -186,7 +188,7 @@ class TestExitCodes:
         assert err == "" and len(out.splitlines()) >= 2
 
     def test_rmin_without_sign_change_is_inconsistent(self, capsys, monkeypatch):
-        monkeypatch.setattr(optimizer, "stationarity", lambda b, r: np.ones_like(r))
+        monkeypatch.setattr(optimizer, "stationarity", lambda b, r, p: np.ones_like(r))
         code, out, err = run(["rmin", "--b", "2"], capsys)
         assert code == cli.EXIT_INCONSISTENT
         assert out == "" and len(err.splitlines()) == 1 and "no sign change" in err
@@ -322,7 +324,7 @@ class TestOtherCommands:
         assert len(p_sats) == 1
 
     def test_saturation_grid_ends_at_b(self, capsys):
-        # b * 2000 / 2000 rounds one ulp above b = 1.8994
+        # the bracket ends at b * 1.0 = b; b * 2000 / 2000 rounds one ulp above b = 1.8994
         code, out, err = run(["saturation", "--b", "1.8994", "--p-max", "2"], capsys)
         assert code == cli.EXIT_OK, err
         assert all(float(line.split(",")[2]) <= 1.8994 for line in out.splitlines()[1:])
@@ -353,7 +355,7 @@ class TestOtherCommands:
         find, stationarity = cli.find_rmin, optimizer.stationarity
         monkeypatch.setattr(cli, "find_rmin", lambda b: searches.append(b) or find(b))
         monkeypatch.setattr(
-            optimizer, "stationarity", lambda b, r: scans.append(r) or stationarity(b, r)
+            optimizer, "stationarity", lambda b, r, p: scans.append(r) or stationarity(b, r, p)
         )
         code, out, err = run(argv, capsys)
         assert code == cli.EXIT_OK, err
@@ -618,7 +620,7 @@ class TestJsonLog:
         [
             (["distance", "--b", "-1", "--N", "2"], None, cli.EXIT_BAD_INPUT,
              "invalid input: "),
-            (["rmin", "--b", "2"], (optimizer, "stationarity", lambda b, r: np.ones_like(r)),
+            (["rmin", "--b", "2"], (optimizer, "stationarity", lambda b, r, p: np.ones_like(r)),
              cli.EXIT_INCONSISTENT, "internal consistency failure: "),
             (["verify", "oracles", "--quick"], (cli, "trace_unit_sq", lambda b: 0.0),
              cli.EXIT_VERIFY_FAIL, "verification failed: 2 of "),

@@ -3,10 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import ive
 
 from cvpqc import (
     ConsistencyError,
-    bessel_i,
     find_rmin,
     hs2_simplified,
     saturation_sweep,
@@ -15,9 +15,17 @@ from cvpqc import (
 from cvpqc import optimizer
 from cvpqc.distances import B_SIMPLIFIED_MIN
 from cvpqc.fockspace import disk_cutoff
-from cvpqc.optimizer import d2_derivative
-from cvpqc.specialfns import TRAPEZOID_NODES_MAX
-from conftest import P_LIMIT
+from cvpqc.optimizer import BRACKET, d2_derivative
+from cvpqc.specialfns import TRAPEZOID_NODES, TRAPEZOID_NODES_MAX
+from conftest import P_LIMIT, mp_simplified_minimizer
+
+
+def terms_size(b, r):
+    """circle + drive, the sizes of the two terms of the stationarity expression
+    at p -> infinity, from scipy: e^(-x) [I_0(x) - I_1(x)] at x = 2r^2 and
+    e^(-b^2 - r^2) I_1(2rb) / (rb)."""
+    x = 2.0 * r * r
+    return ive(0, x) - ive(1, x) + ive(1, 2.0 * r * b) * np.exp(-np.square(b - r)) / (r * b)
 
 
 class TestStationarity:
@@ -34,15 +42,35 @@ class TestStationarity:
         )
         assert d2_derivative(b, r) == pytest.approx(fd, abs=1e-5)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 7])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.5])
+    def test_finite_p_matches_finite_differences(self, r, p):
+        b, h = 2.0, 1e-5
+        fd = (hs2_simplified(b, p, r + h) - hs2_simplified(b, p, r - h)) / (2.0 * h)
+        assert d2_derivative(b, r, p) == pytest.approx(fd, abs=1e-8)
+
+    @pytest.mark.parametrize("b", [0.01, 0.5, 2.0, 7.0, 10.0])
+    def test_is_the_papers_expression_at_the_largest_rule(self, b):
+        # times r e^(2r^2), the p -> infinity slope is
+        # r I_0(2r^2) - r I_1(2r^2) - e^(r^2 - b^2) I_1(2rb) / b
+        for r in (0.05 * b, 0.3 * b, 0.7 * b, 0.89 * b, b):
+            with mpmath.workdps(50):
+                mb, mr = mpmath.mpf(b), mpmath.mpf(r)
+                x = 2 * mr * mr
+                circle = mr * (mpmath.besseli(0, x) - mpmath.besseli(1, x))
+                drive = mpmath.exp(mr * mr - mb * mb) * mpmath.besseli(1, 2 * mr * mb) / mb
+                scaled = stationarity(b, r, TRAPEZOID_NODES) * mr * mpmath.exp(x)
+                err = float(abs(scaled - (circle - drive)) / (circle + drive))
+            assert err <= 5e-14, r
+
     def test_array_matches_scalar_calls(self):
         b = 3.0
         rs = np.linspace(0.03, b, 201)
         vals = stationarity(b, rs)
         assert vals.shape == rs.shape
         for r, v in zip(rs, vals):
-            # the expression is a difference of terms of size r I_0(2r^2)
-            scale = r * bessel_i(0, 2.0 * r * r)
-            assert abs(v - stationarity(b, float(r))) <= 1e-14 * scale
+            # the expression is a difference of two terms, circle and drive
+            assert abs(v - stationarity(b, float(r))) <= 1e-14 * terms_size(b, r)
         assert isinstance(stationarity(b, 1.0), float)
 
     def test_validation(self):
@@ -53,14 +81,22 @@ class TestStationarity:
         with pytest.raises(ValueError):
             stationarity(1.0, np.array([0.5, 1.5]))
 
+    def test_phase_count_is_checked_and_capped(self):
+        # every p >= TRAPEZOID_NODES takes the p -> infinity rule, even past int64
+        limit = stationarity(2.0, 1.0)
+        assert stationarity(2.0, 1.0, 501) == stationarity(2.0, 1.0, 10**20) == limit
+        assert np.array_equal(stationarity(2.0, 1.0, [TRAPEZOID_NODES, 10**20]), [limit, limit])
+        for p in (0, 2.5, -1):
+            with pytest.raises(ValueError, match="p must be an integer"):
+                stationarity(2.0, 1.0, p)
+
     def test_broadcasts_radii_against_rows(self):
         bs = np.array([1.0, 2.0, 3.0])
         rs = np.array([[0.2, 0.5, 1.0], [0.4, 1.0, 2.0], [0.6, 1.5, 3.0]])
         vals = stationarity(bs[:, None], rs)
         assert vals.shape == rs.shape
         for b, row, vrow in zip(bs, rs, vals):
-            scale = row * bessel_i(0, 2.0 * row * row)
-            assert np.all(np.abs(vrow - stationarity(b, row)) <= 1e-14 * scale)
+            assert np.all(np.abs(vrow - stationarity(b, row)) <= 1e-14 * terms_size(b, row))
         derivs = d2_derivative(bs, rs[:, 1])
         for b, r, d in zip(bs, rs[:, 1], derivs):
             assert d == pytest.approx(d2_derivative(b, r), rel=1e-14, abs=1e-16)
@@ -75,9 +111,9 @@ class TestFindRmin:
     def test_root_agrees_with_grid_minimizer(self):
         b = 2.0
         res = find_rmin(b)
-        r_grid = saturation_sweep(b, P_LIMIT).curve[-1][1]
+        r_sweep = saturation_sweep(b, P_LIMIT).curve[-1][1]
         assert res.method == "root_find"
-        assert res.r_min == pytest.approx(r_grid, abs=1e-3)
+        assert res.r_min == pytest.approx(r_sweep, abs=1e-12)
         assert abs(res.residual) < 1e-10
         assert 0.0 < res.r_min < b
 
@@ -89,7 +125,7 @@ class TestFindRmin:
         assert v < hs2_simplified(b, P_LIMIT, r + 1e-3)
 
     def test_root_is_bracketed_across_the_window(self):
-        for b in np.geomspace(B_SIMPLIFIED_MIN, 7.0, 40):
+        for b in np.geomspace(B_SIMPLIFIED_MIN, 10.0, 40):
             res = find_rmin(float(b))
             assert res.method == "root_find"
             assert 0.0 < res.r_min < b and abs(res.residual) < 1e-10
@@ -110,7 +146,7 @@ class TestFindRmin:
         assert 0.5 * b < root < b
         assert find_rmin(b).r_min == pytest.approx(root, rel=1e-9, abs=0.0)
 
-    @pytest.mark.parametrize("b", [0.05, 0.5, 2.0, 5.0, 7.0])
+    @pytest.mark.parametrize("b", [0.05, 0.5, 2.0, 5.0, 7.0, 10.0])
     def test_root_matches_high_precision_across_the_window(self, b):
         # scaled by e^(-x), x = 2r^2: unscaled, findroot fails at b = 5
         with mpmath.workdps(60):
@@ -126,7 +162,7 @@ class TestFindRmin:
 
     def test_not_finite_is_inconsistent(self, monkeypatch):
         # a root at 0.7b that the search must not step over: NaN on (0.65b, 0.75b)
-        def hole(b, r):
+        def hole(b, r, p):
             return np.where((0.65 * b < r) & (r < 0.75 * b), np.nan, 0.7 * b - r)
 
         monkeypatch.setattr(optimizer, "stationarity", hole)
@@ -135,16 +171,14 @@ class TestFindRmin:
 
     @pytest.mark.parametrize("b", [1.0, 2.0, 5.0])
     def test_steep_convex_stationarity_converges(self, b, monkeypatch):
-        # the scaled form expm1(40 (0.3b - r)) keeps regula falsi's far end fixed
+        # the slope -4 expm1(40 (0.3b - r)) keeps regula falsi's far end fixed
         monkeypatch.setattr(
-            optimizer,
-            "stationarity",
-            lambda b, r: np.exp(2.0 * np.square(r)) * np.expm1(40.0 * (0.3 * b - r)),
+            optimizer, "stationarity", lambda b, r, p: np.expm1(40.0 * (0.3 * b - r)) / r
         )
         assert abs(find_rmin(b).r_min - 0.3 * b) <= 1e-12
 
     def test_no_sign_change_is_inconsistent(self, monkeypatch):
-        monkeypatch.setattr(optimizer, "stationarity", lambda b, r: np.ones_like(r))
+        monkeypatch.setattr(optimizer, "stationarity", lambda b, r, p: np.ones_like(r))
         with pytest.raises(ConsistencyError, match="no sign change"):
             find_rmin(2.0)
 
@@ -155,12 +189,12 @@ class TestFindRmin:
     def test_validation(self):
         with pytest.raises(ValueError):
             find_rmin(0.0)
-        with pytest.raises(ValueError, match=r"\[0\.01, 7\], got 8\.0"):
-            find_rmin(np.array([0.5, 8.0, 9.0]))
+        with pytest.raises(ValueError, match=r"\[0\.01, 10\.0\], got 10\.5"):
+            find_rmin(np.array([0.5, 10.5, 11.0]))
         with pytest.raises(ValueError, match="0.01"):
             find_rmin(0.99 * B_SIMPLIFIED_MIN)
         with pytest.raises(ValueError):
-            find_rmin(8.0)
+            find_rmin(10.5)
 
 
 class TestSaturationSweep:
@@ -193,6 +227,38 @@ class TestSaturationSweep:
         dim = disk_cutoff(b).dim
         assert len({d2 for p, _, d2 in res.curve if p >= dim}) == 1
         assert res.curve[:20] == saturation_sweep(b, 20).curve
+
+    @pytest.mark.parametrize(
+        "b,p", [(10.0, 2), (10.0, 3), (2.0, 2), (2.0, 3), (2.0, 4), (2.0, 5)]
+    )
+    def test_radius_is_the_minimizer(self, b, p):
+        # at b = 10, D^2(2, r) is flat to 1e-12 relative over r in [3.0, 5.3]
+        r = saturation_sweep(b, 6).curve[p - 1][1]
+        dim = int(b * b + 10.0 * b) + 30
+        ref = mp_simplified_minimizer(b, p, (0.1 * b, b), dim)
+        assert r == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("b", np.geomspace(B_SIMPLIFIED_MIN, 10.0, 9).tolist())
+    def test_one_sign_change_per_phase_count(self, b):
+        # p = 1 increases in r; every p >= 2 has one interior minimum
+        ps = np.array([1, 2, 3, 4, 5, 7, 10, 16, 40, 100, 160, 501])
+        g = d2_derivative(b, np.linspace(BRACKET[0], 1.0, 401) * b, ps[:, None])
+        changes = np.sum(np.sign(g[:, 1:]) != np.sign(g[:, :-1]), axis=1)
+        assert changes.tolist() == [0] + [1] * (len(ps) - 1)
+
+    @pytest.mark.parametrize("b", [0.5, 2.0, 7.0])
+    def test_last_row_is_find_rmin(self, b):
+        assert abs(saturation_sweep(b, P_LIMIT).curve[-1][1] - find_rmin(b).r_min) <= 1e-12
+
+    def test_single_state_takes_the_lower_end(self):
+        for b in (0.01, 2.0, 10.0):
+            assert saturation_sweep(b, 2).curve[0][1] == BRACKET[0] * b
+
+    def test_row_without_sign_change_is_inconsistent(self, monkeypatch):
+        # dD^2/dr = -4r < 0 at every radius: a p >= 2 must have an interior minimum
+        monkeypatch.setattr(optimizer, "stationarity", lambda b, r, p: np.ones_like(r))
+        with pytest.raises(ConsistencyError, match=r"no sign change in r in \[0\.001, 2\.0\]"):
+            saturation_sweep(2.0, 5)
 
     @pytest.mark.parametrize("p_max", [30, 501])
     @pytest.mark.parametrize("b", [0.01, 0.5, 2.0, 10.0])
@@ -244,7 +310,7 @@ class TestBatchedRoots:
         grid = np.arange(0.01, 7, 0.001)
         calls, stationarity = [], optimizer.stationarity
         monkeypatch.setattr(
-            optimizer, "stationarity", lambda b, r: calls.append(r) or stationarity(b, r)
+            optimizer, "stationarity", lambda b, r, p: calls.append(r) or stationarity(b, r, p)
         )
         assert len(find_rmin(grid)) == len(grid) == 6990
         assert len(calls) <= math.ceil(len(grid) / optimizer.RADII_PER_SEARCH) * 12
@@ -252,7 +318,7 @@ class TestBatchedRoots:
     def test_one_row_without_sign_change_is_named(self, monkeypatch):
         # a root at r = b/2 in every row but b = 3, which stays positive
         monkeypatch.setattr(
-            optimizer, "stationarity", lambda b, r: np.where(b == 3.0, 1.0, 0.5 * b - r)
+            optimizer, "stationarity", lambda b, r, p: np.where(b == 3.0, 1.0, 0.5 * b - r)
         )
-        with pytest.raises(ConsistencyError, match=r"no sign change in r in \[0\.03, 3\.0\]"):
+        with pytest.raises(ConsistencyError, match=r"no sign change in r in \[0\.0015, 3\.0\]"):
             find_rmin(np.array([1.0, 2.0, 3.0, 4.0]))
