@@ -28,11 +28,5 @@ from .holevo import (
     lambda_spectrum,
     off_diagonal_check,
 )
-from .optimizer import (
-    RminResult,
-    SaturationResult,
-    find_rmin,
-    saturation_sweep,
-    stationarity,
-)
+from .optimizer import find_rmin, saturation_sweep, stationarity
 from .specialfns import ArgumentRangeError, bessel_i, poisson_tail

@@ -212,13 +212,19 @@ def cmd_simplified(args, out):
 
 
 def cmd_rmin(args, out):
-    rows = [(res.b, res.r_min, res.residual, res.method) for res in find_rmin(args.b)]
+    r_min, residual = (a.tolist() for a in find_rmin(args.b))
+    rows = [(b, r, res, "root_find") for b, r, res in zip(args.b, r_min, residual)]
     write_rows(["b", "r_min", "residual", "method"], rows, out, args.format, "rmin")
 
 
+def _curve(r_at_min, d2_min):
+    """(p, r, d2) rows of a saturation sweep, p = 1, 2, ..."""
+    return list(zip(range(1, len(r_at_min) + 1), r_at_min.tolist(), d2_min.tolist()))
+
+
 def cmd_saturation(args, out):
-    res = saturation_sweep(args.b, args.p_max, args.saturation_tol)
-    rows = [(args.b, p, r, d2, res.p_sat) for p, r, d2 in res.curve]
+    p_sat, *curve = saturation_sweep(args.b, args.p_max, args.saturation_tol)
+    rows = [(args.b, p, r, d2, p_sat) for p, r, d2 in _curve(*curve)]
     write_rows(
         ["b", "p", "r_at_min", "d2_min", "p_sat"], rows, out, args.format, "saturation"
     )
@@ -244,11 +250,11 @@ def cmd_holevo(args, out):
 
 def cmd_figures(args, out):
     if args.which == "fig1a":
-        res = saturation_sweep(args.b, args.p_max)
-        write_rows(["p", "r_min", "d2_min"], res.curve, out, args.format, "fig1a")
+        _, *curve = saturation_sweep(args.b, args.p_max)
+        write_rows(["p", "r_min", "d2_min"], _curve(*curve), out, args.format, "fig1a")
     elif args.which == "fig1b":
         grid = args.b_grid if args.b_grid is not None else parse_grid("0.5:7:0.5")
-        rows = [(res.b, res.r_min) for res in find_rmin(grid)]
+        rows = list(zip(grid, find_rmin(grid)[0].tolist()))
         write_rows(["b", "r_min"], rows, out, args.format, "fig1b")
     else:  # fig2
         cmd_holevo(args, out)

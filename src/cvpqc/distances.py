@@ -37,6 +37,8 @@ N_MAX = 100_000
 # Circles per block of hs2_exact's diagonal: blocks of 4096 x dim amplitudes (5.9 MB at
 # b = 10) bound memory, and a sum of block sums rounds less than one N-term product.
 HS2_BLOCK = 4096
+# Largest disk radius: 2b^2 <= SUPPORTED_X_MAX, compared on b, which cannot overflow.
+B_MAX = math.sqrt(0.5 * SUPPORTED_X_MAX)
 
 
 class ConsistencyError(RuntimeError):
@@ -72,12 +74,28 @@ def cross_bessel_sum(b: float, r):
     return total if total.ndim else float(total)
 
 
-def check_disk(b: float, b_min: float):
-    """The disk-radius window b_min <= b, 2b^2 <= SUPPORTED_X_MAX (b <= 10)."""
-    if not b >= b_min:
-        raise ValueError(f"b must be positive and at least {b_min}, got {b}")
-    if 2.0 * b * b > SUPPORTED_X_MAX:
+def check_disk(b, b_min: float):
+    """The disk-radius window b_min <= b, 2b^2 <= SUPPORTED_X_MAX, that is
+    b <= 10, for a radius or an array of radii; names the first outside it."""
+    bs = np.asarray(b, dtype=float).reshape(-1)
+    if (bad := np.flatnonzero(~((b_min <= bs) & (bs <= B_MAX)))).size:
+        b = float(bs[bad[0]])
+        if not b >= b_min:
+            raise ValueError(f"b must be positive and at least {b_min}, got {b}")
         raise ArgumentRangeError(f"b={b} outside the window 2b^2 <= {SUPPORTED_X_MAX}")
+
+
+def check_circle(b, r, p):
+    """b and r broadcast as float arrays, once 0 < r <= b and p is integral and
+    >= 1 everywhere; the message names the first radius outside (0, b]."""
+    b, r = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(r, dtype=float))
+    if (outside := np.flatnonzero(~((0 < r) & (r <= b)))).size:
+        i = outside[0]
+        raise ValueError(f"r must be in (0, b], got r={r.flat[i]}, b={b.flat[i]}")
+    p = np.asarray(p)
+    if not np.all((p >= 1) & (p % 1 == 0)):
+        raise ValueError(f"p must be an integer >= 1, got {p}")
+    return b, r
 
 
 @lru_cache(maxsize=None)
@@ -158,23 +176,18 @@ def hs2_simplified(b: float, p, r):
     """Squared HS distance for the simplified protocol, one circle of p
     phase-shifted states at radius r against the disk-mixed state:
     sum_n (c_n^2 - u_n)^2 + 2 sum_j S_jp.  p (integral, >= 1) and r (in (0, b])
-    are scalars or arrays: arrays give the table D^2[p_i, r_j], a scalar
-    drops its axis, and two scalars give a float."""
+    broadcast, as in optimizer.stationarity; two scalars give a float."""
     check_disk(b, B_SIMPLIFIED_MIN)
-    ps, rs = np.asarray(p), np.asarray(r, dtype=float)
-    if not np.all((0 < rs) & (rs <= b)):
-        raise ValueError(f"r must be in (0, b], got r={r}, b={b}")
-    if not np.all((ps >= 1) & (ps % 1 == 0)):
-        raise ValueError(f"p must be an integer >= 1, got {p}")
+    ps, rs = np.broadcast_arrays(np.asarray(p), check_circle(b, r, p)[1])
     dim = disk_cutoff(b).dim
     w = coherent_amplitudes(rs.reshape(-1), dim)
     np.square(w, out=w)
     diag = np.sum(np.square(w - disk_state_weights(b, dim)), axis=1)
     # S[k - 1] = S_k(r), k = 1..dim-1 (dim >= 7 in the window); p reaches k = p, 2p, ...
     stripes = np.array([np.einsum("ij,ij->i", w[:, : dim - k], w[:, k:]) for k in range(1, dim)])
-    step = np.where(ps < dim, ps, dim).astype(int)  # p >= dim reaches no stripe k < dim
-    d2 = diag + 2.0 * (np.arange(1, dim) % step[..., None] == 0) @ stripes
-    d2 = d2.reshape(ps.shape + rs.shape)
+    step = np.where(ps < dim, ps, dim).astype(int).reshape(-1, 1)  # p >= dim: no stripe
+    d2 = diag + 2.0 * np.einsum("ik,ki->i", np.arange(1, dim) % step == 0, stripes)
+    d2 = d2.reshape(rs.shape)
     return d2 if d2.ndim else float(d2)
 
 

@@ -19,43 +19,24 @@ regula falsi in the Illinois form (Dowell & Jarratt, BIT 11, 1971), with every
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar
 
 import numpy as np
 
-from .distances import B_SIMPLIFIED_MIN, ConsistencyError, check_disk, hs2_simplified
+from .distances import B_SIMPLIFIED_MIN, ConsistencyError, check_circle, check_disk, hs2_simplified
 from .fockspace import disk_cutoff
-from .specialfns import SUPPORTED_X_MAX, TRAPEZOID_NODES, TRAPEZOID_NODES_MAX, bessel_i
+from .specialfns import TRAPEZOID_NODES, TRAPEZOID_NODES_MAX, bessel_i
 
 # r_min / b lies in [0.644, 0.890] over the window: [0.6b, 0.9b] brackets every root.
 # A finite p's root can lie lower (0.35b at b = 10, p = 2); b / 2000 is the lower end.
-BRACKET = np.array([1 / 2000, 0.6, 0.9, 1.0])
-# Cap on Illinois steps; a steep root at 0.3b with b = 5 takes 121.
+# 0.25b splits [b/2000, 0.6b], where at b = 10 the slope falls like e^(-4r^2) and a
+# secant from the far end crawls: saturation_sweep(10, 501) takes 41 calls, not 65.
+BRACKET = np.array([1 / 2000, 0.25, 0.6, 0.9, 1.0])
+# Cap on Illinois steps: saturation_sweep(10, 501) takes 40, a steep root at 0.3b
+# with b = 5 takes 30.
 MAX_STEPS = 200
-# Radii per root search: its first call's (radii, 4, 80-node) exponentials take 10.5 MB.
+# Radii per root search: its first call's (radii, 5, 80-node) exponentials take 13.1 MB.
 RADII_PER_SEARCH = 4096
-
-
-@dataclass(frozen=True)
-class RminResult:
-    """Optimal displacement radius for one b.  ``residual`` is d2_derivative at
-    r_min, the slope of the p -> infinity distance."""
-
-    b: float
-    r_min: float
-    residual: float
-    method: ClassVar[str] = "root_find"  # the rmin output column
-
-
-@dataclass(frozen=True)
-class SaturationResult:
-    """Per-p minimized distances and the saturation point."""
-
-    b: float
-    p_sat: int
-    curve: list  # (p, r_at_min, d2_min) triples
 
 
 @lru_cache(maxsize=None)
@@ -76,14 +57,8 @@ def stationarity(b, r, p=TRAPEZOID_NODES):
     """-(1/4r) dD^2/dr at p phase shifts, with b, r and p (integral, >= 1)
     broadcast; scalars give a float.  Every p >= TRAPEZOID_NODES takes that
     rule, whose aliasing terms are below eps: it stands for p -> infinity."""
-    b, r = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(r, dtype=float))
-    outside = ~((0 < r) & (r <= b))
-    if outside.any():
-        i = np.flatnonzero(outside)[0]
-        raise ValueError(f"r must be in (0, b], got r={r.flat[i]}, b={b.flat[i]}")
+    b, r = check_circle(b, r, p)
     p = np.asarray(p)
-    if not np.all((p >= 1) & (p % 1 == 0)):
-        raise ValueError(f"p must be an integer >= 1, got {p}")
     row = np.where(p < TRAPEZOID_NODES, p, TRAPEZOID_NODES).astype(int) - 1  # p may pass int64
     s, weight = (rule[row] for rule in _circle_rules())
     # the drive first: its Bessel table is freed before the circle table is built
@@ -105,23 +80,20 @@ def d2_derivative(b, r, p=TRAPEZOID_NODES):
 
 
 def find_rmin(b):
-    """Root of the p -> infinity stationarity expression for a radius b, or a
-    list of roots for an array of radii, by _search.  Every radius must lie in
-    saturation_sweep's window 10^-2 <= b, 2b^2 <= SUPPORTED_X_MAX (b <= 10).
+    """(r_min, residual): the root of the p -> infinity stationarity expression
+    by _search, and d2_derivative there, the slope of the p -> infinity
+    distance.  Floats for a radius b, arrays shaped like b for an array; every
+    radius must lie in saturation_sweep's window (check_disk).
     ConsistencyError: no sign change, a value not finite, or no convergence."""
+    check_disk(b, B_SIMPLIFIED_MIN)
     bs = np.asarray(b, dtype=float)
-    flat = bs.reshape(-1)
-    outside = ~((B_SIMPLIFIED_MIN <= flat) & (2.0 * flat * flat <= SUPPORTED_X_MAX))
-    if outside.any():
-        b_max = math.sqrt(0.5 * SUPPORTED_X_MAX)
-        raise ValueError(f"b must be in [{B_SIMPLIFIED_MIN}, {b_max}], got {flat[outside][0]}")
-    results = []
+    flat, r_min, residual = bs.reshape(-1), np.empty(bs.size), np.empty(bs.size)
     for k in range(0, flat.size, RADII_PER_SEARCH):
-        block = flat[k : k + RADII_PER_SEARCH]
-        r_min = _search(block, TRAPEZOID_NODES)
-        residual = d2_derivative(block, r_min)
-        results += map(RminResult, block.tolist(), r_min.tolist(), residual.tolist())
-    return results if bs.ndim else results[0]
+        block = slice(k, k + RADII_PER_SEARCH)
+        r_min[block] = _search(flat[block], TRAPEZOID_NODES)
+        residual[block] = d2_derivative(flat[block], r_min[block])
+    out = r_min.reshape(bs.shape), residual.reshape(bs.shape)
+    return out if bs.ndim else (float(out[0]), float(out[1]))
 
 
 def _search(b: np.ndarray, p) -> np.ndarray:
@@ -131,7 +103,7 @@ def _search(b: np.ndarray, p) -> np.ndarray:
     converged bracket is frozen, so every row gets the root it gets alone."""
     p = np.asarray(p)  # a scalar p, as from find_rmin, reads one table row for all rows
     rs = np.multiply.outer(b, BRACKET)
-    g = d2_derivative(b[:, None], rs, p[..., None])  # every row's 4 points in one array call
+    g = d2_derivative(b[:, None], rs, p[..., None])  # every row's 5 points in one array call
     changes = g[:, :-1] * g[:, 1:] <= 0.0
     if (missing := np.flatnonzero(~changes.any(axis=1))).size:
         i = missing[0]
@@ -157,10 +129,11 @@ def _search(b: np.ndarray, p) -> np.ndarray:
     return 0.5 * (r0 + r1)
 
 
-def saturation_sweep(b: float, p_max: int, saturation_tol: float = 1e-4) -> SaturationResult:
-    """Minimize the simplified distance over r in [BRACKET[0] * b, b] for each
-    p = 1..p_max: the root of its slope by _search, one row per distinct rule,
-    and D^2 there from one hs2_simplified call.  Every p >= min(dim,
+def saturation_sweep(b: float, p_max: int, saturation_tol: float = 1e-4):
+    """(p_sat, r_at_min, d2_min): the simplified distance minimized over r in
+    [BRACKET[0] * b, b] for each p = 1..p_max, arrays indexed by p - 1.  Each
+    radius is the root of its slope by _search, one row per distinct rule, and
+    D^2 there comes from one hs2_simplified call.  Every p >= min(dim,
     TRAPEZOID_NODES) shares the p -> infinity row: hs2_simplified gives p >= dim
     no stripe, and past TRAPEZOID_NODES nodes the rule no longer changes.  p = 1
     takes the lower end; a p >= 2 without a sign change is a ConsistencyError.
@@ -179,8 +152,6 @@ def saturation_sweep(b: float, p_max: int, saturation_tol: float = 1e-4) -> Satu
     rules = np.where(rows < cap, rows, TRAPEZOID_NODES)[1:]
     # D^2(1, r) increases in r: p = 1 takes the lower end, every other row its root
     r_row = np.append(BRACKET[0] * b, _search(np.full(len(rules), float(b)), rules))
-    d2_row = np.diagonal(hs2_simplified(b, rows, r_row))  # D^2(p, r_row[p - 1])
-    of = [min(p, cap) - 1 for p in range(1, p_max + 1)]
-    curve = list(zip(range(1, p_max + 1), r_row[of].tolist(), d2_row[of].tolist()))
-    p_sat = next(p for p, _, d2_min in curve if d2_min - curve[-1][2] < saturation_tol)
-    return SaturationResult(b=b, p_sat=p_sat, curve=curve)
+    of = np.minimum(np.arange(p_max), cap - 1)
+    r_at_min, d2_min = r_row[of], hs2_simplified(b, rows, r_row)[of]
+    return 1 + int(np.argmax(d2_min - d2_min[-1] < saturation_tol)), r_at_min, d2_min

@@ -151,8 +151,8 @@ def test_criterion_06_diagonal_limit():
 
 def test_criterion_07_phase_shift_saturation():
     b, p_max, sat_tol = 2.0, 20, 1e-4
-    res = saturation_sweep(b, p_max, saturation_tol=sat_tol)
-    d2s = [d2 for _, _, d2 in res.curve]
+    p_sat_sweep, _, d2_min = saturation_sweep(b, p_max, saturation_tol=sat_tol)
+    d2s = d2_min.tolist()
     monotone = all(d2_next <= d2 for d2, d2_next in zip(d2s, d2s[1:]))
     # the sweep's search starts at BRACKET[0] * b; the oracle searches the
     # same interval so that the p = 1 edge minimum is comparable
@@ -164,8 +164,8 @@ def test_criterion_07_phase_shift_saturation():
     report(
         7,
         "phase-shift saturation",
-        monotone and worst < 1e-9 and res.p_sat == p_sat and falling,
-        f"p_sat {res.p_sat} (oracle {p_sat}), worst {worst:.3e}, "
+        monotone and worst < 1e-9 and p_sat_sweep == p_sat and falling,
+        f"p_sat {p_sat_sweep} (oracle {p_sat}), worst {worst:.3e}, "
         f"gap at p_sat-1 {gaps[p_sat - 2]:.4e}, at p_sat {gaps[p_sat - 1]:.3e}",
     )
 
@@ -174,11 +174,11 @@ def test_criterion_08_rmin_consistency():
     worst_gap, worst_res = 0.0, 0.0
     ok_interior = True
     for b in (0.5, 1.0, 2.0, 4.0, 6.0):
-        res = find_rmin(b)
-        r_sweep = saturation_sweep(b, P_LIMIT).curve[-1][1]
-        worst_gap = max(worst_gap, abs(res.r_min - r_sweep))
-        worst_res = max(worst_res, abs(res.residual))
-        ok_interior = ok_interior and 0.0 < res.r_min < b
+        r_min, residual = find_rmin(b)
+        r_sweep = saturation_sweep(b, P_LIMIT)[1][-1]
+        worst_gap = max(worst_gap, abs(r_min - r_sweep))
+        worst_res = max(worst_res, abs(residual))
+        ok_interior = ok_interior and 0.0 < r_min < b
     report(
         8,
         "optimal radius consistency",

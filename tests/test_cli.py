@@ -135,10 +135,10 @@ class TestExitCodes:
             (["saturation", "--b", "9e-3"], "at least 0.01"),
             (["saturation", "--b", "nan"], "b must be positive and at least 0.01, got nan"),
             (["figures", "fig1a", "--b", "9.9e-3"], "at least 0.01"),
-            (["rmin", "--b", "1e-3"], "[0.01, 10.0]"),
-            (["figures", "fig1b", "--b-grid", "9.9e-3,1"], "[0.01, 10.0]"),
-            (["rmin", "--b", "0.5,10.01"], "[0.01, 10.0], got 10.01"),
-            (["figures", "fig1b", "--b-grid", "0.5,10.5"], "[0.01, 10.0], got 10.5"),
+            (["rmin", "--b", "1e-3"], "at least 0.01"),
+            (["figures", "fig1b", "--b-grid", "9.9e-3,1"], "at least 0.01, got 0.0099"),
+            (["rmin", "--b", "0.5,10.01"], "b=10.01 outside the window 2b^2 <= 200.0"),
+            (["figures", "fig1b", "--b-grid", "0.5,10.5"], "b=10.5 outside the window 2b^2 <= 200.0"),
             (["holevo", "--b-grid", "1e-300"], "at least 1e-150"),
             (["saturation", "--b", "2", "--p-max", "502"], "p_max must be in [2, 501]"),
             (["saturation", "--b", "2", "--p-max", "100000000"], "p_max must be in [2, 501]"),
@@ -186,6 +186,21 @@ class TestExitCodes:
         code, out, err = run(argv, capsys)
         assert code == cli.EXIT_OK, err
         assert err == "" and len(out.splitlines()) >= 2
+
+    @pytest.mark.parametrize("b", ["9e-3", "10.5", "1e308"])
+    @pytest.mark.filterwarnings("error")
+    def test_simplified_protocol_commands_share_one_window(self, b, capsys):
+        # rmin, fig1b, saturation, fig1a and simplified all take check_disk's window
+        reasons = set()
+        for argv in (["rmin", "--b", b], ["figures", "fig1b", "--b-grid", b],
+                     ["saturation", "--b", b], ["figures", "fig1a", "--b", b],
+                     ["simplified", "--b", b, "--p", "3", "--r", "5e-3"]):
+            code, out, err = run(argv, capsys)
+            assert code == cli.EXIT_BAD_INPUT and out == "", argv
+            assert len(err.splitlines()) == 1, argv
+            reasons.add(err)
+        assert len(reasons) == 1, reasons
+        assert f"got {float(b)}" in err or f"b={float(b)} outside the window" in err
 
     def test_rmin_without_sign_change_is_inconsistent(self, capsys, monkeypatch):
         monkeypatch.setattr(optimizer, "stationarity", lambda b, r, p: np.ones_like(r))
@@ -348,7 +363,7 @@ class TestOtherCommands:
         "argv", [["rmin", "--b", "0.5:7:0.5"], ["figures", "fig1b"]], ids=["rmin", "fig1b"]
     )
     def test_radius_grid_is_one_root_search(self, argv, capsys, monkeypatch):
-        # one find_rmin for the whole grid: one stationarity call at the four bracket
+        # one find_rmin for the whole grid: one stationarity call at the five bracket
         # points of every radius, one per Illinois secant step for the radii still
         # open, and one for the residuals
         searches, scans = [], []

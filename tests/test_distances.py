@@ -305,9 +305,9 @@ class TestHs2Simplified:
         for r, v in zip(rs, vals):
             assert v == pytest.approx(hs2_simplified(b, p, float(r)), rel=0, abs=1e-15)
         assert isinstance(hs2_simplified(b, p, 1.0), float)
-        # an array of p gives the table D^2[p_i, r_j]; a scalar r drops its axis
+        # p broadcasts against r: a column of p gives the table D^2[p_i, r_j]
         ps = np.array([1, 2, p, 7 * p])
-        table = hs2_simplified(b, ps, rs)
+        table = hs2_simplified(b, ps[:, None], rs)
         assert table.shape == (len(ps), len(rs))
         assert hs2_simplified(b, ps, rs[-1]) == pytest.approx(table[:, -1], rel=0, abs=1e-15)
         for q, row in zip(ps.tolist(), table):

@@ -110,25 +110,23 @@ class TestStationarity:
 class TestFindRmin:
     def test_root_agrees_with_grid_minimizer(self):
         b = 2.0
-        res = find_rmin(b)
-        r_sweep = saturation_sweep(b, P_LIMIT).curve[-1][1]
-        assert res.method == "root_find"
-        assert res.r_min == pytest.approx(r_sweep, abs=1e-12)
-        assert abs(res.residual) < 1e-10
-        assert 0.0 < res.r_min < b
+        r_min, residual = find_rmin(b)
+        r_sweep = saturation_sweep(b, P_LIMIT)[1][-1]
+        assert r_min == pytest.approx(r_sweep, abs=1e-12)
+        assert abs(residual) < 1e-10
+        assert 0.0 < r_min < b
 
     def test_minimum_is_local(self):
         b = 1.0
-        r = find_rmin(b).r_min
+        r = find_rmin(b)[0]
         v = hs2_simplified(b, P_LIMIT, r)
         assert v < hs2_simplified(b, P_LIMIT, r - 1e-3)
         assert v < hs2_simplified(b, P_LIMIT, r + 1e-3)
 
     def test_root_is_bracketed_across_the_window(self):
         for b in np.geomspace(B_SIMPLIFIED_MIN, 10.0, 40):
-            res = find_rmin(float(b))
-            assert res.method == "root_find"
-            assert 0.0 < res.r_min < b and abs(res.residual) < 1e-10
+            r_min, residual = find_rmin(float(b))
+            assert 0.0 < r_min < b and abs(residual) < 1e-10
 
     def test_small_disk_root_matches_high_precision(self):
         # the terms of the stationarity expression agree to O(b^2) relative, so the
@@ -144,7 +142,7 @@ class TestFindRmin:
 
             root = float(mpmath.findroot(f, mb / mpmath.sqrt(2)))
         assert 0.5 * b < root < b
-        assert find_rmin(b).r_min == pytest.approx(root, rel=1e-9, abs=0.0)
+        assert find_rmin(b)[0] == pytest.approx(root, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("b", [0.05, 0.5, 2.0, 5.0, 7.0, 10.0])
     def test_root_matches_high_precision_across_the_window(self, b):
@@ -158,7 +156,7 @@ class TestFindRmin:
                 return mpmath.exp(-x) * (r * (mpmath.besseli(0, x) - mpmath.besseli(1, x)) - drive)
 
             root = float(mpmath.findroot(g, (0.6 * mb, 0.9 * mb), solver="anderson"))
-        assert abs(find_rmin(b).r_min - root) <= 1e-12
+        assert abs(find_rmin(b)[0] - root) <= 1e-12
 
     def test_not_finite_is_inconsistent(self, monkeypatch):
         # a root at 0.7b that the search must not step over: NaN on (0.65b, 0.75b)
@@ -175,7 +173,7 @@ class TestFindRmin:
         monkeypatch.setattr(
             optimizer, "stationarity", lambda b, r, p: np.expm1(40.0 * (0.3 * b - r)) / r
         )
-        assert abs(find_rmin(b).r_min - 0.3 * b) <= 1e-12
+        assert abs(find_rmin(b)[0] - 0.3 * b) <= 1e-12
 
     def test_no_sign_change_is_inconsistent(self, monkeypatch):
         monkeypatch.setattr(optimizer, "stationarity", lambda b, r, p: np.ones_like(r))
@@ -183,13 +181,13 @@ class TestFindRmin:
             find_rmin(2.0)
 
     def test_optimal_radius_grows_with_disk(self):
-        rs = [find_rmin(b).r_min for b in (0.5, 1.0, 2.0, 4.0)]
+        rs = [find_rmin(b)[0] for b in (0.5, 1.0, 2.0, 4.0)]
         assert rs == sorted(rs)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             find_rmin(0.0)
-        with pytest.raises(ValueError, match=r"\[0\.01, 10\.0\], got 10\.5"):
+        with pytest.raises(ValueError, match=r"b=10\.5 outside the window"):
             find_rmin(np.array([0.5, 10.5, 11.0]))
         with pytest.raises(ValueError, match="0.01"):
             find_rmin(0.99 * B_SIMPLIFIED_MIN)
@@ -199,18 +197,18 @@ class TestFindRmin:
 
 class TestSaturationSweep:
     def test_curve_shape_and_monotonicity(self):
-        res = saturation_sweep(2.0, 12)
-        assert [p for p, _, _ in res.curve] == list(range(1, 13))
-        d2s = [d2 for _, _, d2 in res.curve]
+        p_sat, r_at_min, d2_min = saturation_sweep(2.0, 12)
+        assert len(r_at_min) == len(d2_min) == 12
+        d2s = d2_min.tolist()
         assert d2s == sorted(d2s, reverse=True)
-        assert 1 <= res.p_sat <= 12
+        assert 1 <= p_sat <= 12
 
     def test_saturation_point_honors_tolerance(self):
-        res = saturation_sweep(1.0, 10, saturation_tol=1e-4)
-        d2_last = res.curve[-1][2]
-        assert res.curve[res.p_sat - 1][2] - d2_last < 1e-4
-        if res.p_sat > 1:
-            assert res.curve[res.p_sat - 2][2] - d2_last >= 1e-4
+        p_sat, _, d2_min = saturation_sweep(1.0, 10, saturation_tol=1e-4)
+        d2_last = d2_min[-1]
+        assert d2_min[p_sat - 1] - d2_last < 1e-4
+        if p_sat > 1:
+            assert d2_min[p_sat - 2] - d2_last >= 1e-4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -221,19 +219,20 @@ class TestSaturationSweep:
 
     def test_largest_p_max_is_accepted(self):
         b = 1.0
-        res = saturation_sweep(b, TRAPEZOID_NODES_MAX)
-        assert [p for p, _, _ in res.curve] == list(range(1, TRAPEZOID_NODES_MAX + 1))
+        _, r_at_min, d2_min = saturation_sweep(b, TRAPEZOID_NODES_MAX)
+        assert len(r_at_min) == len(d2_min) == TRAPEZOID_NODES_MAX
         # no stripe k >= 1 of the table is a multiple of p >= dim
         dim = disk_cutoff(b).dim
-        assert len({d2 for p, _, d2 in res.curve if p >= dim}) == 1
-        assert res.curve[:20] == saturation_sweep(b, 20).curve
+        assert len(set(d2_min[dim - 1 :].tolist())) == 1
+        _, r_20, d2_20 = saturation_sweep(b, 20)
+        assert np.array_equal(r_at_min[:20], r_20) and np.array_equal(d2_min[:20], d2_20)
 
     @pytest.mark.parametrize(
         "b,p", [(10.0, 2), (10.0, 3), (2.0, 2), (2.0, 3), (2.0, 4), (2.0, 5)]
     )
     def test_radius_is_the_minimizer(self, b, p):
         # at b = 10, D^2(2, r) is flat to 1e-12 relative over r in [3.0, 5.3]
-        r = saturation_sweep(b, 6).curve[p - 1][1]
+        r = saturation_sweep(b, 6)[1][p - 1]
         dim = int(b * b + 10.0 * b) + 30
         ref = mp_simplified_minimizer(b, p, (0.1 * b, b), dim)
         assert r == pytest.approx(ref, rel=1e-9, abs=0.0)
@@ -248,11 +247,11 @@ class TestSaturationSweep:
 
     @pytest.mark.parametrize("b", [0.5, 2.0, 7.0])
     def test_last_row_is_find_rmin(self, b):
-        assert abs(saturation_sweep(b, P_LIMIT).curve[-1][1] - find_rmin(b).r_min) <= 1e-12
+        assert abs(saturation_sweep(b, P_LIMIT)[1][-1] - find_rmin(b)[0]) <= 1e-12
 
     def test_single_state_takes_the_lower_end(self):
         for b in (0.01, 2.0, 10.0):
-            assert saturation_sweep(b, 2).curve[0][1] == BRACKET[0] * b
+            assert saturation_sweep(b, 2)[1][0] == BRACKET[0] * b
 
     def test_row_without_sign_change_is_inconsistent(self, monkeypatch):
         # dD^2/dr = -4r < 0 at every radius: a p >= 2 must have an interior minimum
@@ -264,9 +263,26 @@ class TestSaturationSweep:
     @pytest.mark.parametrize("b", [0.01, 0.5, 2.0, 10.0])
     def test_every_minimum_is_the_simplified_distance(self, b, p_max):
         # one route: each row's d2_min is hs2_simplified at its own radius
-        for p, r, d2 in saturation_sweep(b, p_max).curve:
+        _, r_at_min, d2_min = saturation_sweep(b, p_max)
+        for p, r, d2 in zip(range(1, p_max + 1), r_at_min.tolist(), d2_min.tolist()):
             ref = hs2_simplified(b, p, r)
             assert abs(d2 - ref) <= 8 * np.spacing(ref), (p, r)
+
+    def test_sweeps_take_few_calls(self, monkeypatch):
+        # one stationarity call for the bracket points, one per Illinois step; without
+        # the point 0.25b the p = 2 row at b = 10 crawls from b/2000 (65 calls), and the
+        # benchmark's radii b = 1, 1 + 2^-6, ..., 3 at p_max = 20 take 12.3 on average
+        calls, stationarity = [], optimizer.stationarity
+        monkeypatch.setattr(
+            optimizer, "stationarity", lambda b, r, p: calls.append(r) or stationarity(b, r, p)
+        )
+        saturation_sweep(10.0, TRAPEZOID_NODES_MAX)
+        assert len(calls) <= 45
+        calls.clear()
+        radii = 1.0 + np.arange(129) / 64
+        for b in radii:
+            saturation_sweep(float(b), 20)
+        assert len(calls) / len(radii) <= 11.0
 
 
 class TestBatchedRoots:
@@ -276,34 +292,34 @@ class TestBatchedRoots:
         ids=["geomspace", "half-steps"],
     )
     def test_grid_matches_one_radius_at_a_time(self, grid):
-        batch = find_rmin(grid)
-        assert isinstance(batch, list) and len(batch) == len(grid)
-        for b, res in zip(grid, batch):
+        r_min, residual = find_rmin(grid)
+        assert r_min.shape == residual.shape == grid.shape
+        for b, r, res in zip(grid, r_min, residual):
             alone = find_rmin(float(b))
-            assert res.b == b
-            assert abs(res.r_min - alone.r_min) <= 1e-12
-            assert abs(res.residual - alone.residual) <= 1e-12
+            assert abs(r - alone[0]) <= 1e-12
+            assert abs(res - alone[1]) <= 1e-12
 
     def test_length_one_array_gives_a_list(self):
+        # arrays shaped like b, here (1,)
         batch = find_rmin(np.array([2.0]))
-        assert isinstance(batch, list) and len(batch) == 1
-        assert batch[0] == find_rmin(2.0)
+        assert all(isinstance(a, np.ndarray) and a.shape == (1,) for a in batch)
+        assert (batch[0][0], batch[1][0]) == find_rmin(2.0)
 
     def test_scalar_gives_python_floats(self):
         res = find_rmin(2.0)
-        assert isinstance(res, optimizer.RminResult)
-        for value in (res.b, res.r_min, res.residual):
+        assert isinstance(res, tuple) and len(res) == 2
+        for value in res:
             assert type(value) is float
 
     def test_grid_longer_than_one_search(self):
         # the radii are searched RADII_PER_SEARCH at a time, in order
         grid = np.linspace(0.5, 7.0, optimizer.RADII_PER_SEARCH + 3)
-        batch = find_rmin(grid)
-        assert [res.b for res in batch] == grid.tolist()
+        r_min, residual = find_rmin(grid)
+        assert r_min.shape == residual.shape == grid.shape
         for i in (0, optimizer.RADII_PER_SEARCH - 1, optimizer.RADII_PER_SEARCH, len(grid) - 1):
             alone = find_rmin(float(grid[i]))
-            assert abs(batch[i].r_min - alone.r_min) <= 1e-12
-            assert abs(batch[i].residual - alone.residual) <= 1e-12
+            assert abs(r_min[i] - alone[0]) <= 1e-12
+            assert abs(residual[i] - alone[1]) <= 1e-12
 
     def test_fine_grid_makes_a_dozen_calls_per_search(self, monkeypatch):
         # the first call, one per Illinois step and the residual, per RADII_PER_SEARCH radii
@@ -312,7 +328,7 @@ class TestBatchedRoots:
         monkeypatch.setattr(
             optimizer, "stationarity", lambda b, r, p: calls.append(r) or stationarity(b, r, p)
         )
-        assert len(find_rmin(grid)) == len(grid) == 6990
+        assert len(find_rmin(grid)[0]) == len(grid) == 6990
         assert len(calls) <= math.ceil(len(grid) / optimizer.RADII_PER_SEARCH) * 12
 
     def test_one_row_without_sign_change_is_named(self, monkeypatch):
