@@ -1,12 +1,12 @@
-"""Golden CSV outputs of the simplified-protocol commands.
+"""Golden CSV outputs of the CLI commands.
 
 Each file in this directory is the stdout of one CLI run, named in CASES.
 `tests/test_golden.py` reruns every case through `cli.main` and compares
 the output column by column.  This script rewrites the files from the
 working tree and prints, for each file and column that moved, the
-largest move:
+largest move; file names as arguments restrict it to those files:
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [holevo.csv ...]
 
 Regenerating a golden file changes what the check accepts: record the
 printed moves with the change that needs them.
@@ -37,6 +37,12 @@ CASES = {
                                 "--with-oracle"],
     "simplified_b10_p7_r3.3.csv": ["simplified", "--b", "10", "--p", "7", "--r", "3.3"],
     "simplified_b0.05_p3_r0.02.csv": ["simplified", "--b", "0.05", "--p", "3", "--r", "0.02"],
+    "holevo.csv": ["holevo", "--b-grid", "0.5:13:0.5"],
+    "fig2.csv": ["figures", "fig2"],
+    # N = 4096 and 4097 lie on either side of the edge of hs2_exact's circle blocks
+    "distance.csv": ["distance", "--b", "0.5,10", "--N", "1,10,4096,4097,100000"],
+    "keybits_d0.01_N40.csv": ["keybits", "--d-hs", "0.01", "--N", "40"],
+    "keybits_d0.5_N400digits.csv": ["keybits", "--d-hs", "0.5", "--N", "9" * 400],
 }
 
 
@@ -71,8 +77,10 @@ def largest_move(old: list[str], new: list[str]) -> tuple[float, float] | None:
     return max(m[0] for m in moves), max(m[1] for m in moves)
 
 
-def main() -> int:
+def main(names) -> int:
     for name, argv in CASES.items():
+        if names and name not in names:
+            continue
         path = HERE / name
         text = render(argv)
         if path.exists():
@@ -90,4 +98,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -27,6 +27,27 @@ BOUNDS = {
     "d2_simplified": (0.0, 1e-14),
     # the dense oracle's matrix products may sum in another order elsewhere
     "d2_numeric": (0.0, 1e-12),
+    # chi is the gap of two entropies of order 1 bit, each a sum over the Fock
+    # levels of one fixed quadrature rule: rounding moves it by a few ulp
+    "chi_bits": (0.0, 1e-14),
+    # the larger of the refinement gap and the mass deficit, 2.2e-16 .. 2.1e-13 on
+    # the golden grid: differences of sums of order 1, so rounding moves them
+    # by a few ulp of 1, absolutely
+    "quad_error": (1e-15, 0.0),
+    # at N = 1e5 D^2 is 1e-6 of the diagonal weights it is taken from, so the
+    # order of the block sum moves it: 2.7e-10 relative when the 4096-circle
+    # block becomes 8192, against an error of 1.6e-10 relative (README)
+    "d2_exact": (0.0, 1e-9),
+    # the closed form 1 / (N + 1)^2, one or two roundings
+    "d2_guess": (0.0, 1e-15),
+    # sums of positive terms; another block size moves the last two by at most
+    # 6.3e-15 relative
+    "tr_unit2": (0.0, 1e-14),
+    "tr_cross": (0.0, 1e-14),
+    "tr_phi2": (0.0, 1e-14),
+    # closed forms in log2: -1 - 2 log2 d and log2 N + log2(N + 1) - 1
+    "approx_bits": (0.0, 1e-15),
+    "exact_bits": (0.0, 1e-15),
 }
 
 
