@@ -5,7 +5,8 @@ functions, double-precision series and Fock-stripe sums; the oracles
 here are deliberately different routes: extended-precision mpmath series
 and dense matrices, the ascending Bessel series in double precision,
 dense matrix algebra, scipy special functions, Monte Carlo, a 3-D tensor
-quadrature of the Holevo spectrum, and the Bessel-series traces of the
+quadrature of the Holevo spectrum, Clenshaw-Curtis weights from the cosine
+of every node product, and the Bessel-series traces of the
 N-circle mixture (k-sums for the cross trace, pairwise stripe sums for
 the purity).  Tests must never compare an analytic result against itself.
 
@@ -440,6 +441,19 @@ def dense_saturation_curve(b: float, p_max: int, r_lo: float):
         )
         curve.append((p, float(res.x), float(res.fun)))
     return curve
+
+
+def direct_clenshaw_curtis(n: int) -> np.ndarray:
+    """Clenshaw-Curtis weights on [-1, 1] at the n + 1 nodes cos(k pi / n), n even,
+    with the cosine of every product: w_k = (2/n)(1 - sum_j beta_j cos(2 pi j k / n)),
+    j = 1..n/2, beta_j = 2 / (4 j^2 - 1) halved at j = n/2, and w halved at both
+    ends.  O(n^2) cosines, every row k summed on its own."""
+    j = np.arange(1, n // 2 + 1)
+    beta = np.where(j == n // 2, 1.0, 2.0) / (4.0 * j * j - 1.0)
+    k = np.arange(n + 1)
+    w = (2.0 / n) * (1.0 - np.cos(np.outer(k, j) * (2.0 * math.pi / n)) @ beta)
+    w[[0, -1]] *= 0.5
+    return w
 
 
 def quad_lambda_weights(b: float, dim: int) -> np.ndarray:

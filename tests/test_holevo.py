@@ -10,6 +10,7 @@ from cvpqc import cli, holevo
 from cvpqc.holevo import HOLEVO_B_MAX, disk_state_weights, entropy_bits
 from conftest import (
     column_off_diagonal_check,
+    direct_clenshaw_curtis,
     holevo_classical_limit,
     quad_lambda_weights,
     tensor_holevo_chi,
@@ -163,6 +164,20 @@ class TestCachedRules:
         for b, chi in zip(grid, first):
             holevo._rule.cache_clear()
             assert lambda_spectrum(b).chi_bits == chi
+
+
+class TestClenshawCurtisWeights:
+    @pytest.mark.parametrize("n", [8, 20, holevo.CC_ORDER, 2 * holevo.CC_ORDER])
+    def test_matches_the_direct_cosines(self, n):
+        # the cosine table indexed by j k mod n against the cosine of every j k
+        w = holevo._clenshaw_curtis(n)
+        assert w.shape == (n + 1,)
+        assert np.abs(w - direct_clenshaw_curtis(n)).max() <= 1e-16
+
+    @pytest.mark.parametrize("n", [2, 6, 8, 20, holevo.CC_ORDER, 2 * holevo.CC_ORDER])
+    def test_weights_are_exactly_symmetric(self, n):
+        w = holevo._clenshaw_curtis(n)
+        assert np.array_equal(w, w[::-1])
 
 
 class TestEntropyAndBound:
