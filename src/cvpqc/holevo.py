@@ -16,9 +16,8 @@ The substitution s = 2b cos(t) gives A = b^2 (2t - sin 2t) and a smooth
 integrand on t in [0, pi/2], integrated by a nested Clenshaw-Curtis rule:
 of its 2 CC_ORDER + 1 nodes, every other one carries the (CC_ORDER + 1)-node
 rule, whose sum gives the error estimate from the same amplitudes.  The
-rule does not depend on b, so it is built once per process, on first use;
-its n-node weights index one table of the n cosines cos(2 pi m / n) by
-j k mod n, in place of the cosine of every product j k.
+rule does not depend on b, so it is built once per process, on first use,
+from one table of n cosines per n-node level (see _clenshaw_curtis).
 Every lambda_n comes from the same nodes, its Poisson factor the squared
 coherent amplitude c_n(s)^2 = e^(-s^2) s^(2n) / n!.  A spectrum whose
 levels disagree, or whose mass beyond the Fock cutoff exceeds the same
@@ -88,14 +87,14 @@ def _clenshaw_curtis(n: int) -> np.ndarray:
 
     w_k = (2/n) (1 - sum_j beta_j cos(2 pi j k / n)), halved at k = 0 and n.  The
     cosine depends on j k mod n only, so one table of the n values cos(2 pi m / n),
-    indexed by j k mod n in int32, gives every entry.  Only the rows k <= n/4 are
-    built: row n/2 - k is row k times (-1)^j, and w_(n-k) = w_k mirrors the rest.
+    indexed by j k mod n in int32 (j k <= n^2 / 8 fits for n < 131072), gives
+    every entry.  Only the rows k <= n/4 are built: row n/2 - k is row k times
+    (-1)^j, and w_(n-k) = w_k mirrors the rest.
     """
     j = np.arange(1, n // 2 + 1, dtype=np.int32)
     beta = 2.0 / (4.0 * j * j - 1.0)
     beta[-1] *= 0.5
-    alternating = beta.copy()
-    alternating[::2] *= -1.0  # beta_j (-1)^j, j = 1, 2, ...
+    alternating = np.where(j % 2, -beta, beta)  # beta_j (-1)^j
     k = np.arange(n // 4 + 1, dtype=np.int32)
     cos = np.cos(np.arange(n) * (2.0 * math.pi / n))[np.multiply.outer(k, j) % n]
     sums = np.empty(n // 2 + 1)
