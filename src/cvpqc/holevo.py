@@ -87,20 +87,15 @@ def _clenshaw_curtis(n: int) -> np.ndarray:
 
     w_k = (2/n) (1 - sum_j beta_j cos(2 pi j k / n)), halved at k = 0 and n.  The
     cosine depends on j k mod n only, so one table of the n values cos(2 pi m / n),
-    indexed by j k mod n in int32 (j k <= n^2 / 8 fits for n < 131072), gives
-    every entry.  Only the rows k <= n/4 are built: row n/2 - k is row k times
-    (-1)^j, and w_(n-k) = w_k mirrors the rest.
+    indexed by j k mod n in int32 (j k <= n^2 / 4 fits for n <= 92680), gives
+    every entry.  Only the rows k <= n/2 are built; w_(n-k) = w_k mirrors the rest.
     """
     j = np.arange(1, n // 2 + 1, dtype=np.int32)
     beta = 2.0 / (4.0 * j * j - 1.0)
     beta[-1] *= 0.5
-    alternating = np.where(j % 2, -beta, beta)  # beta_j (-1)^j
-    k = np.arange(n // 4 + 1, dtype=np.int32)
-    cos = np.cos(np.arange(n) * (2.0 * math.pi / n))[np.multiply.outer(k, j) % n]
-    sums = np.empty(n // 2 + 1)
-    sums[n // 2 - k] = cos @ alternating
-    sums[k] = cos @ beta
-    w = (2.0 / n) * (1.0 - np.concatenate((sums, sums[-2::-1])))
+    k = np.arange(n // 2 + 1, dtype=np.int32)
+    half = 1.0 - np.cos(np.arange(n) * (2.0 * math.pi / n))[np.multiply.outer(k, j) % n] @ beta
+    w = (2.0 / n) * np.concatenate((half, half[-2::-1]))
     w[[0, -1]] *= 0.5
     return w
 

@@ -4,9 +4,9 @@ Each file in this directory is the stdout of one CLI run, named in CASES.
 `tests/test_golden.py` reruns every case through `cli.main` and compares
 the output column by column.  This script rewrites the files from the
 working tree and prints, for each file and column that moved, the
-largest move; file names as arguments restrict it to those files:
+largest move:
 
-    PYTHONPATH=src python tests/golden/regen.py [holevo.csv ...]
+    PYTHONPATH=src python tests/golden/regen.py
 
 Regenerating a golden file changes what the check accepts: record the
 printed moves with the change that needs them.
@@ -77,10 +77,8 @@ def largest_move(old: list[str], new: list[str]) -> tuple[float, float] | None:
     return max(m[0] for m in moves), max(m[1] for m in moves)
 
 
-def main(names) -> int:
+def main() -> int:
     for name, argv in CASES.items():
-        if names and name not in names:
-            continue
         path = HERE / name
         text = render(argv)
         if path.exists():
@@ -98,4 +96,4 @@ def main(names) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

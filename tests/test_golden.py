@@ -34,10 +34,8 @@ BOUNDS = {
     # the golden grid: differences of sums of order 1, so rounding moves them
     # by a few ulp of 1, absolutely
     "quad_error": (1e-15, 0.0),
-    # at N = 1e5 D^2 is 1e-6 of the diagonal weights it is taken from, so the
-    # order of the block sum moves it: 2.7e-10 relative when the 4096-circle
-    # block becomes 8192, against an error of 1.6e-10 relative (README)
-    "d2_exact": (0.0, 1e-9),
+    # bounded in SQRT_BOUNDS
+    "d2_exact": (0.0, 0.0),
     # the closed form 1 / (N + 1)^2, one or two roundings
     "d2_guess": (0.0, 1e-15),
     # sums of positive terms; another block size moves the last two by at most
@@ -49,6 +47,15 @@ BOUNDS = {
     "approx_bits": (0.0, 1e-15),
     "exact_bits": (0.0, 1e-15),
 }
+
+# A third term, times sqrt|value|.  d2_exact = |diag - u|^2 + off-diagonal, where the
+# diagonal weights diag and u are of order 1 and diag - u cancels: a rounding delta of
+# the weights moves it by 2 <diag - u, delta> <= 2 sqrt(d2_exact) |delta|, so the
+# distance sqrt(d2_exact) moves by |delta|, absolutely, on every row.  Measured on the
+# golden rows: u moved by up to 2 ulp moves sqrt(d2_exact) by at most 3.7e-16, circle
+# blocks of 512 to 1e5 in place of 4096 by at most 9.5e-16.  5e-15 sqrt(d2_exact) is
+# 8e-15 relative at N = 1 and 3.6e-9 at N = 1e5, where D^2 is 1.9e-12.
+SQRT_BOUNDS = {"d2_exact": 5e-15}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -63,5 +70,6 @@ def test_output_matches_golden_file(name):
             if atol is None or not old:  # integers, strings, input columns, empty cells
                 assert new == old, (col, row)
             else:
-                bound = atol + rtol * abs(float(old))
+                size = abs(float(old))
+                bound = atol + rtol * size + SQRT_BOUNDS.get(col, 0.0) * math.sqrt(size)
                 assert math.fabs(float(new) - float(old)) <= bound, (col, row, new, old)
