@@ -2,7 +2,7 @@
 
 Integers and strings, the input columns among them, must match exactly.
 Each float column a computation prints has an (absolute, relative) bound
-below, with its reason.  No row may be left out to meet a bound: a column
+below, with its reason, and d2_exact a term in its square root.  No row may be left out to meet a bound: a column
 that moves past its bound fails here until the file is regenerated, and
 regenerating is a check change (see `golden/regen.py`).
 """
