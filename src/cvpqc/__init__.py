@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .distances import (
     ConsistencyError,
-    DistanceReport,
     exact_key_bits,
     hs2_exact,
     hs2_guess,
@@ -22,8 +21,6 @@ from .distances import (
 from .ensembles import circle_mixture, maximally_mixed, phi_n
 from .fockspace import CutoffError, CutoffPolicy, hs_distance_numeric
 from .holevo import (
-    LambdaSpectrum,
-    OffDiagonalEstimate,
     QuadratureConvergenceError,
     lambda_spectrum,
     off_diagonal_check,

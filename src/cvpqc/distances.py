@@ -7,7 +7,9 @@ cancelling difference Tr(unit^2) - 2 Tr(unit rho) + Tr(rho^2).  In the
 N-circle mixture, circle p at radius p b / N adds p c_m c_n / M wherever
 p divides m - n.  One circle of p states at radius r has entries c_m c_n
 there, so D^2 = sum_n (c_n^2 - u_n)^2 + 2 sum_(j>=1) S_jp with the stripe
-sums S_k = sum_n c_n^2 c_(n+k)^2, which do not depend on p.  The cross
+sums S_k = sum_n c_n^2 c_(n+k)^2, which do not depend on p.  hs2_exact
+returns D^2 with the traces Tr(unit Phi_N) and Tr(Phi_N^2), which share its
+sums; trace_unit_sq, the purity of the disk state, stands alone.  The cross
 sum sum_k (b/r)^k I_k(2rb) is a finite sum of the same Poisson terms; it
 shares no code with bessel_i's trapezoid rule, so `verify identities`
 checks one against the other.
@@ -16,8 +18,6 @@ checks one against the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,19 +43,6 @@ B_MAX = math.sqrt(0.5 * SUPPORTED_X_MAX)
 
 class ConsistencyError(RuntimeError):
     """The r_min search found no sign change, a value not finite, or no root."""
-
-
-@dataclass(frozen=True)
-class DistanceReport:
-    """Exact and approximate squared HS distances, with the three traces."""
-
-    b: float
-    n_circles: int
-    d2_exact: float
-    d2_guess: float
-    tr_unit2: float = 0.0
-    tr_cross: float = 0.0
-    tr_phi2: float = 0.0
 
 
 def cross_bessel_sum(b: float, r):
@@ -98,7 +85,6 @@ def check_circle(b, r, p):
     return b, r
 
 
-@lru_cache(maxsize=None)
 def trace_unit_sq(b: float) -> float:
     """Purity (1 - e^(-x) [I_0(x) + I_1(x)]) / b^2, x = 2b^2, of the disk-mixed
     state for B_MIN <= b <= 10: the trapezoid mean of the non-negative terms
@@ -122,9 +108,10 @@ def hs2_guess(n_circles: int) -> float:
     return 1.0 / (n_circles + 1) ** 2
 
 
-def hs2_exact(b: float, n_circles: int) -> DistanceReport:
-    """Exact squared HS distance between the disk-mixed state and the
-    N-circle encryption mixture, from the Fock stripes of Phi_N.
+def hs2_exact(b: float, n_circles: int) -> tuple[float, float, float]:
+    """(D^2, Tr(unit Phi_N), Tr(Phi_N^2)): the exact squared HS distance between
+    the disk-mixed state and the N-circle encryption mixture, and the two
+    traces that hold Phi_N, all from the Fock stripes of Phi_N.
 
     Stripe k > 0 above the diagonal holds sum_(q | k) q c_n(r_q) c_(n+k)(r_q),
     gathered over the divisor pairs (q, k) of the Fock block and summed in
@@ -134,7 +121,7 @@ def hs2_exact(b: float, n_circles: int) -> DistanceReport:
     """
     if not 1 <= n_circles <= N_MAX:
         raise ValueError(f"N must be in [1, {N_MAX}], got {n_circles}")
-    tu = trace_unit_sq(b)  # validates b
+    check_disk(b, B_MIN)
     dim = disk_cutoff(b).dim
     unit = disk_state_weights(b, dim)
     n = np.arange(dim)
@@ -151,25 +138,18 @@ def hs2_exact(b: float, n_circles: int) -> DistanceReport:
     off2 = 2.0 * float(np.sum(np.square(norm * upper)))  # sum_{m != n} Phi_mn^2
     blocks = [slice(lo, lo + HS2_BLOCK) for lo in range(0, n_circles, HS2_BLOCK)]
     diag = norm * sum(p[s] @ np.square(coherent_amplitudes(r[s], dim)) for s in blocks)
-    return DistanceReport(
-        b=b,
-        n_circles=n_circles,
-        d2_exact=float(np.sum(np.square(diag - unit))) + off2,
-        d2_guess=hs2_guess(n_circles),
-        tr_unit2=tu,
-        tr_cross=float(unit @ diag),
-        tr_phi2=float(diag @ diag) + off2,
-    )
+    return (float(np.sum(np.square(diag - unit))) + off2, float(unit @ diag),
+            float(diag @ diag) + off2)
 
 
 def trace_cross(b: float, n_circles: int) -> float:
     """Cross trace Tr(unit Phi_N) = sum_n u_n Phi_nn, read from hs2_exact."""
-    return hs2_exact(b, n_circles).tr_cross
+    return hs2_exact(b, n_circles)[1]
 
 
 def trace_phi_sq(b: float, n_circles: int) -> float:
     """Purity Tr(Phi_N^2) = sum_mn Phi_mn^2 of Phi_N, read from hs2_exact."""
-    return hs2_exact(b, n_circles).tr_phi2
+    return hs2_exact(b, n_circles)[2]
 
 
 def hs2_simplified(b: float, p, r):

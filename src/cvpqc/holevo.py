@@ -10,7 +10,8 @@ at combined radius s = |alpha + beta|, averaged over the density of s:
 
 A(s) being the area where the two disks of radius b overlap.  The Holevo
 quantity chi(b) is the entropy gap S(lambda) - S(disk-mixed state), both
-states being diagonal; lambda_spectrum(b) returns it with the spectrum.
+states being diagonal; lambda_spectrum(b) returns chi, the quadrature error
+and the spectrum lambda, in that order.
 
 The substitution s = 2b cos(t) gives A = b^2 (2t - sin 2t) and a smooth
 integrand on t in [0, pi/2], integrated by a nested Clenshaw-Curtis rule:
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,31 +55,6 @@ OFF_DIAGONAL_BLOCK = 2_000
 class QuadratureConvergenceError(RuntimeError):
     """The two levels of the nested rule disagree, or mass is lost beyond
     the Fock cutoff, beyond the acceptance threshold."""
-
-
-@dataclass(frozen=True)
-class LambdaSpectrum:
-    """Normalized diagonal weights of the total channel state, and chi(b)."""
-
-    b: float
-    weights: np.ndarray = field(repr=False)
-    quad_error: float
-    chi_bits: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.weights)
-
-
-@dataclass(frozen=True)
-class OffDiagonalEstimate:
-    """Monte Carlo bound on the largest off-diagonal magnitude."""
-
-    b: float
-    max_abs: float
-    stderr: float
-    samples: int
-    dim: int
 
 
 def _clenshaw_curtis(n: int) -> np.ndarray:
@@ -115,10 +90,12 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arrays
 
 
-def lambda_spectrum(b: float) -> LambdaSpectrum:
-    """Diagonal spectrum of the total channel state, radius-2b support, and
-    chi(b) = S(total state) - S(disk-mixed state) in bits, clamped at 0; a
-    chi below -1e-6 raises QuadratureConvergenceError, as a bad quadrature does."""
+def lambda_spectrum(b: float) -> tuple[float, float, np.ndarray]:
+    """(chi_bits, quad_error, weights): chi(b) = S(total state) - S(disk-mixed
+    state) in bits, clamped at 0; the larger of the refinement gap and the mass
+    deficit; and the normalized diagonal spectrum of the total channel state,
+    radius-2b support, one weight per Fock level.  A chi below -1e-6 raises
+    QuadratureConvergenceError, as a bad quadrature does."""
     if not b >= B_MIN:
         raise ValueError(f"b must be positive and at least {B_MIN}, got {b}")
     if b > HOLEVO_B_MAX:
@@ -143,7 +120,7 @@ def lambda_spectrum(b: float) -> LambdaSpectrum:
     chi = entropy_bits(norm) - entropy_bits(disk_state_weights(b, dim))
     if chi < -1e-6:
         raise QuadratureConvergenceError(f"chi={chi} negative beyond tolerance at b={b}")
-    return LambdaSpectrum(b, norm, max(refine_diff, deficit), max(chi, 0.0))
+    return max(chi, 0.0), max(refine_diff, deficit), norm
 
 
 def entropy_bits(weights: np.ndarray) -> float:
@@ -153,14 +130,14 @@ def entropy_bits(weights: np.ndarray) -> float:
     return float(-np.sum(w * np.log2(w)))
 
 
-def off_diagonal_check(b: float, samples: int, seed: int = 0) -> OffDiagonalEstimate:
-    """Monte Carlo estimate of the largest off-diagonal entry of the
-    unreordered double disk mixture of coherent projectors.
+def off_diagonal_check(b: float, samples: int, seed: int = 0) -> tuple[float, float]:
+    """(max_abs, stderr): Monte Carlo estimate of the largest off-diagonal
+    magnitude of the unreordered double disk mixture of coherent projectors,
+    over the OFF_DIAGONAL_DIM lowest Fock levels, and its standard error.
 
-    Samples alpha and beta uniformly on the disk of radius b, averages
-    the projector of gamma = alpha + beta entrywise, and reports the largest
-    off-diagonal magnitude together with its standard error (it should
-    vanish within sampling noise: the state is diagonal).  Each batch of
+    Samples alpha and beta uniformly on the disk of radius b and averages
+    the projector of gamma = alpha + beta entrywise; the largest entry should
+    vanish within sampling noise, the state being diagonal.  Each batch of
     OFF_DIAGONAL_BATCH samples draws r1, r2, t1, t2 in that order, fixing
     the samples a seed gives.
 
@@ -215,10 +192,4 @@ def off_diagonal_check(b: float, samples: int, seed: int = 0) -> OffDiagonalEsti
     mags = np.hypot(cross[m - n, n], cross[dim + m - n, n]) / (np.sqrt(norm) * samples)
     var = np.maximum(hankel[m + n] / (norm * samples) - mags**2, 0.0)
     i = int(np.argmax(mags))
-    return OffDiagonalEstimate(
-        b=b,
-        max_abs=float(mags[i]),
-        stderr=float(np.sqrt(var[i] / samples)),
-        samples=samples,
-        dim=dim,
-    )
+    return float(mags[i]), float(np.sqrt(var[i] / samples))

@@ -2,9 +2,10 @@
 
 Each file in this directory is the stdout of one CLI run, named in CASES.
 `tests/test_golden.py` reruns every case through `cli.main` and compares
-the output column by column.  This script rewrites the files from the
-working tree and prints, for each file and column that moved, the
-largest move:
+the output cell by cell, each float column within its bound in BOUNDS.
+This script reruns every case from the working tree, writes the files that
+are missing or fail their bounds, and prints, for each file it rewrites and
+each column that moved, the largest move:
 
     PYTHONPATH=src python tests/golden/regen.py
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -44,6 +46,65 @@ CASES = {
     "keybits_d0.01_N40.csv": ["keybits", "--d-hs", "0.01", "--N", "40"],
     "keybits_d0.5_N400digits.csv": ["keybits", "--d-hs", "0.5", "--N", "9" * 400],
 }
+
+
+BOUNDS = {
+    # the root search stops at a bracket width of 1e-12
+    "r_min": (1e-12, 0.0),
+    "r_at_min": (1e-12, 0.0),
+    # the slope at r_min: |d^2 D^2 / dr^2| <= 2.06 over the rmin grid, times the
+    # bracket width, with room for rounding
+    "residual": (5e-12, 0.0),
+    # D^2 at a minimum is flat in r, so only rounding moves it; at b = 0.01 the
+    # minima are 2.6e-19 while d_0 = e^(-r^2) - u_0 cancels to -b^4/24
+    "d2_min": (0.0, 1e-10),
+    # one stripe sum, no search: a new summation order moves it by a few ulp
+    "d2_simplified": (0.0, 1e-14),
+    # the dense oracle's matrix products may sum in another order elsewhere
+    "d2_numeric": (0.0, 1e-12),
+    # chi is the gap of two entropies of order 1 bit, each a sum over the Fock
+    # levels of one fixed quadrature rule: rounding moves it by a few ulp
+    "chi_bits": (0.0, 1e-14),
+    # the larger of the refinement gap and the mass deficit, 2.2e-16 .. 2.1e-13 on
+    # the golden grid: differences of sums of order 1, so rounding moves them
+    # by a few ulp of 1, absolutely
+    "quad_error": (1e-15, 0.0),
+    # bounded in SQRT_BOUNDS
+    "d2_exact": (0.0, 0.0),
+    # the closed form 1 / (N + 1)^2, one or two roundings
+    "d2_guess": (0.0, 1e-15),
+    # sums of positive terms; another block size moves the last two by at most
+    # 6.3e-15 relative
+    "tr_unit2": (0.0, 1e-14),
+    "tr_cross": (0.0, 1e-14),
+    "tr_phi2": (0.0, 1e-14),
+    # closed forms in log2: -1 - 2 log2 d and log2 N + log2(N + 1) - 1
+    "approx_bits": (0.0, 1e-15),
+    "exact_bits": (0.0, 1e-15),
+}
+
+# A third term, times sqrt|value|.  d2_exact = |diag - u|^2 + off-diagonal, where the
+# diagonal weights diag and u are of order 1 and diag - u cancels: a rounding delta of
+# the weights moves it by 2 <diag - u, delta> <= 2 sqrt(d2_exact) |delta|, so the
+# distance sqrt(d2_exact) moves by |delta|, absolutely, on every row.  Measured on the
+# golden rows: u moved by up to 2 ulp moves sqrt(d2_exact) by at most 3.7e-16, circle
+# blocks of 512 to 1e5 in place of 4096 by at most 9.5e-16.  5e-15 sqrt(d2_exact) is
+# 8e-15 relative at N = 1 and 3.6e-9 at N = 1e5, where D^2 is 1.9e-12.
+SQRT_BOUNDS = {"d2_exact": 5e-15}
+
+
+def within_bound(col: str, new: str, old: str) -> bool:
+    """Whether cell new of column col holds against old: equal text for integers,
+    strings, input columns and empty cells, else |new - old| within col's bound."""
+    atol, rtol = BOUNDS.get(col, (None, None))
+    if atol is None or not old:
+        return new == old
+    size = abs(float(old))
+    bound = atol + rtol * size + SQRT_BOUNDS.get(col, 0.0) * math.sqrt(size)
+    try:
+        return math.fabs(float(new) - float(old)) <= bound
+    except ValueError:  # a number became text
+        return False
 
 
 def render(argv) -> str:
@@ -77,12 +138,23 @@ def largest_move(old: list[str], new: list[str]) -> tuple[float, float] | None:
     return max(m[0] for m in moves), max(m[1] for m in moves)
 
 
+def holds(old: dict[str, list[str]], new: dict[str, list[str]]) -> bool:
+    """Whether new has old's columns and rows, every cell within its bound."""
+    return list(new) == list(old) and all(
+        len(new[col]) == len(cells)
+        and all(within_bound(col, n, o) for n, o in zip(new[col], cells))
+        for col, cells in old.items()
+    )
+
+
 def main() -> int:
     for name, argv in CASES.items():
         path = HERE / name
         text = render(argv)
         if path.exists():
             old, new = columns(path.read_text()), columns(text)
+            if holds(old, new):
+                continue
             if list(old) != list(new):
                 print(f"{name}: header {list(old)} -> {list(new)}")
             for col in (c for c in new if c in old):

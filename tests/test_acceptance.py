@@ -67,7 +67,7 @@ def test_criterion_01_analytic_distance_matches_matrix_oracle():
         for n in GRID_N:
             unit, mix = oracle_states(b, n)
             d2_num = hs_distance_numeric(unit, mix) ** 2
-            worst = max(worst, abs(hs2_exact(b, n).d2_exact - d2_num))
+            worst = max(worst, abs(hs2_exact(b, n)[0] - d2_num))
     report(1, "analytic vs matrix distance", worst < 1e-8, f"worst {worst:.3e}")
 
 
@@ -87,7 +87,7 @@ def test_criterion_02_trace_terms_match_matrix_oracle():
 
 def test_criterion_03_unitary_invariance_of_distance():
     b, n = 2.0, 4
-    d2_exact = hs2_exact(b, n).d2_exact
+    d2_exact = hs2_exact(b, n)[0]
     worst = 0.0
     for beta in (0.3 + 0j, 0.7 * np.exp(1j * math.pi / 4)):
         cutoff = CutoffPolicy(max_radius=b + abs(beta), tail_budget=TAIL)
@@ -107,7 +107,7 @@ def test_criterion_04_guess_asymptotics():
     details = []
     for b in (1.0, 2.0):
         limit = circle_disk_constant(b)
-        ratios = [hs2_exact(b, n).d2_exact / hs2_guess(n) for n in (20, 40, 80)]
+        ratios = [hs2_exact(b, n)[0] / hs2_guess(n) for n in (20, 40, 80)]
         gaps = [abs(r - limit) for r in ratios]
         halving = all(g2 <= 0.6 * g1 for g1, g2 in zip(gaps, gaps[1:]))
         ok = ok and halving and gaps[-1] <= 0.03 * limit
@@ -197,20 +197,20 @@ def test_criterion_09_stationarity_derivative():
 
 
 def test_criterion_10_lambda_diagonality():
-    est = off_diagonal_check(0.5, 100_000, seed=0)
+    max_abs, stderr = off_diagonal_check(0.5, 100_000, seed=0)
     report(
         10,
         "off-diagonal Monte Carlo",
-        est.max_abs < 5.0 * est.stderr,
-        f"max {est.max_abs:.3e}, stderr {est.stderr:.3e}",
+        max_abs < 5.0 * stderr,
+        f"max {max_abs:.3e}, stderr {stderr:.3e}",
     )
 
 
 def test_criterion_11_holevo_curve():
-    chis = [lambda_spectrum(b).chi_bits for b in (0.5, 1.0, 2.0, 4.0)]
+    chis = [lambda_spectrum(b)[0] for b in (0.5, 1.0, 2.0, 4.0)]
     increasing = all(c2 > c1 for c1, c2 in zip(chis, chis[1:]))
-    small_b = lambda_spectrum(1e-3).chi_bits
-    oracle = tensor_holevo_chi(2.0, lambda_spectrum(2.0).dim)
+    small_b = lambda_spectrum(1e-3)[0]
+    oracle = tensor_holevo_chi(2.0, len(lambda_spectrum(2.0)[2]))
     stable = abs(oracle - chis[2]) < 1e-9
     report(
         11,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import cvpqc
-from cvpqc import DistanceReport, cli, optimizer
+from cvpqc import cli, optimizer
 from conftest import mp_hs2_dense
 from test_tracing import traced_names
 
@@ -555,29 +555,32 @@ class TestVerify:
         assert len(calls) == 10
 
     @staticmethod
-    def quick_all_names():
-        """The 50 check names of `verify all --quick`, in order, from the suites' grids."""
+    def all_names(quick):
+        """The check names of `verify all [--quick]`, in order, from the suites' grids."""
         xs, grid = (0.5, 1.0, 2.0, 4.0, 8.0), (0.6, 1.2, 1.8, 2.4, 3.0)
         names = [f"bessel-identity x={x}" for x in xs]
         names += [f"bessel-identity-2 y={y} z={z}" for y in grid for z in grid]
-        for b in (1.0, 2.0):
+        bs, ns = ((1.0, 2.0), (1, 3)) if quick else ((0.5, 1.0, 2.0), range(1, 7))
+        for b in bs:
             names.append(f"trace-unit-sq b={b}")
-            for n in (1, 3):
+            for n in ns:
                 names += [f"{check} b={b} N={n}"
                           for check in ("trace-cross", "trace-phi-sq", "hs2-exact")]
         names.append("hs2-simplified b=2.0 p=4 r=1.0")
         names += ["diagonal-limit monotone", "diagonal-limit N=80 below 5e-3",
                   "disk-state first diagonal closed form", "purity b->0 limit"]
-        names.append("lambda-diagonality b=0.5 samples=20000")
+        names.append(f"lambda-diagonality b=0.5 samples={20000 if quick else 100000}")
         return names
 
-    def test_quick_all_runs_every_named_check(self, capsys):
-        code, out, _ = run(["verify", "all", "--quick", "--seed", "0"], capsys)
+    # the full suite is the form the benchmark runs: b in {0.5, 1, 2}, N = 1..6, 10^5 samples
+    @pytest.mark.parametrize("quick,count", [(True, 50), (False, 93)], ids=["quick", "full"])
+    def test_all_runs_every_named_check(self, quick, count, capsys):
+        code, out, _ = run(["verify", "all", "--seed", "0"] + ["--quick"] * quick, capsys)
         lines = [line for line in out.splitlines() if not line.startswith("#")]
-        names = self.quick_all_names()
-        assert (code, len(names)) == (cli.EXIT_OK, 50)
+        names = self.all_names(quick)
+        assert (code, len(names)) == (cli.EXIT_OK, count)
         assert lines == [f"PASS {name}" for name in names]
-        assert out.splitlines()[-1] == "# 50/50 checks passed"
+        assert out.splitlines()[-1] == f"# {count}/{count} checks passed"
 
     @pytest.mark.parametrize(
         "patched,failing",
@@ -589,13 +592,12 @@ class TestVerify:
                                                    monkeypatch):
         # an analytic value of 0: every check it feeds fails as "analytic 0.0 vs
         # matrix <the dense value>", and every other check still passes
-        zero = DistanceReport(b=0.0, n_circles=1, d2_exact=0.0, d2_guess=0.0)
-        value = zero if patched == "hs2_exact" else 0.0
+        value = (0.0, 0.0, 0.0) if patched == "hs2_exact" else 0.0
         monkeypatch.setattr(cli, patched, lambda *args: value)
         code, out, _ = run(["verify", "all", "--quick", "--seed", "0"], capsys)
         lines = [line for line in out.splitlines() if not line.startswith("#")]
         assert code == cli.EXIT_VERIFY_FAIL and len(lines) == 50
-        for name, line in zip(self.quick_all_names(), lines):
+        for name, line in zip(self.all_names(quick=True), lines):
             if name.startswith(failing):
                 match = re.fullmatch(
                     rf"FAIL {re.escape(name)}: analytic 0\.0 vs matrix (\S+)", line

@@ -12,7 +12,6 @@ from cvpqc import (
     circle_mixture,
     exact_key_bits,
     hs2_exact,
-    hs2_guess,
     hs2_simplified,
     hs_distance_numeric,
     key_bits,
@@ -155,46 +154,45 @@ class TestTraceTerms:
 class TestHs2Exact:
     def test_matches_matrix_oracle(self):
         b, n = 1.0, 5
-        rep = hs2_exact(b, n)
+        d2 = hs2_exact(b, n)[0]
         cutoff = CutoffPolicy(max_radius=b, tail_budget=TAIL)
         d2_num = hs_distance_numeric(
             maximally_mixed(b, cutoff), phi_n(b, n, cutoff)
         ) ** 2
-        assert rep.d2_exact == pytest.approx(d2_num, abs=1e-8)
+        assert d2 == pytest.approx(d2_num, abs=1e-8)
 
     def test_report_assembles_from_traces(self):
-        rep = hs2_exact(1.5, 3)
-        assert rep.d2_exact == pytest.approx(
-            rep.tr_unit2 - 2.0 * rep.tr_cross + rep.tr_phi2, abs=1e-15
+        d2, tr_cross, tr_phi2 = hs2_exact(1.5, 3)
+        assert d2 == pytest.approx(
+            trace_unit_sq(1.5) - 2.0 * tr_cross + tr_phi2, abs=1e-15
         )
-        assert rep.d2_guess == hs2_guess(3)
 
     def test_distance_is_nonnegative_and_decreasing_in_n(self):
-        vals = [hs2_exact(2.0, n).d2_exact for n in (1, 2, 4, 8)]
+        vals = [hs2_exact(2.0, n)[0] for n in (1, 2, 4, 8)]
         assert all(v >= 0.0 for v in vals)
         assert vals == sorted(vals, reverse=True)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 60])
     @pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 3.5])
     def test_stripe_kernel_matches_bessel_oracle(self, b, n):
-        rep = hs2_exact(b, n)
+        d2, tr_cross, tr_phi2 = hs2_exact(b, n)
         tc, tp = bessel_trace_cross(b, n), bessel_trace_phi_sq(b, n)
-        assert abs(rep.tr_cross - tc) < 1e-9
-        assert abs(rep.tr_phi2 - tp) < 1e-9
-        assert abs(rep.d2_exact - (trace_unit_sq(b) - 2.0 * tc + tp)) < 1e-8
+        assert abs(tr_cross - tc) < 1e-9
+        assert abs(tr_phi2 - tp) < 1e-9
+        assert abs(d2 - (trace_unit_sq(b) - 2.0 * tc + tp)) < 1e-8
 
     def test_matches_extended_precision_dense_reference(self):
         # traces of ~0.18 cancel to D^2 ~ 3e-6 here: a route through
         # Tr(unit^2) - 2 Tr(unit Phi) + Tr(Phi^2) keeps only ~1e-10 relative
         b, n = 2.0, 200
         ref = mp_hs2_dense(b, n, dim=40)
-        assert hs2_exact(b, n).d2_exact == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert hs2_exact(b, n)[0] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("b,n", [(4.0, 320), (7.0, 100), (10.0, 40), (2.0, 1000)])
     def test_matches_dense_reference_on_its_fock_block(self, b, n):
         # the reference keeps the same disk_cutoff block, so only arithmetic differs
         ref = mp_hs2_dense(b, n, dim=disk_cutoff(b).dim)
-        assert hs2_exact(b, n).d2_exact == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert hs2_exact(b, n)[0] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "per_dim,n",
@@ -206,15 +204,15 @@ class TestHs2Exact:
         # the divisor-pair gather against one masked outer product per circle,
         # on both sides of N = dim - 1, past which more circles add no stripe
         n_circles = per_dim * disk_cutoff(b).dim + n
-        rep = hs2_exact(b, n_circles)
+        d2_exact, tr_cross, tr_phi2 = hs2_exact(b, n_circles)
         d2, tc, tp = masked_stripe_hs2(b, n_circles)
-        assert rep.d2_exact == pytest.approx(d2, rel=1e-14, abs=0.0)
-        assert rep.tr_cross == pytest.approx(tc, rel=1e-14, abs=0.0)
-        assert rep.tr_phi2 == pytest.approx(tp, rel=1e-14, abs=0.0)
+        assert d2_exact == pytest.approx(d2, rel=1e-14, abs=0.0)
+        assert tr_cross == pytest.approx(tc, rel=1e-14, abs=0.0)
+        assert tr_phi2 == pytest.approx(tp, rel=1e-14, abs=0.0)
 
     def test_large_n_closes_on_circle_disk_constant(self):
         b, n = 2.0, 10_000
-        ratio = n * n * hs2_exact(b, n).d2_exact / circle_disk_constant(b)
+        ratio = n * n * hs2_exact(b, n)[0] / circle_disk_constant(b)
         assert abs(ratio - 1.0) < 1e-3
 
     @pytest.mark.parametrize("b", [0.5, 2.0])
@@ -222,11 +220,11 @@ class TestHs2Exact:
         # Phi_nn cancels against u_n, so N_MAX circles need a diagonal summed in
         # blocks: one N_MAX-term product erred by 1.5e-9 at b = 0.5, 7.1e-10 at b = 2
         ref = longdouble_hs2(b, N_MAX)
-        assert hs2_exact(b, N_MAX).d2_exact == pytest.approx(ref, rel=2e-10, abs=0.0)
+        assert hs2_exact(b, N_MAX)[0] == pytest.approx(ref, rel=2e-10, abs=0.0)
 
     def test_largest_circle_count_memory_is_bounded(self):
         # the amplitudes of one block of HS2_BLOCK circles at a time, not all N_MAX
-        hs2_exact(10.0, 1)  # the cached disk purity is not counted
+        hs2_exact(10.0, 1)  # the one-time costs of a first call are not counted
         tracemalloc.start()
         try:
             hs2_exact(10.0, N_MAX)

@@ -55,44 +55,44 @@ def assert_curve_fails_at(grid, failed, reason, capsys):
     lines = out.splitlines()
     assert lines[0] == "b,chi_bits,quad_error,dim"
     rows = [tuple(float(v) for v in line.split(",")[:2]) for line in lines[1:]]
-    assert rows == [(b, lambda_spectrum(b).chi_bits) for b in grid if b != failed]
+    assert rows == [(b, lambda_spectrum(b)[0]) for b in grid if b != failed]
     assert len(err.splitlines()) == 1 and f"b={failed}: " in err and reason in err
 
 
 class TestLambdaSpectrum:
     def test_is_a_distribution(self):
-        spec = lambda_spectrum(1.5)
-        assert spec.weights.min() >= 0.0
-        assert spec.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert spec.quad_error < 1e-6
+        _, quad_error, weights = lambda_spectrum(1.5)
+        assert weights.min() >= 0.0
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert quad_error < 1e-6
 
     def test_matches_monte_carlo(self):
-        spec = lambda_spectrum(1.0)
+        weights = lambda_spectrum(1.0)[2]
         ratios, errs = mc_weight_ratios(1.0, 10, samples=200_000, seed=7)
-        quad_ratios = spec.weights[:10] / spec.weights[0]
+        quad_ratios = weights[:10] / weights[0]
         z = np.abs(ratios - quad_ratios) / errs
         assert z.max() < 5.0
 
     @pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 4.0])
     def test_matches_tensor_oracle(self, b):
-        spec = lambda_spectrum(b)
-        oracle = tensor_lambda_weights(b, spec.dim)
-        assert np.abs(spec.weights - oracle).max() < 1e-12
-        assert abs(spec.chi_bits - tensor_holevo_chi(b, spec.dim)) < 1e-9
+        chi, _, weights = lambda_spectrum(b)
+        oracle = tensor_lambda_weights(b, len(weights))
+        assert np.abs(weights - oracle).max() < 1e-12
+        assert abs(chi - tensor_holevo_chi(b, len(weights))) < 1e-9
 
     @pytest.mark.parametrize("b", [6.5, HOLEVO_B_MAX])
     def test_matches_quad_reference(self, b):
         # adaptive quadrature of each lambda_n alone, up to the top of the window
-        spec = lambda_spectrum(b)
-        ref = quad_lambda_weights(b, spec.dim)
-        n = np.arange(spec.dim)
+        chi_bits, _, weights = lambda_spectrum(b)
+        ref = quad_lambda_weights(b, len(weights))
+        n = np.arange(len(weights))
         chi = entropy_bits(ref) - entropy_bits(gammainc(n + 1, b * b) / (b * b))
-        assert np.abs(spec.weights - ref).max() < 1e-14
-        assert abs(spec.chi_bits - chi) < 1e-12
+        assert np.abs(weights - ref).max() < 1e-14
+        assert abs(chi_bits - chi) < 1e-12
 
     def test_small_disk_concentrates_on_vacuum(self):
-        spec = lambda_spectrum(1e-3)
-        assert spec.weights[0] > 1.0 - 1e-5
+        weights = lambda_spectrum(1e-3)[2]
+        assert weights[0] > 1.0 - 1e-5
 
     def test_coarse_quadrature_raises(self, monkeypatch):
         monkeypatch.setattr(holevo, "CC_ORDER", COARSE_ORDER)
@@ -110,7 +110,7 @@ class TestLambdaSpectrum:
             lambda_spectrum(0.0)
 
     def test_supported_window(self):
-        assert lambda_spectrum(HOLEVO_B_MAX).quad_error < 1e-6
+        assert lambda_spectrum(HOLEVO_B_MAX)[1] < 1e-6
         with pytest.raises(ValueError, match="supported window"):
             lambda_spectrum(HOLEVO_B_MAX + 0.01)
 
@@ -160,10 +160,10 @@ class TestCachedRules:
         if reverse:
             grid = grid[::-1]
         holevo._rule.cache_clear()  # the first radius builds the rule
-        first = [lambda_spectrum(b).chi_bits for b in grid]
+        first = [lambda_spectrum(b)[0] for b in grid]
         for b, chi in zip(grid, first):
             holevo._rule.cache_clear()
-            assert lambda_spectrum(b).chi_bits == chi
+            assert lambda_spectrum(b)[0] == chi
 
 
 class TestClenshawCurtisWeights:
@@ -186,14 +186,14 @@ class TestEntropyAndBound:
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_bound_is_positive_and_grows(self):
-        chi1 = lambda_spectrum(1.0).chi_bits
-        chi2 = lambda_spectrum(2.0).chi_bits
+        chi1 = lambda_spectrum(1.0)[0]
+        chi2 = lambda_spectrum(2.0)[0]
         assert 0.0 < chi1 < chi2
 
     @pytest.mark.parametrize("b", [1e-150, 1e-8, 1e-4])
     def test_bound_is_never_negative(self, b):
         # at b = 1e-8 the entropy gap rounds to -4.8e-16, which reads 0
-        assert lambda_spectrum(b).chi_bits >= 0.0
+        assert lambda_spectrum(b)[0] >= 0.0
 
     def test_oracle_is_the_classical_entropy_gap(self):
         assert holevo_classical_limit() == pytest.approx(1.39257, abs=5e-6)
@@ -201,7 +201,7 @@ class TestEntropyAndBound:
     def test_bound_increases_toward_classical_limit(self):
         # chi < chi_inf is a numerical observation, not a theorem
         limit = holevo_classical_limit()
-        chis = [lambda_spectrum(b).chi_bits for b in (1.0, 2.0, 4.0, 8.0, HOLEVO_B_MAX)]
+        chis = [lambda_spectrum(b)[0] for b in (1.0, 2.0, 4.0, 8.0, HOLEVO_B_MAX)]
         assert all(c2 > c1 for c1, c2 in zip(chis, chis[1:]))
         assert chis[-1] < limit
 
@@ -209,7 +209,7 @@ class TestEntropyAndBound:
     def test_gap_to_classical_limit_shrinks_like_inverse_radius(self, b):
         # measured ratios 0.527..0.552: a constant gap gives 1, a 1/b^2 gap 0.25
         limit = holevo_classical_limit()
-        chi_b, chi_2b = (lambda_spectrum(x).chi_bits for x in (b, 2.0 * b))
+        chi_b, chi_2b = (lambda_spectrum(x)[0] for x in (b, 2.0 * b))
         ratio = (limit - chi_2b) / (limit - chi_b)
         assert 0.5 <= ratio <= 0.6
 
@@ -232,38 +232,38 @@ class TestEntropyAndBound:
 
 class TestOffDiagonalCheck:
     def test_consistent_with_diagonality(self):
-        est = off_diagonal_check(0.5, 50_000, seed=3)
-        assert est.max_abs < 5.0 * est.stderr
+        max_abs, stderr = off_diagonal_check(0.5, 50_000, seed=3)
+        assert max_abs < 5.0 * stderr
 
     def test_noise_shrinks_with_samples(self):
         # the reported entry can move between runs, so only the broad
         # scaling is asserted: more samples, smaller residual and error
-        small = off_diagonal_check(0.5, 20_000, seed=11)
-        large = off_diagonal_check(0.5, 80_000, seed=11)
-        assert large.stderr < small.stderr
-        assert large.max_abs < small.max_abs
-        assert large.max_abs < 5.0 * large.stderr
+        small_max, small_stderr = off_diagonal_check(0.5, 20_000, seed=11)
+        large_max, large_stderr = off_diagonal_check(0.5, 80_000, seed=11)
+        assert large_stderr < small_stderr
+        assert large_max < small_max
+        assert large_max < 5.0 * large_stderr
 
     @pytest.mark.parametrize("samples", [1, 19_999, 20_000, 20_001, 100_000])
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_column_reference(self, seed, samples):
         # same draws, other summation order: the estimates move by rounding only
-        est = off_diagonal_check(0.5, samples, seed=seed)
+        est_max, est_stderr = off_diagonal_check(0.5, samples, seed=seed)
         max_abs, stderr = column_off_diagonal_check(0.5, samples, seed=seed)
-        assert est.max_abs == pytest.approx(max_abs, rel=1e-12, abs=0.0)
+        assert est_max == pytest.approx(max_abs, rel=1e-12, abs=0.0)
         if samples > 1:
-            assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+            assert est_stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
         else:  # one sample has no spread: both read sqrt(rounding of E|x|^2 - |Ex|^2)
-            assert max(est.stderr, stderr) <= math.sqrt(8 * np.finfo(float).eps) * max_abs
+            assert max(est_stderr, stderr) <= math.sqrt(8 * np.finfo(float).eps) * max_abs
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("b", [2.0, 4.0, HOLEVO_B_MAX])
     def test_matches_column_reference_across_the_window(self, b, seed):
         # w = e^(-|gamma|^2) reaches e^(-676) at b = 13 and stays a normal double
-        est = off_diagonal_check(b, 100_000, seed=seed)
+        est_max, est_stderr = off_diagonal_check(b, 100_000, seed=seed)
         max_abs, stderr = column_off_diagonal_check(b, 100_000, seed=seed)
-        assert est.max_abs == pytest.approx(max_abs, rel=1e-12, abs=0.0)
-        assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+        assert est_max == pytest.approx(max_abs, rel=1e-12, abs=0.0)
+        assert est_stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("b", [-1.0, -math.inf, math.nextafter(HOLEVO_B_MAX, math.inf),
                                    20.0, math.inf, math.nan])
