@@ -17,6 +17,7 @@ checks one against the other.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -108,6 +109,15 @@ def hs2_guess(n_circles: int) -> float:
     return 1.0 / (n_circles + 1) ** 2
 
 
+@functools.lru_cache(maxsize=8)  # bounded: one Fock-length vector per radius
+def _disk_diagonal(b: float) -> np.ndarray:
+    """The read-only disk-mixed diagonal u_n on the disk cutoff of radius b
+    (fockspace.disk_cutoff), built once per radius."""
+    unit = disk_state_weights(b, disk_cutoff(b).dim)
+    unit.setflags(write=False)
+    return unit
+
+
 def hs2_exact(b: float, n_circles: int) -> tuple[float, float, float]:
     """(D^2, Tr(unit Phi_N), Tr(Phi_N^2)): the exact squared HS distance between
     the disk-mixed state and the N-circle encryption mixture, and the two
@@ -122,8 +132,8 @@ def hs2_exact(b: float, n_circles: int) -> tuple[float, float, float]:
     if not 1 <= n_circles <= N_MAX:
         raise ValueError(f"N must be in [1, {N_MAX}], got {n_circles}")
     check_disk(b, B_MIN)
-    dim = disk_cutoff(b).dim
-    unit = disk_state_weights(b, dim)
+    unit = _disk_diagonal(b)
+    dim = len(unit)
     n = np.arange(dim)
     p = np.arange(1, n_circles + 1)
     r = p * (b / n_circles)
@@ -159,10 +169,11 @@ def hs2_simplified(b: float, p, r):
     broadcast, as in optimizer.stationarity; two scalars give a float."""
     check_disk(b, B_SIMPLIFIED_MIN)
     ps, rs = np.broadcast_arrays(np.asarray(p), check_circle(b, r, p)[1])
-    dim = disk_cutoff(b).dim
+    unit = _disk_diagonal(b)
+    dim = len(unit)
     w = coherent_amplitudes(rs.reshape(-1), dim)
     np.square(w, out=w)
-    diag = np.sum(np.square(w - disk_state_weights(b, dim)), axis=1)
+    diag = np.sum(np.square(w - unit), axis=1)
     # S[k - 1] = S_k(r), k = 1..dim-1 (dim >= 7 in the window); p reaches k = p, 2p, ...
     stripes = np.array([np.einsum("ij,ij->i", w[:, : dim - k], w[:, k:]) for k in range(1, dim)])
     step = np.where(ps < dim, ps, dim).astype(int).reshape(-1, 1)  # p >= dim: no stripe

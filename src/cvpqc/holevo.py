@@ -35,8 +35,6 @@ import numpy as np
 from .ensembles import B_MIN, disk_state_weights
 from .fockspace import CutoffPolicy, coherent_amplitudes
 
-TWO_PI = 2.0 * math.pi
-
 CC_ORDER = 200
 REFINE_THRESHOLD = 1e-6
 # Supported disk radii: e^(-s^2) at s = 2b, the start of each Poisson row,
@@ -45,8 +43,9 @@ REFINE_THRESHOLD = 1e-6
 HOLEVO_B_MAX = 13.0
 
 # Fock block of the off-diagonal Monte Carlo, samples per draw of the random
-# stream, and samples per array pass: a pass's buffers (gamma^d, its real and
-# imaginary rows, w u^n) hold 1.6 MB, which stays in cache.
+# stream, and samples per array pass: a pass's buffers (gamma^d for d >= 1, its
+# real and imaginary rows split at d = dim/2, w u^n) hold 1.5 MB, which stays
+# in cache.
 OFF_DIAGONAL_DIM = 20
 OFF_DIAGONAL_BATCH = 20_000
 OFF_DIAGONAL_BLOCK = 2_000
@@ -130,6 +129,71 @@ def entropy_bits(weights: np.ndarray) -> float:
     return float(-np.sum(w * np.log2(w)))
 
 
+def _unit_circle(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos t, sin t) at t = 2 pi u from one tangent: z = tan(pi u) is exactly
+    tan(t/2), doubling being exact, and cos t = (1 - z^2) / (1 + z^2),
+    sin t = 2z / (1 + z^2).  z stays finite at u = 1/2, where z^2 ~ 2.7e32."""
+    z = np.tan(math.pi * u)
+    z2 = z * z
+    q = 1.0 / (1.0 + z2)
+    return (1.0 - z2) * q, (z + z) * q
+
+
+def _off_diagonal_pairs(b: float, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mags, stderrs): the Monte Carlo magnitude of every off-diagonal entry
+    m > n of the OFF_DIAGONAL_DIM lowest Fock levels, in np.tril_indices
+    order, and its standard error; see off_diagonal_check."""
+    dim, half = OFF_DIAGONAL_DIM, OFF_DIAGONAL_DIM // 2
+    rng = np.random.default_rng(seed)
+    gamma_pow = np.empty((dim - 1, OFF_DIAGONAL_BLOCK), dtype=complex)  # gamma^d, d >= 1
+    # Re gamma^d then Im gamma^d, for the rows d < half and d >= half
+    low = np.empty((2 * (half - 1), OFF_DIAGONAL_BLOCK))
+    high = np.empty((2 * (dim - half), OFF_DIAGONAL_BLOCK))
+    u_pow = np.empty((dim, OFF_DIAGONAL_BLOCK))  # w u^n
+    # sums of w u^n Re, Im gamma^d over the pairs m = n + d < dim of each block
+    cross_low = np.zeros((2 * (half - 1), dim - 1))
+    cross_high = np.zeros((2 * (dim - half), dim - half))
+    hankel = np.zeros(2 * dim - 1)  # sum of w^2 u^j
+    done = 0
+    while done < samples:
+        k = min(OFF_DIAGONAL_BATCH, samples - done)
+        r1 = b * np.sqrt(rng.random(k))
+        r2 = b * np.sqrt(rng.random(k))
+        cos1, sin1 = _unit_circle(rng.random(k))
+        cos2, sin2 = _unit_circle(rng.random(k))
+        gamma = np.empty(k, dtype=complex)
+        gamma.real = r1 * cos1 + r2 * cos2
+        gamma.imag = r1 * sin1 + r2 * sin2
+        u = gamma.real**2 + gamma.imag**2
+        w = np.exp(-u)
+        for lo in range(0, k, OFF_DIAGONAL_BLOCK):
+            hi = min(lo + OFF_DIAGONAL_BLOCK, k)
+            g, p = gamma_pow[:, : hi - lo], u_pow[:, : hi - lo]
+            g[0] = gamma[lo:hi]
+            p[0] = w[lo:hi]
+            for n in range(1, dim - 1):
+                np.multiply(g[n - 1], gamma[lo:hi], out=g[n])
+            for n in range(1, dim):
+                np.multiply(p[n - 1], u[lo:hi], out=p[n])
+            a, c = low[:, : hi - lo], high[:, : hi - lo]
+            a[: half - 1], a[half - 1 :] = g[: half - 1].real, g[: half - 1].imag
+            c[: dim - half], c[dim - half :] = g[half - 1 :].real, g[half - 1 :].imag
+            cross_low += a @ p[: dim - 1].T
+            cross_high += c @ p[: dim - half].T
+            hankel[:dim] += p @ w[lo:hi]  # j = n
+            hankel[dim:] += p[1:] @ p[-1]  # j = n + dim - 1
+        done += k
+    cross = np.zeros((2, dim, dim))  # Re, Im sums at [d, n]
+    cross[:, 1:half, : dim - 1] = cross_low.reshape(2, half - 1, dim - 1)
+    cross[:, half:, : dim - half] = cross_high.reshape(2, dim - half, dim - half)
+    m, n = np.tril_indices(dim, -1)  # every off-diagonal pair once: m = n + d, d > 0
+    fact = np.cumprod(np.maximum(np.arange(dim), 1.0))  # n!
+    norm = fact[m] * fact[n]
+    mags = np.hypot(*cross[:, m - n, n]) / (np.sqrt(norm) * samples)
+    var = np.maximum(hankel[m + n] / (norm * samples) - mags**2, 0.0)
+    return mags, np.sqrt(var / samples)
+
+
 def off_diagonal_check(b: float, samples: int, seed: int = 0) -> tuple[float, float]:
     """(max_abs, stderr): Monte Carlo estimate of the largest off-diagonal
     magnitude of the unreordered double disk mixture of coherent projectors,
@@ -139,57 +203,23 @@ def off_diagonal_check(b: float, samples: int, seed: int = 0) -> tuple[float, fl
     the projector of gamma = alpha + beta entrywise; the largest entry should
     vanish within sampling noise, the state being diagonal.  Each batch of
     OFF_DIAGONAL_BATCH samples draws r1, r2, t1, t2 in that order, fixing
-    the samples a seed gives.
+    the samples a seed gives; each angle's cosine and sine come from one
+    tangent (_unit_circle).
 
     With u = |gamma|^2 and w = e^(-u), an entry m = n + d of the projector
     is c_m conj(c_n) = w u^n gamma^d / sqrt(m! n!), and its squared
     magnitude w^2 u^(m+n) / (m! n!) depends on m + n alone.  So the sums
-    over samples are one real product, the rows Re gamma^d and Im gamma^d
+    over samples are real products, the rows Re gamma^d and Im gamma^d
     times the rows w u^n, and 2 OFF_DIAGONAL_DIM - 1 sums of w^2 u^j; the
-    factorials are applied once, to the totals.  0 < b <= HOLEVO_B_MAX
-    keeps w, at u <= 4 b^2, a normal double.
+    factorials are applied once, to the totals.  Since n <= dim - 1 - d,
+    the rows d < dim/2 meet n <= dim - 2 and the rows d >= dim/2 meet
+    n < dim/2: two products of 542 entries per sample, not one of 800 at
+    dim = 20.  0 < b <= HOLEVO_B_MAX keeps w, at u <= 4 b^2, a normal double.
     """
     if not 0 < b <= HOLEVO_B_MAX:
         raise ValueError(f"b must be in (0, {HOLEVO_B_MAX}], got {b}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    dim = OFF_DIAGONAL_DIM
-    rng = np.random.default_rng(seed)
-    gamma_pow = np.empty((dim, OFF_DIAGONAL_BLOCK), dtype=complex)
-    parts = np.empty((2 * dim, OFF_DIAGONAL_BLOCK))  # Re gamma^d; Im gamma^d
-    u_pow = np.empty((dim, OFF_DIAGONAL_BLOCK))  # w u^n
-    cross = np.zeros((2 * dim, dim))  # sum of w u^n Re, Im gamma^d at [d, n], [dim + d, n]
-    hankel = np.zeros(2 * dim - 1)  # sum of w^2 u^j
-    done = 0
-    while done < samples:
-        k = min(OFF_DIAGONAL_BATCH, samples - done)
-        r1 = b * np.sqrt(rng.random(k))
-        r2 = b * np.sqrt(rng.random(k))
-        t1 = TWO_PI * rng.random(k)
-        t2 = TWO_PI * rng.random(k)
-        gamma = np.empty(k, dtype=complex)
-        gamma.real = r1 * np.cos(t1) + r2 * np.cos(t2)
-        gamma.imag = r1 * np.sin(t1) + r2 * np.sin(t2)
-        u = gamma.real**2 + gamma.imag**2
-        w = np.exp(-u)
-        for lo in range(0, k, OFF_DIAGONAL_BLOCK):
-            hi = min(lo + OFF_DIAGONAL_BLOCK, k)
-            g, p = gamma_pow[:, : hi - lo], u_pow[:, : hi - lo]
-            g[0] = 1.0
-            p[0] = w[lo:hi]
-            for n in range(1, dim):
-                np.multiply(g[n - 1], gamma[lo:hi], out=g[n])
-                np.multiply(p[n - 1], u[lo:hi], out=p[n])
-            parts[:dim, : hi - lo] = g.real
-            parts[dim:, : hi - lo] = g.imag
-            cross += parts[:, : hi - lo] @ p.T
-            hankel[:dim] += p @ w[lo:hi]  # j = n
-            hankel[dim:] += p[1:] @ p[-1]  # j = n + dim - 1
-        done += k
-    m, n = np.tril_indices(dim, -1)  # every off-diagonal pair once: m = n + d, d > 0
-    fact = np.cumprod(np.maximum(np.arange(dim), 1.0))  # n!
-    norm = fact[m] * fact[n]
-    mags = np.hypot(cross[m - n, n], cross[dim + m - n, n]) / (np.sqrt(norm) * samples)
-    var = np.maximum(hankel[m + n] / (norm * samples) - mags**2, 0.0)
+    mags, stderrs = _off_diagonal_pairs(b, samples, seed)
     i = int(np.argmax(mags))
-    return float(mags[i]), float(np.sqrt(var[i] / samples))
+    return float(mags[i]), float(stderrs[i])

@@ -384,11 +384,12 @@ def literal_phi_n(b: float, n_circles: int, cutoff: CutoffPolicy) -> np.ndarray:
     return acc / (n_circles * (n_circles + 1) // 2)
 
 
-def column_off_diagonal_check(b: float, samples: int, seed: int = 0):
-    """(max_abs, stderr) of the off-diagonal Monte Carlo with one sample per
-    row of a (samples, 20) amplitude array: the draws of
-    holevo.off_diagonal_check (r1, r2, t1, t2 per batch of 20 000 samples),
-    its |gamma|^2 and |c|^2 through np.abs, and sums over the columns."""
+def column_off_diagonal_pairs(b: float, samples: int, seed: int = 0):
+    """(mags, stderrs) of the off-diagonal Monte Carlo for every pair m > n,
+    in np.tril_indices(20, -1) order, with one sample per row of a
+    (samples, 20) amplitude array: the draws of holevo.off_diagonal_check
+    (r1, r2, t1, t2 per batch of 20 000 samples), its angles through
+    np.exp(1j t), |gamma|^2 and |c|^2 through np.abs, and sums over the columns."""
     dim, batch = 20, 20_000
     rng = np.random.default_rng(seed)
     sum_mat = np.zeros((dim, dim), dtype=complex)
@@ -411,10 +412,15 @@ def column_off_diagonal_check(b: float, samples: int, seed: int = 0):
         done += k
     mean = sum_mat / samples
     var = np.maximum(sum_sq / samples - np.abs(mean) ** 2, 0.0)
-    se = np.sqrt(var / samples)
-    mags = np.abs(mean)
-    idx = np.unravel_index(np.argmax(np.where(~np.eye(dim, dtype=bool), mags, -1.0)), mags.shape)
-    return float(mags[idx]), float(se[idx])
+    pairs = np.tril_indices(dim, -1)
+    return np.abs(mean)[pairs], np.sqrt(var / samples)[pairs]
+
+
+def column_off_diagonal_check(b: float, samples: int, seed: int = 0):
+    """(max_abs, stderr) of column_off_diagonal_pairs at its largest magnitude."""
+    mags, stderrs = column_off_diagonal_pairs(b, samples, seed)
+    i = int(np.argmax(mags))
+    return float(mags[i]), float(stderrs[i])
 
 
 def dense_saturation_curve(b: float, p_max: int, r_lo: float):

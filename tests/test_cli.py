@@ -421,11 +421,12 @@ def test_output_contract(command, capsys):
 
 
 def test_cli_imports_no_test_dependencies():
+    # numpy.random (about 10 ms) loads on the first off_diagonal_check, not at import
     src = str(Path(cvpqc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     probe = (
-        "import sys, cvpqc.cli; "
-        "print(','.join(m for m in ('scipy', 'mpmath', 'jsonschema') if m in sys.modules))"
+        "import sys, cvpqc.cli; print(','.join(m for m in "
+        "('scipy', 'mpmath', 'jsonschema', 'numpy.random') if m in sys.modules))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60

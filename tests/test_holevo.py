@@ -10,6 +10,7 @@ from cvpqc import cli, holevo
 from cvpqc.holevo import HOLEVO_B_MAX, disk_state_weights, entropy_bits
 from conftest import (
     column_off_diagonal_check,
+    column_off_diagonal_pairs,
     direct_clenshaw_curtis,
     holevo_classical_limit,
     quad_lambda_weights,
@@ -230,6 +231,23 @@ class TestEntropyAndBound:
         assert_curve_fails_at([0.5, 1.0, 2.0], 1.0, "negative beyond tolerance", capsys)
 
 
+class TestUnitCircle:
+    @pytest.mark.parametrize("u", [0.0, 2.0**-53, 0.25, 0.5 - 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    def test_extreme_draws(self, u):
+        # z = tan(pi u) reaches 1.6e16 at u = 1/2, and z^2 stays finite
+        cos, sin = holevo._unit_circle(np.array([u]))
+        assert np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))
+        assert abs(cos[0] - np.cos(TWO_PI * u)) <= np.finfo(float).eps
+        assert abs(sin[0] - np.sin(TWO_PI * u)) <= np.finfo(float).eps
+
+    def test_matches_libm_on_random_draws(self):
+        u = np.random.default_rng(7).random(1_000_000)
+        cos, sin = holevo._unit_circle(u)
+        assert np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))
+        assert np.max(np.abs(cos - np.cos(TWO_PI * u))) <= np.finfo(float).eps
+        assert np.max(np.abs(sin - np.sin(TWO_PI * u))) <= np.finfo(float).eps
+
+
 class TestOffDiagonalCheck:
     def test_consistent_with_diagonality(self):
         max_abs, stderr = off_diagonal_check(0.5, 50_000, seed=3)
@@ -264,6 +282,29 @@ class TestOffDiagonalCheck:
         max_abs, stderr = column_off_diagonal_check(b, 100_000, seed=seed)
         assert est_max == pytest.approx(max_abs, rel=1e-12, abs=0.0)
         assert est_stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("samples", [1, 19_999, 20_001, 100_000])
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("b", [0.5, 2.0, HOLEVO_B_MAX])
+    def test_every_pair_matches_column_reference(self, b, seed, samples):
+        # the largest entry sits at d <= 8 for these radii and seeds, so only a
+        # pair-by-pair comparison sees the products over the rows d >= 10
+        mags, stderrs = holevo._off_diagonal_pairs(b, samples, seed)
+        ref_mags, ref_stderrs = column_off_diagonal_pairs(b, samples, seed)
+        assert mags.shape == ref_mags.shape == (190,)
+        np.testing.assert_allclose(mags, ref_mags, rtol=1e-12, atol=0.0)
+        if samples > 1:
+            np.testing.assert_allclose(stderrs, ref_stderrs, rtol=1e-12, atol=0.0)
+        else:  # one sample has no spread: both read sqrt(rounding of E|x|^2 - |Ex|^2)
+            bound = math.sqrt(8 * np.finfo(float).eps) * mags
+            assert np.all(np.maximum(stderrs, ref_stderrs) <= bound)
+
+    @pytest.mark.parametrize("seed", range(21))
+    def test_verify_passes_at_every_benchmark_seed(self, seed):
+        # verify all's lambda-diagonality line at --seed 0..20; the largest
+        # ratio is 2.15, at seed 13
+        max_abs, stderr = off_diagonal_check(0.5, 100_000, seed=seed)
+        assert max_abs < 5.0 * stderr
 
     @pytest.mark.parametrize("b", [-1.0, -math.inf, math.nextafter(HOLEVO_B_MAX, math.inf),
                                    20.0, math.inf, math.nan])
