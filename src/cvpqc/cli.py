@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import math
 import sys
@@ -30,7 +29,7 @@ from .distances import (
     trace_unit_sq,
 )
 from .ensembles import maximally_mixed, phi_n, circle_mixture
-from .fockspace import CutoffPolicy, disk_cutoff, hs_distance_numeric
+from .fockspace import disk_cutoff, hs_distance_numeric
 from .holevo import QuadratureConvergenceError, lambda_spectrum, off_diagonal_check
 from .optimizer import find_rmin, saturation_sweep
 from .specialfns import bessel_i
@@ -74,8 +73,10 @@ def parse_grid(text: str) -> list[float]:
         start, stop, step = _finite(parts)
         if step <= 0:
             raise ValueError(f"grid step must be positive, got {step}")
-        span = (stop - start) / step + 1e-9  # inf if the quotient overflows
-        if span >= GRID_MAX_POINTS:  # checked before any list is built
+        span = (stop - start) / step + 1e-9  # +-inf if the quotient overflows
+        if span < 0:  # stop below start
+            raise ValueError(f"grid {text!r} must hold 1 to {GRID_MAX_POINTS} values")
+        if not span < GRID_MAX_POINTS:  # nan included; checked before any list is built
             raise ValueError(f"grid {text!r} has more than {GRID_MAX_POINTS} points")
         values = [start + i * step for i in range(math.floor(span) + 1)]
     else:
@@ -142,13 +143,10 @@ def write_json_log(fh, args, code, reason):
     fh.write("\n")
 
 
-@functools.lru_cache(maxsize=8)  # bounded: one dim x dim matrix per radius
-def _oracle_disk(b: float) -> tuple[CutoffPolicy, np.ndarray]:
-    """Oracle cutoff and the read-only disk-mixed state on it, once per radius."""
+def _oracle_disk(b: float):
+    """Oracle cutoff and the dense disk-mixed state on it (diagonal cached per radius)."""
     cutoff = disk_cutoff(b)
-    unit = maximally_mixed(b, cutoff)
-    unit.setflags(write=False)
-    return cutoff, unit
+    return cutoff, maximally_mixed(b, cutoff)
 
 
 def numeric_d2(b: float, n_circles: int) -> float:

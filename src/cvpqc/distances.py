@@ -2,8 +2,9 @@
 
 Both distances sum non-negative Fock-stripe terms of the amplitudes
 c_n(r) = e^(-r^2/2) r^n / sqrt(n!) against the disk-mixed state, the
-diagonal u_n = P(X > n) / b^2, X ~ Poisson(b^2); neither forms the
-cancelling difference Tr(unit^2) - 2 Tr(unit rho) + Tr(rho^2).  In the
+diagonal u_n = P(X > n) / b^2, X ~ Poisson(b^2), which disk_state_weights caches
+per radius for both and the dense oracle; neither forms the cancelling
+difference Tr(unit^2) - 2 Tr(unit rho) + Tr(rho^2).  In the
 N-circle mixture, circle p at radius p b / N adds p c_m c_n / M wherever
 p divides m - n.  One circle of p states at radius r has entries c_m c_n
 there, so D^2 = sum_n (c_n^2 - u_n)^2 + 2 sum_(j>=1) S_jp with the stripe
@@ -17,7 +18,6 @@ checks one against the other.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -109,15 +109,6 @@ def hs2_guess(n_circles: int) -> float:
     return 1.0 / (n_circles + 1) ** 2
 
 
-@functools.lru_cache(maxsize=8)  # bounded: one Fock-length vector per radius
-def _disk_diagonal(b: float) -> np.ndarray:
-    """The read-only disk-mixed diagonal u_n on the disk cutoff of radius b
-    (fockspace.disk_cutoff), built once per radius."""
-    unit = disk_state_weights(b, disk_cutoff(b).dim)
-    unit.setflags(write=False)
-    return unit
-
-
 def hs2_exact(b: float, n_circles: int) -> tuple[float, float, float]:
     """(D^2, Tr(unit Phi_N), Tr(Phi_N^2)): the exact squared HS distance between
     the disk-mixed state and the N-circle encryption mixture, and the two
@@ -126,13 +117,13 @@ def hs2_exact(b: float, n_circles: int) -> tuple[float, float, float]:
     Stripe k > 0 above the diagonal holds sum_(q | k) q c_n(r_q) c_(n+k)(r_q),
     gathered over the divisor pairs (q, k) of the Fock block and summed in
     one bincount, q ascending.  Costs O(N dim + dim^2 log dim) at the disk
-    state's Fock cutoff dim (see fockspace.disk_cutoff); N must lie in
-    [1, N_MAX].
+    state's Fock cutoff dim (see fockspace.disk_cutoff), whose u_n a repeated
+    radius reads from the disk_state_weights cache; N must lie in [1, N_MAX].
     """
     if not 1 <= n_circles <= N_MAX:
         raise ValueError(f"N must be in [1, {N_MAX}], got {n_circles}")
     check_disk(b, B_MIN)
-    unit = _disk_diagonal(b)
+    unit = disk_state_weights(b, disk_cutoff(b).dim)
     dim = len(unit)
     n = np.arange(dim)
     p = np.arange(1, n_circles + 1)
@@ -169,7 +160,7 @@ def hs2_simplified(b: float, p, r):
     broadcast, as in optimizer.stationarity; two scalars give a float."""
     check_disk(b, B_SIMPLIFIED_MIN)
     ps, rs = np.broadcast_arrays(np.asarray(p), check_circle(b, r, p)[1])
-    unit = _disk_diagonal(b)
+    unit = disk_state_weights(b, disk_cutoff(b).dim)
     dim = len(unit)
     w = coherent_amplitudes(rs.reshape(-1), dim)
     np.square(w, out=w)

@@ -17,6 +17,8 @@ distance to the (diagonal) disk-mixed state unchanged.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .fockspace import CutoffPolicy, coherent_amplitudes
@@ -27,13 +29,16 @@ B_MIN = 1e-150
 GRAM_BLOCK_BYTES = 4 << 20  # bytes of residue rows per V^T V product of _stripe_gram
 
 
+@functools.lru_cache(maxsize=8)  # bounded: one Fock-length vector per (b, dim)
 def disk_state_weights(b: float, dim: int) -> np.ndarray:
-    """Diagonal P(X > n) / b^2, n < dim, X ~ Poisson(b^2), of the disk-mixed
-    state: every tail from the one reverse cumulative sum of poisson_tail,
-    so nothing cancels.  b below B_MIN, or not a number, raises: b^2 would underflow."""
+    """Read-only diagonal P(X > n) / b^2, n < dim, X ~ Poisson(b^2), of the disk-mixed
+    state, built once per (b, dim): every tail from the one reverse cumulative sum of
+    poisson_tail, so nothing cancels.  b below B_MIN (b^2 underflows), or not a number, raises."""
     if not b >= B_MIN:
         raise ValueError(f"b must be positive and at least {B_MIN}, got {b}")
-    return poisson_tail(np.arange(dim), b * b) / (b * b)
+    unit = poisson_tail(np.arange(dim), b * b) / (b * b)
+    unit.setflags(write=False)
+    return unit
 
 
 def maximally_mixed(b: float, cutoff: CutoffPolicy) -> np.ndarray:

@@ -15,6 +15,7 @@ upper Poisson tail and the dimension can be chosen against a tail budget.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,15 +50,17 @@ class CutoffPolicy:
 
     @property
     def dim(self) -> int:
-        """Smallest dimension with discarded Poisson mass below budget, from
-        one tail array over n = 0 .. poisson_cut(lam), the first n whose tail
-        is below every double; cached."""
-        if "_dim" not in self.__dict__:
-            lam = self.max_radius**2
-            n = np.arange(poisson_cut(lam) + 1)
-            d = int(np.argmax(poisson_tail(n, lam) < self.tail_budget)) + 1
-            object.__setattr__(self, "_dim", d)
-        return self._dim
+        """Smallest dimension with discarded Poisson mass below budget (cached in _cutoff_dim)."""
+        return _cutoff_dim(self.max_radius, self.tail_budget)
+
+
+@functools.lru_cache(maxsize=64)  # bounded: a radius grid can be any length
+def _cutoff_dim(max_radius: float, tail_budget: float) -> int:
+    """CutoffPolicy.dim, from one tail array over n = 0 .. poisson_cut(lam),
+    the first n whose tail is below every double."""
+    lam = max_radius**2
+    n = np.arange(poisson_cut(lam) + 1)
+    return int(np.argmax(poisson_tail(n, lam) < tail_budget)) + 1
 
 
 def disk_cutoff(b: float) -> CutoffPolicy:

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import cvpqc
-from cvpqc import cli, optimizer
+from cvpqc import cli, ensembles, optimizer
+from cvpqc.fockspace import disk_cutoff
 from conftest import mp_hs2_dense
 from test_tracing import traced_names
 
@@ -39,7 +40,8 @@ class TestParseGrid:
 
     def test_bad_forms(self):
         bad = ["1:2", "1:2:-0.5", "0.5:inf:0.5", "-inf:1:0.5", "1:2:nan", "1,inf", "nan",
-               ",", "", "2:1:0.5", "0:1e12:1", "-1e308:1e308:1", "1:1000001:1"]
+               ",", "", "2:1:0.5", "0:1e12:1", "-1e308:1e308:1", "1:1000001:1",
+               "1:0.5:1e-320", "1e308:-1e308:1"]
         for text in bad:
             with pytest.raises(ValueError):
                 cli.parse_grid(text)
@@ -125,6 +127,10 @@ class TestExitCodes:
             (["figures", "fig1b", "--b-grid", ","], "must hold 1 to"),
             (["rmin", "--b", "2:1:0.5"], "must hold 1 to"),
             (["rmin", "--b", "0:1e12:1"], f"more than {cli.GRID_MAX_POINTS} points"),
+            # (stop - start) / step overflows to -inf: no values, not a traceback
+            (["rmin", "--b", "1:0.5:1e-320"], "must hold 1 to"),
+            (["distance", "--b", "2", "--N", "2:1:1e-320"], "must hold 1 to"),
+            (["holevo", "--b-grid", "1:0.5:1e-320"], "must hold 1 to"),
             (["distance", "--b", "2", "--N", f"10,{cli.ORACLE_N_MAX + 1}", "--with-oracle"],
              f"--with-oracle needs N <= {cli.ORACLE_N_MAX}"),
             (["distance", "--b", "1e-300", "--N", "3"], "at least 1e-150"),
@@ -150,7 +156,8 @@ class TestExitCodes:
         ids=["keybits-N0", "mc-samples-0", "mc-samples-neg", "mc-samples-99", "seed-neg",
              "sat-tol-nan", "sat-tol-neg", "holevo-b-window", "distance-N-window", "grid-inf-stop",
              "counts-inf-stop", "holevo-empty-grid", "fig1b-empty-grid", "grid-descending",
-             "grid-too-long", "oracle-N-window", "distance-b-min", "distance-below-b-min",
+             "grid-too-long", "grid-overflow-rmin", "grid-overflow-counts",
+             "grid-overflow-holevo", "oracle-N-window", "distance-b-min", "distance-below-b-min",
              "simplified-b-min", "simplified-b-nan", "saturation-b-min", "saturation-b-nan",
              "fig1a-below-b-min", "rmin-b-min",
              "fig1b-below-b-min", "rmin-mixed-window", "fig1b-mixed-window", "holevo-b-min",
@@ -258,13 +265,14 @@ class TestDistanceCommand:
                 assert float(row[column]) == pytest.approx(ref, rel=1e-9, abs=0.0), (b, n)
 
     def test_oracle_builds_the_disk_state_once_per_radius(self, capsys, monkeypatch):
-        built, disk = [], cli.maximally_mixed
-        monkeypatch.setattr(cli, "maximally_mixed",
-                            lambda b, cutoff: built.append(b) or disk(b, cutoff))
-        cli._oracle_disk.cache_clear()
+        # one disk diagonal per radius serves hs2_exact and the dense oracle together
+        built, tail = [], ensembles.poisson_tail
+        monkeypatch.setattr(ensembles, "poisson_tail",
+                            lambda n, lam: built.append(lam) or tail(n, lam))
+        ensembles.disk_state_weights.cache_clear()
         code, _, err = run(["distance", "--b", "1.5,2.5", "--N", "1,2,3", "--with-oracle"], capsys)
         assert code == cli.EXIT_OK, err
-        assert built == [1.5, 2.5]
+        assert built == [1.5**2, 2.5**2]
 
     def test_oracle_across_gram_blocks(self, capsys):
         # at b = 10 the oracle's residue rows span several blocks
@@ -278,7 +286,7 @@ class TestDistanceCommand:
 
     def test_oracle_memory_is_bounded(self):
         # one GRAM_BLOCK_BYTES block of residue rows and the N x dim amplitudes
-        cli._oracle_disk(10.0)
+        ensembles.disk_state_weights(10.0, disk_cutoff(10.0).dim)  # warm the per-radius cache
         tracemalloc.start()
         try:
             cli.numeric_d2(10.0, cli.ORACLE_N_MAX)
@@ -288,8 +296,12 @@ class TestDistanceCommand:
         assert peak <= 16e6
 
     def test_oracle_disk_state_is_read_only(self):
-        cutoff, unit = cli._oracle_disk(2.0)
-        assert unit.shape == (cutoff.dim, cutoff.dim) and not unit.flags.writeable
+        dim = disk_cutoff(2.0).dim
+        unit = ensembles.disk_state_weights(2.0, dim)
+        assert unit.shape == (dim,) and not unit.flags.writeable
+        with pytest.raises(ValueError):
+            unit[0] = 0.0
+        assert ensembles.disk_state_weights(2.0, dim) is unit
 
     def test_json_output_validates_against_schema(self, tmp_path, capsys):
         out_path = tmp_path / "d.json"
@@ -517,6 +529,41 @@ def test_package_builds_no_dense_eigenproblem():
                 name = ast.unparse(node.func)
                 last = name.rsplit(".", 1)[-1]
                 assert last != "leggauss" and not last.startswith("eig"), (path.name, name)
+
+
+def lru_caches(tree):
+    """(function, maxsize node or None) of every functools cache decorator in tree;
+    a bare @lru_cache has maxsize 128, and @cache none."""
+    for func in ast.walk(tree):
+        for deco in getattr(func, "decorator_list", []):
+            call = deco if isinstance(deco, ast.Call) else None
+            name = ast.unparse(call.func if call else deco).rsplit(".", 1)[-1]
+            if name == "cache":
+                yield func, ast.Constant(None)
+            elif name == "lru_cache":
+                args = {kw.arg: kw.value for kw in call.keywords} if call else {}
+                if call and call.args:
+                    args["maxsize"] = call.args[0]
+                yield func, args.get("maxsize", ast.Constant(128))
+
+
+def test_every_cache_is_bounded_or_keyed_by_integers():
+    # a float-keyed cache grows with the grid: holevo --b-grid of 1e6 radii must not
+    # keep 1e6 entries; only a function of integers (a rule order) may be unbounded
+    package = Path(cvpqc.__file__).resolve().parent
+    found = 0
+    for path in sorted(package.glob("*.py")):
+        for func, maxsize in lru_caches(ast.parse(path.read_text(), filename=str(path))):
+            found += 1
+            where = f"{path.name}:{func.name}"
+            if isinstance(maxsize, ast.Constant) and isinstance(maxsize.value, int):
+                continue
+            assert isinstance(maxsize, ast.Constant) and maxsize.value is None, where
+            params = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+            assert not (func.args.vararg or func.args.kwarg), where
+            assert all(p.annotation is not None and ast.unparse(p.annotation) == "int"
+                       for p in params), where
+    assert found >= 5  # trapezoid_rule, _rule, _circle_rules, _cutoff_dim, disk_state_weights
 
 
 @pytest.mark.parametrize(

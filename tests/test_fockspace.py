@@ -37,7 +37,10 @@ class TestCutoffPolicy:
             return poisson_tail(n, lam)
 
         monkeypatch.setattr(fockspace, "poisson_tail", counted)
+        fockspace._cutoff_dim.cache_clear()
         assert CutoffPolicy(13.0, 1e-12).dim == 269
+        assert len(calls) == 1
+        assert CutoffPolicy(13.0, 1e-12).dim == 269  # a second policy, the same fields
         assert len(calls) == 1
 
     def test_mean_past_the_tail_window_raises(self):
