@@ -14,15 +14,12 @@ states being diagonal; lambda_spectrum(b) returns chi, the quadrature error
 and the spectrum lambda, in that order.
 
 The substitution s = 2b cos(t) gives A = b^2 (2t - sin 2t) and a smooth
-integrand on t in [0, pi/2], integrated by a nested Clenshaw-Curtis rule:
-of its 2 CC_ORDER + 1 nodes, every other one carries the (CC_ORDER + 1)-node
-rule, whose sum gives the error estimate from the same amplitudes.  The
-rule does not depend on b, so it is built once per process, on first use,
-from one table of n cosines per n-node level (see _clenshaw_curtis).
-Every lambda_n comes from the same nodes, its Poisson factor the squared
-coherent amplitude c_n(s)^2 = e^(-s^2) s^(2n) / n!.  A spectrum whose
-levels disagree, or whose mass beyond the Fock cutoff exceeds the same
-threshold, raises instead of returning.
+integrand on t in [0, pi/2], integrated by a nested Clenshaw-Curtis rule: of
+its 2 CC_ORDER + 1 = 201 nodes, every other one carries the 101-node rule,
+whose sum gives the error estimate from the same Poisson rows (_poisson_rows).
+The rule does not depend on b, so it is built once per process, on first use.
+A spectrum whose levels disagree, or whose mass beyond the Fock cutoff
+exceeds the same threshold, raises instead of returning.
 """
 
 from __future__ import annotations
@@ -33,13 +30,13 @@ import math
 import numpy as np
 
 from .ensembles import B_MIN, disk_state_weights
-from .fockspace import CutoffPolicy, coherent_amplitudes
+from .fockspace import CutoffPolicy
 
-CC_ORDER = 200
+CC_ORDER = 100
 REFINE_THRESHOLD = 1e-6
 # Supported disk radii: e^(-s^2) at s = 2b, the start of each Poisson row,
-# stays a normal double (4 b^2 <= 676 < 708).  Beyond that the rows lose
-# mass (quad_error 8.8e-3 at b = 15) and chi(15) falls below chi(13).
+# stays a normal double (4 b^2 <= 676 < 708).  Past it the outer rows lose
+# mass: b = 13.5 passes (quad_error 4.8e-10), b = 14 raises a mass deficit.
 HOLEVO_B_MAX = 13.0
 
 # Fock block of the off-diagonal Monte Carlo, samples per draw of the random
@@ -76,9 +73,9 @@ def _clenshaw_curtis(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cos t at the nodes t_k = (pi/4)(cos(k pi / (2 order)) + 1), k = 0..2 order,
-    and the b-free weights of the Clenshaw-Curtis rules on all of them and on
-    every other one; built on first use, read-only."""
+    """cos t at the 2 order + 1 nodes t_k = (pi/4)(cos(k pi / (2 order)) + 1), and the
+    b-free weights of the Clenshaw-Curtis rules on all of them and on every other
+    one (201 and 101 nodes at CC_ORDER); built on first use, read-only."""
     t = 0.25 * math.pi * (np.cos(np.arange(2 * order + 1) * (math.pi / (2 * order))) + 1.0)
     # density(s) ds = (4/pi) sin(2t) (2t - sin 2t) dt, free of b, and dt = (pi/4) dx
     density = np.sin(2.0 * t) * (2.0 * t - np.sin(2.0 * t))
@@ -87,6 +84,14 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
+
+
+def _poisson_rows(lam: np.ndarray, dim: int) -> np.ndarray:
+    """Poisson rows e^(-lam) lam^n / n!, n < dim, one per entry of lam: one cumprod of lam / n."""
+    rows = np.empty((lam.size, dim))
+    rows[:, 0] = np.exp(-lam)
+    np.divide(lam[:, None], np.arange(1, dim), out=rows[:, 1:])
+    return np.cumprod(rows, axis=1, out=rows)
 
 
 def lambda_spectrum(b: float) -> tuple[float, float, np.ndarray]:
@@ -101,9 +106,9 @@ def lambda_spectrum(b: float) -> tuple[float, float, np.ndarray]:
         raise ValueError(f"b must be <= {HOLEVO_B_MAX} (supported window), got {b}")
     dim = CutoffPolicy(max_radius=2.0 * b).dim
     cos_t, w_fine, w_coarse = _rule(CC_ORDER)
-    sq = np.square(coherent_amplitudes(2.0 * b * cos_t, dim))
-    fine = w_fine @ sq
-    coarse = w_coarse @ sq[::2]
+    rows = _poisson_rows(np.square(2.0 * b * cos_t), dim)
+    fine = w_fine @ rows
+    coarse = w_coarse @ rows[::2]
     total = fine.sum()
     norm = fine / total
     refine_diff = float(np.abs(coarse / coarse.sum() - norm).max())

@@ -65,7 +65,7 @@ BOUNDS = {
     # chi is the gap of two entropies of order 1 bit, each a sum over the Fock
     # levels of one fixed quadrature rule: rounding moves it by a few ulp
     "chi_bits": (0.0, 1e-14),
-    # the larger of the refinement gap and the mass deficit, 2.2e-16 .. 2.1e-13 on
+    # the larger of the refinement gap and the mass deficit, 2.0e-15 .. 2.1e-10 on
     # the golden grid: differences of sums of order 1, so rounding moves them
     # by a few ulp of 1, absolutely
     "quad_error": (1e-15, 0.0),

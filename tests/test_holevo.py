@@ -1,12 +1,14 @@
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
 from cvpqc import QuadratureConvergenceError, lambda_spectrum, off_diagonal_check
 from cvpqc import cli, holevo
+from cvpqc.fockspace import CutoffPolicy
 from cvpqc.holevo import HOLEVO_B_MAX, disk_state_weights, entropy_bits
 from conftest import (
     column_off_diagonal_check,
@@ -111,9 +113,36 @@ class TestLambdaSpectrum:
             lambda_spectrum(0.0)
 
     def test_supported_window(self):
-        assert lambda_spectrum(HOLEVO_B_MAX)[1] < 1e-6
+        # quad_error 2.1e-10 at the edge with CC_ORDER = 100; order 48 gives 9e-5
+        assert lambda_spectrum(HOLEVO_B_MAX)[1] <= 1e-9
         with pytest.raises(ValueError, match="supported window"):
             lambda_spectrum(HOLEVO_B_MAX + 0.01)
+
+    @pytest.mark.parametrize("b, reason", [(14.0, "mass deficit"),
+                                           (15.0, "refinement disagreement")])
+    def test_past_the_window_raises(self, monkeypatch, b, reason):
+        # e^(-4 b^2) underflows at the outer nodes past b = 13.3, so the rows lose
+        # mass: the checks reject the spectrum rather than return a chi
+        monkeypatch.setattr(holevo, "HOLEVO_B_MAX", 20.0)
+        with pytest.raises(QuadratureConvergenceError, match=reason):
+            lambda_spectrum(b)
+
+
+class TestPoissonRows:
+    @pytest.mark.parametrize("lam", [0.0, 1e-300, 1.0, 100.0, 4.0 * HOLEVO_B_MAX**2])
+    def test_matches_high_precision(self, lam):
+        # e^(-lam) lam^n / n! at 40 digits, over the Fock cutoff of the window's edge
+        dim = CutoffPolicy(max_radius=2.0 * HOLEVO_B_MAX).dim
+        rows = holevo._poisson_rows(np.array([lam, lam]), dim)
+        assert rows.shape == (2, dim) and np.array_equal(rows[0], rows[1])
+        with mpmath.workdps(40):
+            x = mpmath.mpf(lam)
+            exact = np.array([float(mpmath.exp(-x) * x**n / mpmath.factorial(n))
+                              for n in range(dim)])
+        normal = exact > 1e-290
+        assert normal.any()
+        np.testing.assert_allclose(rows[0][normal], exact[normal], rtol=1e-13, atol=0.0)
+        assert rows[0][0] >= np.finfo(float).tiny
 
 
 class TestCachedRules:
