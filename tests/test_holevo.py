@@ -145,20 +145,30 @@ class TestPoissonRows:
         assert rows[0][0] >= np.finfo(float).tiny
 
 
+# n-interval Clenshaw-Curtis levels under test: the two that CC_ORDER = 100 uses
+# and the fine level of order 200
+CC_LEVELS = (100, 200, 400)
+
+
 class TestCachedRules:
-    @pytest.mark.parametrize("n", [holevo.CC_ORDER, 2 * holevo.CC_ORDER])
+    def test_levels_in_use_are_tested(self):
+        assert {holevo.CC_ORDER, 2 * holevo.CC_ORDER} <= set(CC_LEVELS)
+
+    @pytest.mark.parametrize("n", CC_LEVELS)
     @pytest.mark.parametrize("b", [0.7, 9.0])
     def test_weights_match_a_fresh_rule(self, b, n):
-        # the (n + 1)-node level (every other node, or all of them) against the law
-        # of s = |alpha + beta| itself: E 1 = 1, E s^2 = b^2, E s^4 = 5 b^4 / 3
-        cos_t, fine, coarse = holevo._rule(holevo.CC_ORDER)
-        weight, cos_t = (coarse, cos_t[::2]) if n == holevo.CC_ORDER else (fine, cos_t)
-        s = 2.0 * b * cos_t
-        assert abs(weight.sum() - 1.0) < 1e-14
-        assert abs(weight @ s**2 / b**2 - 1.0) < 1e-14
-        assert abs(weight @ s**4 / b**4 - 5.0 / 3.0) < 1e-14
+        # the (n + 1)-node level, as every other node of the order-n rule and as
+        # all nodes of the order-n/2 rule, against the law of s = |alpha + beta|
+        # itself: E 1 = 1, E s^2 = b^2, E s^4 = 5 b^4 / 3
+        cos_t, _, coarse = holevo._rule(n)
+        half_cos_t, fine, _ = holevo._rule(n // 2)
+        for weight, nodes in ((coarse, cos_t[::2]), (fine, half_cos_t)):
+            s = 2.0 * b * nodes
+            assert abs(weight.sum() - 1.0) < 1e-14
+            assert abs(weight @ s**2 / b**2 - 1.0) < 1e-14
+            assert abs(weight @ s**4 / b**4 - 5.0 / 3.0) < 1e-14
 
-    @pytest.mark.parametrize("n", [8, holevo.CC_ORDER, 2 * holevo.CC_ORDER])
+    @pytest.mark.parametrize("n", [8, *CC_LEVELS])
     def test_rule_matches_high_precision(self, n):
         # the exact moments of the Chebyshev polynomials, int T_k = 2 / (1 - k^2)
         # for even k and 0 for odd k, as the raw weights must give them for k <= n
@@ -197,7 +207,7 @@ class TestCachedRules:
 
 
 class TestClenshawCurtisWeights:
-    @pytest.mark.parametrize("n", [8, 20, holevo.CC_ORDER, 2 * holevo.CC_ORDER])
+    @pytest.mark.parametrize("n", [8, 20, *CC_LEVELS])
     def test_matches_the_direct_cosines(self, n):
         # the cosine table indexed by j k mod n against the cosine of every j k
         w = holevo._clenshaw_curtis(n)
