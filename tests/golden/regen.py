@@ -43,6 +43,9 @@ CASES = {
     "fig2.csv": ["figures", "fig2"],
     # N = 4096 and 4097 lie on either side of the edge of hs2_exact's circle blocks
     "distance.csv": ["distance", "--b", "0.5,10", "--N", "1,10,4096,4097,100000"],
+    # the dense oracle's d2_numeric, and the lower edge of the b window
+    "distance_oracle.csv": ["distance", "--b", "1e-150,0.5,10", "--N", "1,3,40",
+                            "--with-oracle"],
     "keybits_d0.01_N40.csv": ["keybits", "--d-hs", "0.01", "--N", "40"],
     "keybits_d0.5_N400digits.csv": ["keybits", "--d-hs", "0.5", "--N", "9" * 400],
 }
