@@ -19,7 +19,7 @@ from .distances import (
     trace_unit_sq,
 )
 from .ensembles import circle_mixture, maximally_mixed, phi_n
-from .fockspace import CutoffError, CutoffPolicy, hs_distance_numeric
+from .fockspace import CutoffPolicy, hs_distance_numeric
 from .holevo import (
     QuadratureConvergenceError,
     lambda_spectrum,

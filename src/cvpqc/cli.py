@@ -144,23 +144,24 @@ def write_json_log(fh, args, code, reason):
 
 
 def _oracle_disk(b: float):
-    """Oracle cutoff and the dense disk-mixed state on it (diagonal cached per radius)."""
-    cutoff = disk_cutoff(b)
-    return cutoff, maximally_mixed(b, cutoff)
+    """Oracle Fock dimension disk_cutoff(b).dim and the dense disk-mixed state on it
+    (diagonal cached per radius); every oracle state of b takes radii <= b."""
+    dim = disk_cutoff(b).dim
+    return dim, maximally_mixed(b, dim)
 
 
 def numeric_d2(b: float, n_circles: int) -> float:
     """Matrix-oracle squared distance on the disk cutoff of hs2_exact."""
-    cutoff, unit = _oracle_disk(b)
-    mix = phi_n(b, n_circles, cutoff)
+    dim, unit = _oracle_disk(b)
+    mix = phi_n(b, n_circles, dim)
     return hs_distance_numeric(unit, mix) ** 2
 
 
 def numeric_simplified_d2(b: float, p: int, r: float) -> float:
     """Matrix-oracle squared distance of the simplified protocol (one circle
     of p states at radius r) on the disk cutoff of hs2_exact."""
-    cutoff, unit = _oracle_disk(b)
-    return hs_distance_numeric(unit, circle_mixture(p, r, cutoff)) ** 2
+    dim, unit = _oracle_disk(b)
+    return hs_distance_numeric(unit, circle_mixture(p, r, dim)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +295,11 @@ def verify_oracles(out, results, quick=False):
     bs = (1.0, 2.0) if quick else (0.5, 1.0, 2.0)
     ns = (1, 3) if quick else (1, 2, 3, 4, 5, 6)
     for b in bs:
-        cutoff, unit = _oracle_disk(b)
+        dim, unit = _oracle_disk(b)
         _agree(out, results, f"trace-unit-sq b={b}", trace_unit_sq(b),
                float(np.vdot(unit, unit)), 1e-9)
         for n in ns:
-            mix = phi_n(b, n, cutoff)  # real symmetric, as unit: Tr(AB) = vdot(A, B)
+            mix = phi_n(b, n, dim)  # real symmetric, as unit: Tr(AB) = vdot(A, B)
             d2, tr_cross, tr_phi2 = hs2_exact(b, n)
             _agree(out, results, f"trace-cross b={b} N={n}", tr_cross,
                    float(np.vdot(unit, mix)), 1e-9)
@@ -313,14 +314,14 @@ def verify_oracles(out, results, quick=False):
 
 def verify_limits(out, results):
     b = 1.0
-    cutoff, unit = _oracle_disk(b)
+    dim, unit = _oracle_disk(b)
     unit_diag = np.diag(unit)
-    n_keep = min(21, cutoff.dim)
+    n_keep = min(21, dim)
     out.write("# convergence of the N-circle mixture diagonal to the disk state\n")
     out.write("# N, max |Phi_N(n,n) - unit(n,n)| over n <= 20\n")
     devs = []
     for n_circ in (5, 10, 20, 40, 80):
-        mix_diag = np.diag(phi_n(b, n_circ, cutoff))
+        mix_diag = np.diag(phi_n(b, n_circ, dim))
         devs.append(float(np.abs(mix_diag[:n_keep] - unit_diag[:n_keep]).max()))
         out.write(f"# {n_circ}, {devs[-1]!r}\n")
     _check(out, results, "diagonal-limit monotone", all(a >= c for a, c in zip(devs, devs[1:])))
@@ -464,7 +465,7 @@ def main(argv=None) -> int:
                     args.func(args, out)
             except VerificationError as exc:
                 code, reason = EXIT_VERIFY_FAIL, f"verification failed: {exc}"
-            except ValueError as exc:  # ArgumentRangeError and CutoffError included
+            except ValueError as exc:  # ArgumentRangeError included
                 code, reason = EXIT_BAD_INPUT, f"invalid input: {exc}"
             except (ConsistencyError, QuadratureConvergenceError) as exc:
                 code, reason = EXIT_INCONSISTENT, f"internal consistency failure: {exc}"

@@ -26,9 +26,9 @@ from .ensembles import B_MIN, disk_state_weights
 from .fockspace import CutoffPolicy, coherent_amplitudes, disk_cutoff
 from .specialfns import SUPPORTED_X_MAX, TRAPEZOID_NODES, ArgumentRangeError, trapezoid_rule
 
-# Smallest disk radius of the simplified protocol: d_0 = e^(-r^2) - u_0 cancels
-# near r = b/sqrt(2), and the stripe D^2 errs by up to 8.5e-8 relative at b = 1e-2
-# (1.5e-3 at b = 1e-3) against an 80-digit mpmath sum.
+# Smallest disk radius of the simplified protocol: d_0 = e^(-r^2) - u_0 cancels near
+# r = b/sqrt(2).  Against an 80-digit mpmath sum the stripe D^2 at the saturation minima
+# errs by up to 4.1e-7 relative at b = 1e-2, 8.3e-9 at 2e-2 (2.3e-3 at b = 1e-3).
 B_SIMPLIFIED_MIN = 1e-2
 
 # Largest supported circle count.  Phi_nn cancels against u_n, so the relative error
@@ -43,7 +43,8 @@ B_MAX = math.sqrt(0.5 * SUPPORTED_X_MAX)
 
 
 class ConsistencyError(RuntimeError):
-    """The r_min search found no sign change, a value not finite, or no root."""
+    """The r_min search found no sign change, a value not finite, or no root; or the
+    dense oracle misses an analytic D^2 by more than cli.ORACLE_TOL.  The CLI exits 3."""
 
 
 def cross_bessel_sum(b: float, r):
@@ -89,11 +90,13 @@ def check_circle(b, r, p):
 def trace_unit_sq(b: float) -> float:
     """Purity (1 - e^(-x) [I_0(x) + I_1(x)]) / b^2, x = 2b^2, of the disk-mixed
     state for B_MIN <= b <= 10: the trapezoid mean of the non-negative terms
-    (1 + cos theta_j)(1 - exp(-2x sin^2(theta_j/2))), 1 + cos = 2 - 2 sin^2."""
+    (1 + cos theta_j)(1 - exp(-2x sin^2(theta_j/2))), 1 + cos = 2 - 2 sin^2,
+    clamped at 1, which rounding passes by an ulp at b below about 7e-9."""
     check_disk(b, B_MIN)
     x = 2.0 * b * b
     half2, weight, _ = trapezoid_rule(TRAPEZOID_NODES)
-    return float((2.0 * (1.0 - half2) * -np.expm1(-2.0 * x * half2)) @ weight) / (b * b)
+    purity = float((2.0 * (1.0 - half2) * -np.expm1(-2.0 * x * half2)) @ weight) / (b * b)
+    return min(1.0, purity)
 
 
 def hs2_guess(n_circles: int) -> float:

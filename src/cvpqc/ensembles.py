@@ -3,7 +3,7 @@
 Builds the disk-mixed state (uniform mixture of coherent projectors over
 the phase-space disk of radius b), the mixture of p coherent states on
 one circle, which is also the phase-shift ensemble of the simplified
-protocol, and the N-circle encryption mixture Phi_N.
+protocol, and the N-circle encryption mixture Phi_N, each on the Fock levels n < dim.
 
 Circle mixtures are built analytically: a circle's stripe matrix (nonzero
 only where the index difference is a multiple of p) is the Gram matrix of
@@ -21,7 +21,7 @@ import functools
 
 import numpy as np
 
-from .fockspace import CutoffPolicy, coherent_amplitudes
+from .fockspace import coherent_amplitudes
 from .specialfns import poisson_tail
 
 # Smallest supported disk radius: b^2, the disk state's Poisson mean, stays a normal double.
@@ -41,11 +41,9 @@ def disk_state_weights(b: float, dim: int) -> np.ndarray:
     return unit
 
 
-def maximally_mixed(b: float, cutoff: CutoffPolicy) -> np.ndarray:
-    """Uniform mixture of coherent projectors over the disk of radius b,
-    diagonal in the Fock basis."""
-    cutoff.require(b)
-    return np.diag(disk_state_weights(b, cutoff.dim))
+def maximally_mixed(b: float, dim: int) -> np.ndarray:
+    """Uniform mixture of coherent projectors over the disk of radius b (diagonal)."""
+    return np.diag(disk_state_weights(b, dim))
 
 
 def _stripe_gram(circles: np.ndarray, amp: np.ndarray) -> np.ndarray:
@@ -65,20 +63,16 @@ def _stripe_gram(circles: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return gram
 
 
-def circle_mixture(p: int, radius: float, cutoff: CutoffPolicy) -> np.ndarray:
-    """Uniform mixture of p coherent states on one circle (canonical form).
-
-    Entries e^(-r^2) r^(m+n) / sqrt(m! n!) on the stripes |m-n| = 0 mod p,
-    exact zeros elsewhere.
-    """
+def circle_mixture(p: int, radius: float, dim: int) -> np.ndarray:
+    """Uniform mixture of p coherent states on one circle (canonical form): entries
+    e^(-r^2) r^(m+n) / sqrt(m! n!) on the stripes |m-n| = 0 mod p, exact zeros
+    elsewhere.  A circle p >= dim has no stripe but the diagonal, as p = dim."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    cutoff.require(radius)
-    dim = cutoff.dim  # a circle p >= dim has no stripe but the diagonal, as p = dim
     return _stripe_gram(np.array([min(p, dim)]), coherent_amplitudes([radius], dim))
 
 
-def phi_n(b: float, n_circles: int, cutoff: CutoffPolicy) -> np.ndarray:
+def phi_n(b: float, n_circles: int, dim: int) -> np.ndarray:
     """Encryption mixture (1/M) sum_p p * rho_p of the disk of radius b: circle p of
     N holds p states at radius p*b/N, and M = N(N+1)/2 keys index the displacements.
     The circles p < dim are one stripe Gram sum of sqrt(p) c(r_p); a circle p >= dim
@@ -87,8 +81,6 @@ def phi_n(b: float, n_circles: int, cutoff: CutoffPolicy) -> np.ndarray:
         raise ValueError(f"b must be positive, got {b}")
     if n_circles < 1:
         raise ValueError(f"N must be >= 1, got {n_circles}")
-    cutoff.require(b)
-    dim = cutoff.dim
     p = np.arange(1, n_circles + 1)
     amp = coherent_amplitudes(p * b / n_circles, dim)
     acc = _stripe_gram(p[: dim - 1], np.sqrt(p[: dim - 1, None]) * amp[: dim - 1])

@@ -11,6 +11,7 @@ this dense route.
 Truncation is governed by a CutoffPolicy: coherent-state photon
 populations are Poisson, so the mass beyond the cutoff is exactly an
 upper Poisson tail and the dimension can be chosen against a tail budget.
+The dense states in ensembles take only its dim, built for the largest radius they hold.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ import numpy as np
 
 from .specialfns import coherent_amplitudes  # noqa: F401  (callers import it from here)
 from .specialfns import poisson_cut, poisson_tail
-
-
-class CutoffError(ValueError):
-    """State support exceeds what the cutoff policy admits."""
 
 
 @dataclass(frozen=True)
@@ -41,12 +38,6 @@ class CutoffPolicy:
             raise ValueError(f"max_radius must be non-negative and finite, got {self.max_radius}")
         if not 0 < self.tail_budget < 1:
             raise ValueError(f"tail_budget must be in (0, 1), got {self.tail_budget}")
-
-    def require(self, radius: float):
-        if radius > self.max_radius + 1e-12:
-            raise CutoffError(
-                f"radius {radius} exceeds cutoff max_radius {self.max_radius}"
-            )
 
     @property
     def dim(self) -> int:

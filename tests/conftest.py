@@ -374,13 +374,13 @@ def masked_circle_mixture(p: int, radius: float, dim: int) -> np.ndarray:
     return np.where((idx[:, None] - idx[None, :]) % p == 0, np.outer(c, c), 0.0)
 
 
-def literal_phi_n(b: float, n_circles: int, cutoff: CutoffPolicy) -> np.ndarray:
+def literal_phi_n(b: float, n_circles: int, dim: int) -> np.ndarray:
     """Phi_N as the literal sum (1/M) sum_p p * masked_circle_mixture(p, p b / N)
     over every circle p = 1..N, each a dense dim x dim stripe matrix, with
     M = N(N+1)/2 operations."""
-    acc = np.zeros((cutoff.dim, cutoff.dim))
+    acc = np.zeros((dim, dim))
     for p in range(1, n_circles + 1):
-        acc += p * masked_circle_mixture(p, p * b / n_circles, cutoff.dim)
+        acc += p * masked_circle_mixture(p, p * b / n_circles, dim)
     return acc / (n_circles * (n_circles + 1) // 2)
 
 

@@ -58,7 +58,7 @@ def report(number, name, ok, detail=""):
 
 def oracle_states(b, n):
     cutoff = CutoffPolicy(max_radius=b, tail_budget=TAIL)
-    return maximally_mixed(b, cutoff), phi_n(b, n, cutoff)
+    return maximally_mixed(b, cutoff.dim), phi_n(b, n, cutoff.dim)
 
 
 def test_criterion_01_analytic_distance_matches_matrix_oracle():
@@ -91,9 +91,9 @@ def test_criterion_03_unitary_invariance_of_distance():
     worst = 0.0
     for beta in (0.3 + 0j, 0.7 * np.exp(1j * math.pi / 4)):
         cutoff = CutoffPolicy(max_radius=b + abs(beta), tail_budget=TAIL)
-        displaced_unit = displacement_conjugate(maximally_mixed(b, cutoff), beta)
+        displaced_unit = displacement_conjugate(maximally_mixed(b, cutoff.dim), beta)
         # the encryption channel's output D(beta) Phi_N D^dag(beta)
-        output = displacement_conjugate(phi_n(b, n, cutoff), beta)
+        output = displacement_conjugate(phi_n(b, n, cutoff.dim), beta)
         d2 = hs_distance_numeric(displaced_unit, output) ** 2
         worst = max(worst, abs(d2 - d2_exact))
     report(3, "unitary invariance", worst < 1e-6, f"worst {worst:.3e}")
@@ -135,10 +135,10 @@ def test_criterion_05_bessel_identities():
 def test_criterion_06_diagonal_limit():
     b = 1.0
     cutoff = CutoffPolicy(max_radius=b, tail_budget=TAIL)
-    unit_diag = np.diag(maximally_mixed(b, cutoff))[:21]
+    unit_diag = np.diag(maximally_mixed(b, cutoff.dim))[:21]
     devs = []
     for n in (5, 10, 20, 40, 80):
-        mix_diag = np.diag(phi_n(b, n, cutoff))[:21]
+        mix_diag = np.diag(phi_n(b, n, cutoff.dim))[:21]
         devs.append(float(np.abs(mix_diag - unit_diag).max()))
     monotone = all(d2 <= d1 for d1, d2 in zip(devs, devs[1:]))
     report(

@@ -317,6 +317,45 @@ class TestDistanceCommand:
         assert doc["rows"][0]["N"] == 3
 
 
+# Each command with a dense oracle: its argv, the disk radii b of its oracle states and
+# the ensembles functions it builds them with.
+ORACLE_RUNS = {
+    "distance": (["distance", "--b", "1e-150,0.5,2,10", "--N", "1,3,40", "--with-oracle"],
+                 {1e-150, 0.5, 2.0, 10.0}, {"maximally_mixed", "phi_n"}),
+    "simplified": (["simplified", "--b", "2", "--p", "4", "--r", "1", "--with-oracle"],
+                   {2.0}, {"maximally_mixed", "circle_mixture"}),
+    "verify": (["verify", "all"], {0.5, 1.0, 2.0},
+               {"maximally_mixed", "phi_n", "circle_mixture"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RUNS))
+def test_oracle_states_fit_the_disk_cutoff(name, capsys, monkeypatch):
+    # The dense states take a bare Fock dimension, so nothing in them checks that it
+    # holds their radii.  Each is built on disk_cutoff(b).dim of the disk state b that
+    # it is compared against, the last one built, and takes no radius above that b.
+    argv, radii, kinds = ORACLE_RUNS[name]
+    calls = []
+
+    def spy(kind, func):
+        return lambda *args: calls.append((kind, args)) or func(*args)
+
+    for kind in ("maximally_mixed", "phi_n", "circle_mixture"):
+        monkeypatch.setattr(cli, kind, spy(kind, getattr(cli, kind)))
+    code, _, err = run(argv, capsys)
+    assert calls[0][0] == "maximally_mixed"
+    for kind, args in calls:
+        if kind == "maximally_mixed":
+            b = args[0]
+            assert b in radii
+        # phi_n(b', N, dim) takes the radii p b' / N <= b'; circle_mixture(p, r, dim) r
+        radius = args[1] if kind == "circle_mixture" else args[0]
+        assert args[-1] == disk_cutoff(b).dim, (kind, args, b)
+        assert radius <= b, (kind, args, b)
+    assert {kind for kind, _ in calls} == kinds
+    assert code == cli.EXIT_OK, err
+
+
 class TestOtherCommands:
     def test_rmin_rows(self, capsys):
         code, out, _ = run(["rmin", "--b", "1,2"], capsys)

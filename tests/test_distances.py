@@ -17,6 +17,7 @@ from cvpqc import (
     key_bits,
     maximally_mixed,
     phi_n,
+    saturation_sweep,
     trace_cross,
     trace_phi_sq,
     trace_unit_sq,
@@ -47,8 +48,8 @@ IDENTITY_GRID = (0.6, 1.2, 1.8, 2.4, 3.0)
 
 def matrix_traces(b, n):
     cutoff = CutoffPolicy(max_radius=b, tail_budget=TAIL)
-    unit = maximally_mixed(b, cutoff)
-    mix = phi_n(b, n, cutoff)
+    unit = maximally_mixed(b, cutoff.dim)
+    mix = phi_n(b, n, cutoff.dim)
     return (
         float(np.trace(unit @ unit)),
         float(np.trace(unit @ mix)),
@@ -138,6 +139,11 @@ class TestTraceTerms:
             ref = float((1 - mpmath.exp(-x) * bessel) / mpmath.mpf(b) ** 2)
         assert trace_unit_sq(b) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
+    def test_unit_purity_never_exceeds_one(self):
+        # below b ~ 7.3e-9 the trapezoid mean rounds up to 1 + 4.4e-16 at 9078 of these
+        purity = [trace_unit_sq(b) for b in np.geomspace(B_MIN, 10.0, 20001).tolist()]
+        assert max(purity) <= 1.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             trace_unit_sq(-1.0)
@@ -157,7 +163,7 @@ class TestHs2Exact:
         d2 = hs2_exact(b, n)[0]
         cutoff = CutoffPolicy(max_radius=b, tail_budget=TAIL)
         d2_num = hs_distance_numeric(
-            maximally_mixed(b, cutoff), phi_n(b, n, cutoff)
+            maximally_mixed(b, cutoff.dim), phi_n(b, n, cutoff.dim)
         ) ** 2
         assert d2 == pytest.approx(d2_num, abs=1e-8)
 
@@ -244,7 +250,7 @@ class TestHs2Simplified:
         b, p, r = 2.0, 6, 1.3
         cutoff = CutoffPolicy(max_radius=b, tail_budget=TAIL)
         d2_num = hs_distance_numeric(
-            maximally_mixed(b, cutoff), circle_mixture(p, r, cutoff)
+            maximally_mixed(b, cutoff.dim), circle_mixture(p, r, cutoff.dim)
         ) ** 2
         assert hs2_simplified(b, p, r) == pytest.approx(d2_num, abs=1e-9)
 
@@ -286,8 +292,10 @@ class TestHs2Simplified:
     @pytest.mark.parametrize("b", [1e-2, 2e-2, 0.1])
     def test_small_disk_matches_high_precision(self, b):
         # at r = b/sqrt(2) D^2 falls like b^8: the parent's three-trace sum printed
-        # 0.0 there at b = 1e-2, p >= 4; d_0 = e^(-r^2) - u_0 still cancels
+        # 0.0 there at b = 1e-2, p >= 4; d_0 = e^(-r^2) - u_0 still cancels.  The
+        # saturation minima hold the largest error, 4.1e-7 at b = 1e-2, p = 5.
         rs = np.array([b / 2000, 0.3 * b, b / math.sqrt(2.0), b])
+        rs = np.append(rs, saturation_sweep(b, 20)[1])
         for p in (1, 2, 3, 4, 5, 10, 501):
             vals = hs2_simplified(b, p, rs)
             for r, v in zip(rs, vals):

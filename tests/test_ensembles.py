@@ -35,7 +35,7 @@ class TestCircleMixture:
         r = 1.2
         cutoff = CutoffPolicy(max_radius=2.0, tail_budget=1e-12)
         oracle = projector_average(circle_points(r, p), cutoff.dim)
-        np.testing.assert_allclose(circle_mixture(p, r, cutoff), oracle, atol=1e-9)
+        np.testing.assert_allclose(circle_mixture(p, r, cutoff.dim), oracle, atol=1e-9)
 
     @pytest.mark.parametrize("r", [2.5, 10.0])
     @pytest.mark.parametrize("p_of_dim", [lambda d: 1, lambda d: 3, lambda d: d - 1,
@@ -46,25 +46,25 @@ class TestCircleMixture:
         # zeros, so the Gram route is bit-identical to the masked outer product
         cutoff = disk_cutoff(10.0)
         p = p_of_dim(cutoff.dim)
-        got = circle_mixture(p, r, cutoff)
+        got = circle_mixture(p, r, cutoff.dim)
         expected = masked_circle_mixture(p, r, cutoff.dim)
         assert np.array_equal(got, expected)  # off-stripe entries too: exact zeros
 
     def test_huge_phase_count_is_the_diagonal(self):
         # no stripe of p >= dim but the diagonal fits in the block
         cutoff = disk_cutoff(2.0)
-        assert np.array_equal(circle_mixture(10**20, 1.0, cutoff),
+        assert np.array_equal(circle_mixture(10**20, 1.0, cutoff.dim),
                               masked_circle_mixture(cutoff.dim, 1.0, cutoff.dim))
 
     def test_off_stripe_entries_are_exact_zeros(self):
         p = 4
-        m = circle_mixture(p, 1.0, CutoffPolicy(max_radius=1.5))
+        m = circle_mixture(p, 1.0, CutoffPolicy(max_radius=1.5).dim)
         idx = np.arange(m.shape[0])
         off = (idx[:, None] - idx[None, :]) % p != 0
         assert np.all(m[off] == 0.0)
 
     def test_is_a_state(self):
-        m = circle_mixture(3, 1.0, CutoffPolicy(max_radius=1.5, tail_budget=1e-12))
+        m = circle_mixture(3, 1.0, CutoffPolicy(max_radius=1.5, tail_budget=1e-12).dim)
         assert m.dtype == np.float64
         assert np.trace(m) == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(m).min() > -1e-12
@@ -74,7 +74,7 @@ class TestMaximallyMixed:
     def test_diagonal_closed_form(self):
         b = 1.4
         cutoff = CutoffPolicy(max_radius=b, tail_budget=1e-12)
-        unit = maximally_mixed(b, cutoff)
+        unit = maximally_mixed(b, cutoff.dim)
         assert unit.dtype == np.float64
         expected = [poisson_tail(n, b * b) / (b * b) for n in range(cutoff.dim)]
         np.testing.assert_allclose(np.diag(unit), expected, atol=1e-13)
@@ -98,7 +98,7 @@ class TestMaximallyMixed:
         # tail(0, b^2)/b^2 = (1 - e^(-b^2))/b^2
         b = 0.9
         cutoff = CutoffPolicy(max_radius=b)
-        first = maximally_mixed(b, cutoff)[0, 0]
+        first = maximally_mixed(b, cutoff.dim)[0, 0]
         assert first == pytest.approx((1.0 - math.exp(-b * b)) / (b * b), abs=1e-13)
 
     @pytest.mark.filterwarnings("error")
@@ -108,14 +108,14 @@ class TestMaximallyMixed:
         with pytest.raises(ValueError, match="b must be positive and at least 1e-150"):
             ensembles.disk_state_weights(b, 4)
         with pytest.raises(ValueError):
-            maximally_mixed(b, disk_cutoff(b))
+            maximally_mixed(b, disk_cutoff(b).dim)
         with pytest.raises(ValueError):
             cross_bessel_sum(b, 1.0)
 
     def test_trace_deficit_within_budget(self):
         cutoff = CutoffPolicy(max_radius=2.0, tail_budget=1e-10)
         # diagonal truncates tails of every Poisson weight up to b^2
-        assert 1.0 - np.trace(maximally_mixed(2.0, cutoff)) < cutoff.dim * 1e-10
+        assert 1.0 - np.trace(maximally_mixed(2.0, cutoff.dim)) < cutoff.dim * 1e-10
 
 
 class TestPhiN:
@@ -124,14 +124,14 @@ class TestPhiN:
         cutoff = CutoffPolicy(max_radius=b, tail_budget=1e-12)
         alphas = np.concatenate([circle_points(p * b / n, p) for p in range(1, n + 1)])
         assert len(alphas) == n * (n + 1) // 2
-        mix = phi_n(b, n, cutoff)
+        mix = phi_n(b, n, cutoff.dim)
         assert mix.dtype == np.float64
         np.testing.assert_allclose(mix, projector_average(alphas, cutoff.dim), atol=1e-12)
 
     def test_single_circle_reduces_to_one_state(self):
         b = 1.0
         cutoff = CutoffPolicy(max_radius=b, tail_budget=1e-12)
-        one = phi_n(b, 1, cutoff)
+        one = phi_n(b, 1, cutoff.dim)
         np.testing.assert_allclose(one, projector_average([b], cutoff.dim), atol=1e-13)
 
     @pytest.mark.parametrize(
@@ -147,7 +147,7 @@ class TestPhiN:
         cutoff = CutoffPolicy(max_radius=b, tail_budget=1e-12)
         n = n_of_dim(cutoff.dim)
         np.testing.assert_allclose(
-            phi_n(b, n, cutoff), literal_phi_n(b, n, cutoff), rtol=0.0, atol=1e-15
+            phi_n(b, n, cutoff.dim), literal_phi_n(b, n, cutoff.dim), rtol=0.0, atol=1e-15
         )
 
     def test_builds_only_circles_that_reach_the_block(self, monkeypatch):
@@ -160,15 +160,15 @@ class TestPhiN:
 
         monkeypatch.setattr(ensembles, "_stripe_gram", counting)
         cutoff = CutoffPolicy(max_radius=2.0, tail_budget=1e-12)
-        phi_n(2.0, 320, cutoff)
+        phi_n(2.0, 320, cutoff.dim)
         assert 0 < len(built) <= cutoff.dim - 1
 
     def test_validation(self):
         cutoff = CutoffPolicy(max_radius=1.0)
         with pytest.raises(ValueError, match="b must be positive, got 0.0"):
-            phi_n(0.0, 2, cutoff)
+            phi_n(0.0, 2, cutoff.dim)
         with pytest.raises(ValueError, match="N must be >= 1, got 0"):
-            phi_n(1.0, 0, cutoff)
+            phi_n(1.0, 0, cutoff.dim)
 
 
 class TestEncrypt:
@@ -180,7 +180,7 @@ class TestEncrypt:
         cutoff = CutoffPolicy(max_radius=b + abs(beta), tail_budget=1e-12)
         alphas = np.concatenate([circle_points(p * b / n, p) for p in range(1, n + 1)])
         np.testing.assert_allclose(
-            displacement_conjugate(phi_n(b, n, cutoff), beta),
+            displacement_conjugate(phi_n(b, n, cutoff.dim), beta),
             projector_average(alphas + beta, cutoff.dim),
             atol=1e-7,
         )
@@ -194,7 +194,7 @@ class TestPhaseShiftEnsemble:
         cutoff = CutoffPolicy(max_radius=2.0)
         rotated = projector_average(circle_points(r, p, theta), cutoff.dim)
         np.testing.assert_allclose(
-            np.sort(np.linalg.eigvalsh(circle_mixture(p, r, cutoff))),
+            np.sort(np.linalg.eigvalsh(circle_mixture(p, r, cutoff.dim))),
             np.sort(np.linalg.eigvalsh(rotated)),
             atol=1e-10,
         )
@@ -208,6 +208,6 @@ class TestPhaseShiftEnsemble:
         rotated = projector_average(circle_points(r, p, theta), cutoff.dim)
         np.testing.assert_allclose(
             u[:, None] * rotated * u.conj()[None, :],
-            circle_mixture(p, r, cutoff),
+            circle_mixture(p, r, cutoff.dim),
             atol=1e-12,
         )

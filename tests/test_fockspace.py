@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from cvpqc import CutoffError, CutoffPolicy, circle_mixture, fockspace, hs_distance_numeric, poisson_tail
+from cvpqc import CutoffPolicy, circle_mixture, fockspace, hs_distance_numeric, poisson_tail
 from cvpqc.fockspace import coherent_amplitudes, disk_cutoff
 from cvpqc.holevo import entropy_bits
 from conftest import coherent_state, displacement_matrix, mp_poisson_tail
@@ -47,12 +47,6 @@ class TestCutoffPolicy:
         # 38^2 = 1444 > POISSON_LAM_MAX: no cutoff is truncated silently
         with pytest.raises(ValueError):
             CutoffPolicy(max_radius=38.0).dim
-
-    def test_require(self):
-        pol = CutoffPolicy(max_radius=1.0)
-        pol.require(1.0)  # boundary admitted
-        with pytest.raises(CutoffError):
-            pol.require(1.5)
 
     def test_validation(self):
         for radius in (-1.0, math.nan, math.inf):
@@ -126,15 +120,11 @@ class TestCoherentStates:
 
     def test_projector_is_rank_one_state(self):
         # one state on the circle: the projector onto |r>
-        rho = circle_mixture(1, 1.0, CutoffPolicy(max_radius=1.5))
+        rho = circle_mixture(1, 1.0, CutoffPolicy(max_radius=1.5).dim)
         w = np.linalg.eigvalsh(rho)
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-9)
         assert w[-1] == pytest.approx(1.0, abs=1e-9)
         assert np.abs(w[:-1]).max() < 1e-12
-
-    def test_projector_respects_cutoff(self):
-        with pytest.raises(CutoffError):
-            circle_mixture(1, 3.0, CutoffPolicy(max_radius=2.0))
 
 
 class TestDisplacement:
@@ -188,7 +178,7 @@ class TestHsDistance:
 class TestEntropy:
     # entropy_bits of a state's eigenvalues is its von Neumann entropy
     def test_pure_state_zero(self):
-        rho = circle_mixture(1, 1.0, CutoffPolicy(max_radius=1.5))
+        rho = circle_mixture(1, 1.0, CutoffPolicy(max_radius=1.5).dim)
         assert entropy_bits(np.linalg.eigvalsh(rho)) == pytest.approx(0.0, abs=1e-8)
 
     def test_maximally_mixed_qudit(self):
