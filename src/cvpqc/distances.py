@@ -43,8 +43,9 @@ B_MAX = math.sqrt(0.5 * SUPPORTED_X_MAX)
 
 
 class ConsistencyError(RuntimeError):
-    """The r_min search found no sign change, a value not finite, or no root; or the
-    dense oracle misses an analytic D^2 by more than cli.ORACLE_TOL.  The CLI exits 3."""
+    """The r_min search found no sign change, a value not finite, or no root; or the dense
+    oracle misses an analytic D^2 (cli.oracle_misses).  The CLI exits 3.  Both D^2 routes
+    cancel Phi_nn - u_n at small b, so agreeing there does not make them right."""
 
 
 def cross_bessel_sum(b: float, r):

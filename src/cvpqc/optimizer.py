@@ -11,9 +11,9 @@ a difference of two terms in [0, 1].  The TRAPEZOID_NODES-point rule stands for
 p -> infinity, where the expression is e^(-2r^2)/r times the paper's
 r I_0(2r^2) - r I_1(2r^2) - (e^(r^2) / (b e^(b^2))) I_1(2rb), whose root is r_min.
 At finite p the root is that p's minimizer; D^2(1, r) increases in r and has none.
-One search finds them all: the first sign change among r = BRACKET * b, then
-regula falsi in the Illinois form (Dowell & Jarratt, BIT 11, 1971), with every
-(b, p) row in the same array calls.
+One search finds them all: the first sign change among r = BRACKET * b, checked by
+stationarity, then regula falsi in the Illinois form (Dowell & Jarratt, BIT 11, 1971)
+on the unchecked _kernel, with every (b, p) row in the same array calls.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 
 from .distances import B_SIMPLIFIED_MIN, ConsistencyError, check_circle, check_disk, hs2_simplified
 from .fockspace import disk_cutoff
-from .specialfns import TRAPEZOID_NODES, TRAPEZOID_NODES_MAX, bessel_i
+from .specialfns import SUPPORTED_X_MAX, TRAPEZOID_NODES, TRAPEZOID_NODES_MAX, trapezoid_mean
+from .specialfns import ArgumentRangeError
 
 # r_min / b lies in [0.644, 0.890] over the window: [0.6b, 0.9b] brackets every root.
 # A finite p's root can lie lower (0.35b at b = 10, p = 2); b / 2000 is the lower end.
@@ -40,38 +41,46 @@ RADII_PER_SEARCH = 4096
 
 
 @lru_cache(maxsize=None)
-def _circle_rules() -> tuple[np.ndarray, np.ndarray]:
-    """Row p - 1, p = 1..TRAPEZOID_NODES: s_j = sin^2(pi j / p), j = 1..TRAPEZOID_NODES // 2,
-    and the weights 2 s_j / p, doubled where node j also stands for node p - j
-    (2j < p) and zero past j = p / 2.  Built on first use, read-only."""
+def _circle_rules() -> np.ndarray:
+    """[s, weights], row p - 1, p = 1..TRAPEZOID_NODES: s_j = sin^2(pi j / p), j =
+    1..TRAPEZOID_NODES // 2, and the weights 2 s_j / p, doubled where node j also stands
+    for node p - j (2j < p) and zero past j = p / 2.  Built on first use, read-only."""
     p = np.arange(1, TRAPEZOID_NODES + 1)[:, None]
     j = np.arange(1, TRAPEZOID_NODES // 2 + 1)
     s = np.sin(np.pi * j / p) ** 2
-    rules = s, np.select([2 * j < p, 2 * j == p], [4.0, 2.0]) * s / p
-    for array in rules:
-        array.setflags(write=False)
+    rules = np.array([s, np.select([2 * j < p, 2 * j == p], [4.0, 2.0]) * s / p])
+    rules.setflags(write=False)
     return rules
 
 
-def stationarity(b, r, p=TRAPEZOID_NODES):
-    """-(1/4r) dD^2/dr at p phase shifts, with b, r and p (integral, >= 1)
-    broadcast; scalars give a float.  Every p >= TRAPEZOID_NODES takes that
-    rule, whose aliasing terms are below eps: it stands for p -> infinity."""
-    b, r = check_circle(b, r, p)
-    p = np.asarray(p)
-    row = np.where(p < TRAPEZOID_NODES, p, TRAPEZOID_NODES).astype(int) - 1  # p may pass int64
-    s, weight = (rule[row] for rule in _circle_rules())
-    # the drive first: its Bessel table is freed before the circle table is built
-    drive = bessel_i(1, 2.0 * r * b) * np.exp(-b * b - r * r) / (r * b)  # checks 2rb <= 200
+def _rule_rows(p):
+    """[s, weights] for p (which may pass int64); every p >= TRAPEZOID_NODES reads the last."""
+    return _circle_rules()[:, np.where(p < TRAPEZOID_NODES, p, TRAPEZOID_NODES).astype(int) - 1]
+
+
+def _kernel(b, r, s, weight):
+    """stationarity on rule rows s, weight, unchecked: r in (0, b], 2rb <= SUPPORTED_X_MAX."""
+    x = 2.0 * r * b  # the drive first: its table is freed before the circle table is built
+    drive = np.exp(x) * trapezoid_mean(x, TRAPEZOID_NODES)[1] * np.exp(-b * b - r * r) / (r * b)
     terms = (-4.0 * r * r)[..., None] * s
     np.exp(terms, out=terms)  # in place: no second array
-    value = np.einsum("...j,...j->...", terms, weight) - drive
+    return np.einsum("...j,...j->...", terms, weight) - drive
+
+
+def stationarity(b, r, p=TRAPEZOID_NODES):
+    """-(1/4r) dD^2/dr at p phase shifts, b, r and p (integral, >= 1) broadcast;
+    scalars give a float.  Every p >= TRAPEZOID_NODES takes that rule, its aliasing
+    below eps: it stands for p -> infinity.  Checks 2rb <= 200 too, then runs _kernel."""
+    b, r = check_circle(b, r, p)
+    if not (2.0 * r * b <= SUPPORTED_X_MAX).all():
+        raise ArgumentRangeError(f"need 2rb <= {SUPPORTED_X_MAX}, got {np.max(2.0 * r * b)}")
+    value = _kernel(b, r, *_rule_rows(np.asarray(p)))
     return value if value.ndim else float(value)
 
 
 def d2_derivative(b, r, p=TRAPEZOID_NODES):
-    """dD^2/dr, -4r times the stationarity expression; ConsistencyError names
-    the first radius where it is not finite."""
+    """dD^2/dr, -4r times the checked stationarity expression; ConsistencyError
+    names the first radius where it is not finite, for the search's steps too."""
     d = -4.0 * np.asarray(r) * stationarity(b, r, p)
     if (bad := np.flatnonzero(~np.isfinite(d))).size:
         b, r, _, i = *np.broadcast_arrays(b, r, p), bad[0]
@@ -101,7 +110,7 @@ def _search(b: np.ndarray, p) -> np.ndarray:
     or one per row): the first sign change among r = BRACKET * b, then one
     Illinois step per array call down to a bracket width of 1e-12.  A
     converged bracket is frozen, so every row gets the root it gets alone."""
-    p = np.asarray(p)  # a scalar p, as from find_rmin, reads one table row for all rows
+    p, rule = np.asarray(p), _rule_rows(p)  # the bracket call checks every r, p a step reaches
     rs = np.multiply.outer(b, BRACKET)
     g = d2_derivative(b[:, None], rs, p[..., None])  # every row's 5 points in one array call
     changes = g[:, :-1] * g[:, 1:] <= 0.0
@@ -118,7 +127,9 @@ def _search(b: np.ndarray, p) -> np.ndarray:
         # the secant's zero, 4e-13 inside the bracket: rounding onto an end would stall
         lo, hi = np.minimum(r0o, r1o) + 4e-13, np.maximum(r0o, r1o) - 4e-13
         x = np.clip((r0o * g1o - r1o * g0o) / (g1o - g0o), lo, hi)
-        gx = d2_derivative(b[open_], x, p[open_] if p.ndim else p)
+        gx = -4.0 * x * _kernel(b[open_], x, *(rule[:, open_] if p.ndim else rule))
+        if not np.isfinite(gx).all():  # the checked call raises, naming the first radius
+            d2_derivative(b[open_], x, p[open_] if p.ndim else p)
         # Illinois: the kept end's value is halved when the bracket keeps it again
         flip = np.sign(gx) != np.sign(g1o)
         r0[open_], g0[open_] = np.where(flip, r1o, r0o), np.where(flip, g1o, 0.5 * g0o)

@@ -284,6 +284,25 @@ class TestDistanceCommand:
         for row in rows:
             assert abs(float(row["d2_numeric"]) - float(row["d2_exact"])) <= cli.ORACLE_TOL
 
+    @pytest.mark.parametrize(
+        "b,n", [("1e-150", "1,2000"), ("1e-4", "320")], ids=["subnormal-oracle", "1e-5-apart"]
+    )
+    def test_oracle_miss_below_the_absolute_bound_is_inconsistent(self, b, n, capsys):
+        # D^2 far below ORACLE_TOL: the two routes differ by 1.23e-32 against 1.2e-319,
+        # and by 1.2e-5 relative; both cancel Phi_nn - u_n, so neither is the reference
+        code, _, err = run(["distance", "--b", b, "--N", n, "--with-oracle"], capsys)
+        assert code == cli.EXIT_INCONSISTENT
+        assert len(err.splitlines()) == 1 and "oracle mismatch" in err
+
+    def test_oracle_bound(self):
+        assert not cli.oracle_misses(1.0, 1.0 + 5e-9)  # 5e-9 apart: within ORACLE_TOL
+        assert not cli.oracle_misses(1e-300, 1.0000005e-300)  # 5e-7 relative
+        assert not cli.oracle_misses(2e-300, 2.0000000000000004e-300)  # a subnormal gap
+        assert not cli.oracle_misses(1e-315, 5e-316)
+        assert cli.oracle_misses(1.0, 1.0 + 2e-8)
+        assert cli.oracle_misses(1e-20, 1.00001e-20)
+        assert cli.oracle_misses(1.232595164407831e-32, 1.2488e-319)
+
     def test_oracle_memory_is_bounded(self):
         # one GRAM_BLOCK_BYTES block of residue rows and the N x dim amplitudes
         ensembles.disk_state_weights(10.0, disk_cutoff(10.0).dim)  # warm the per-radius cache
@@ -372,6 +391,15 @@ class TestOtherCommands:
         assert code == cli.EXIT_OK
         assert out.splitlines()[0] == "b,p,r,d2_simplified,d2_numeric"
 
+    def test_simplified_small_disk_oracle_miss_is_inconsistent(self, capsys, monkeypatch):
+        # D^2 = 1.2e-9 here, so an oracle 1e-5 off relative passes ORACLE_TOL alone
+        oracle = cli.numeric_simplified_d2
+        monkeypatch.setattr(cli, "numeric_simplified_d2",
+                            lambda b, p, r: oracle(b, p, r) * (1.0 + 1e-5))
+        argv = ["simplified", "--b", "1e-2", "--p", "3", "--r", "5e-3", "--with-oracle"]
+        code, _, err = run(argv, capsys)
+        assert code == cli.EXIT_INCONSISTENT and "oracle mismatch" in err
+
     def test_simplified_small_disk_meets_oracle(self, capsys):
         # at the window's edge the oracle's cutoff must keep S_3 = 5e-15, which a fixed
         # 1e-12 tail budget drops (dim 3)
@@ -414,14 +442,14 @@ class TestOtherCommands:
         "argv", [["rmin", "--b", "0.5:7:0.5"], ["figures", "fig1b"]], ids=["rmin", "fig1b"]
     )
     def test_radius_grid_is_one_root_search(self, argv, capsys, monkeypatch):
-        # one find_rmin for the whole grid: one stationarity call at the five bracket
+        # one find_rmin for the whole grid: one kernel evaluation at the five bracket
         # points of every radius, one per Illinois secant step for the radii still
         # open, and one for the residuals
         searches, scans = [], []
-        find, stationarity = cli.find_rmin, optimizer.stationarity
+        find, kernel = cli.find_rmin, optimizer._kernel
         monkeypatch.setattr(cli, "find_rmin", lambda b: searches.append(b) or find(b))
         monkeypatch.setattr(
-            optimizer, "stationarity", lambda b, r, p: scans.append(r) or stationarity(b, r, p)
+            optimizer, "_kernel", lambda b, r, *rule: scans.append(r) or kernel(b, r, *rule)
         )
         code, out, err = run(argv, capsys)
         assert code == cli.EXIT_OK, err

@@ -16,7 +16,7 @@ from cvpqc import optimizer
 from cvpqc.distances import B_SIMPLIFIED_MIN
 from cvpqc.fockspace import disk_cutoff
 from cvpqc.optimizer import BRACKET, d2_derivative
-from cvpqc.specialfns import TRAPEZOID_NODES, TRAPEZOID_NODES_MAX
+from cvpqc.specialfns import TRAPEZOID_NODES, TRAPEZOID_NODES_MAX, ArgumentRangeError
 from conftest import P_LIMIT, mp_simplified_minimizer
 
 
@@ -106,6 +106,36 @@ class TestStationarity:
         with pytest.raises(ValueError, match=r"r=1\.5, b=1\.0"):
             stationarity(np.array([[1.0], [2.0]]), np.array([[0.5, 1.5], [0.5, 1.5]]))
 
+    def test_drive_window_is_checked(self):
+        # 2rb = 220 passes SUPPORTED_X_MAX, where bessel_i's rule is not validated
+        with pytest.raises(ArgumentRangeError, match="2rb <= 200"):
+            stationarity(11.0, 10.0)
+
+
+class TestKernel:
+    """stationarity is its checks and then _kernel, which the Illinois steps
+    call unchecked on rule rows gathered once per search."""
+
+    @pytest.mark.parametrize("p", [2, 3, 20, 159, 160, 10**30])
+    @pytest.mark.parametrize("b", [0.01, 0.5, 2.0, 10.0])
+    def test_kernel_is_stationarity(self, b, p):
+        rs = np.append(BRACKET, [0.3, 0.7]) * b
+        value = optimizer._kernel(*np.broadcast_arrays(b, rs), *optimizer._rule_rows(np.asarray(p)))
+        assert np.all(np.isfinite(value))
+        assert value.tobytes() == stationarity(b, rs, p).tobytes()
+
+    def test_searches_check_once(self, monkeypatch):
+        # the bracket call checks for every step; find_rmin also checks its residual
+        calls, check = [], optimizer.check_circle
+        monkeypatch.setattr(
+            optimizer, "check_circle", lambda b, r, p: calls.append(r) or check(b, r, p)
+        )
+        saturation_sweep(2.0, 20)
+        assert len(calls) == 1
+        calls.clear()
+        find_rmin(np.arange(1, 15) * 0.5)
+        assert len(calls) == 2
+
 
 class TestFindRmin:
     def test_root_agrees_with_grid_minimizer(self):
@@ -160,10 +190,11 @@ class TestFindRmin:
 
     def test_not_finite_is_inconsistent(self, monkeypatch):
         # a root at 0.7b that the search must not step over: NaN on (0.65b, 0.75b)
-        def hole(b, r, p):
+        # on the kernel, which the bracket call and every Illinois step reach
+        def hole(b, r, *rule):
             return np.where((0.65 * b < r) & (r < 0.75 * b), np.nan, 0.7 * b - r)
 
-        monkeypatch.setattr(optimizer, "stationarity", hole)
+        monkeypatch.setattr(optimizer, "_kernel", hole)
         with pytest.raises(ConsistencyError, match=r"dD\^2/dr is nan at r=1\.[34]\d*, b=2\.0"):
             find_rmin(2.0)
 
@@ -171,7 +202,7 @@ class TestFindRmin:
     def test_steep_convex_stationarity_converges(self, b, monkeypatch):
         # the slope -4 expm1(40 (0.3b - r)) keeps regula falsi's far end fixed
         monkeypatch.setattr(
-            optimizer, "stationarity", lambda b, r, p: np.expm1(40.0 * (0.3 * b - r)) / r
+            optimizer, "_kernel", lambda b, r, *rule: np.expm1(40.0 * (0.3 * b - r)) / r
         )
         assert abs(find_rmin(b)[0] - 0.3 * b) <= 1e-12
 
@@ -269,12 +300,12 @@ class TestSaturationSweep:
             assert abs(d2 - ref) <= 8 * np.spacing(ref), (p, r)
 
     def test_sweeps_take_few_calls(self, monkeypatch):
-        # one stationarity call for the bracket points, one per Illinois step; without
+        # one kernel evaluation for the bracket points, one per Illinois step; without
         # the point 0.25b the p = 2 row at b = 10 crawls from b/2000 (65 calls), and the
         # benchmark's radii b = 1, 1 + 2^-6, ..., 3 at p_max = 20 take 12.3 on average
-        calls, stationarity = [], optimizer.stationarity
+        calls, kernel = [], optimizer._kernel
         monkeypatch.setattr(
-            optimizer, "stationarity", lambda b, r, p: calls.append(r) or stationarity(b, r, p)
+            optimizer, "_kernel", lambda b, r, *rule: calls.append(r) or kernel(b, r, *rule)
         )
         saturation_sweep(10.0, TRAPEZOID_NODES_MAX)
         assert len(calls) <= 45
@@ -322,11 +353,12 @@ class TestBatchedRoots:
             assert abs(residual[i] - alone[1]) <= 1e-12
 
     def test_fine_grid_makes_a_dozen_calls_per_search(self, monkeypatch):
-        # the first call, one per Illinois step and the residual, per RADII_PER_SEARCH radii
+        # kernel evaluations: the bracket, one per Illinois step and the residual, per
+        # RADII_PER_SEARCH radii
         grid = np.arange(0.01, 7, 0.001)
-        calls, stationarity = [], optimizer.stationarity
+        calls, kernel = [], optimizer._kernel
         monkeypatch.setattr(
-            optimizer, "stationarity", lambda b, r, p: calls.append(r) or stationarity(b, r, p)
+            optimizer, "_kernel", lambda b, r, *rule: calls.append(r) or kernel(b, r, *rule)
         )
         assert len(find_rmin(grid)[0]) == len(grid) == 6990
         assert len(calls) <= math.ceil(len(grid) / optimizer.RADII_PER_SEARCH) * 12
